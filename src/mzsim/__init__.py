@@ -20,11 +20,14 @@ look like, and how many particles does it take to notice?
 """
 
 from .core import (
+    ATOM_LABELS,
+    EXPERIMENTS,
+    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
+    Experiment,
     Hypothesis,
-    PhotonCountTable,
     PhotonParams,
     purity_time_offset,
     survival_fraction,
@@ -85,7 +88,10 @@ __all__ = [
     "DecayParams",
     "PhotonParams",
     "CountTable",
-    "PhotonCountTable",
+    "ATOM_LABELS",
+    "PHOTON_LABELS",
+    "Experiment",
+    "EXPERIMENTS",
     "survival_fraction",
     "purity_time_offset",
     "predict_excitation",

@@ -17,7 +17,9 @@ position/intensity profile.  ``discriminate`` and ``plan`` emit flat
 JSON reports.  ``sectors-demo`` prints a worked superselection
 example (a cross-sector cat state losing its coherences).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.  Data
+Exit codes: 0 success, 2 configuration error (including any domain,
+structure or hypothesis error a config value provokes downstream), 3
+runtime error: identical models, a search cap, or an I/O failure.  Data
 goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
 emitted with 17 significant digits so identical configurations yield
 byte-identical output.
@@ -30,27 +32,23 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import sectors
+from . import montecarlo, predict, sectors
 from .config import RunConfig, parse_config
-from .core import DecayParams, Hypothesis
-from .errors import ConfigError, DomainError, MzsimError, UnsupportedHypothesisError
+from .core import DecayParams
+from .errors import (
+    ConfigError,
+    DomainError,
+    MzsimError,
+    StructureError,
+    UnsupportedHypothesisError,
+)
 from .fringes import coherent_pattern, incoherent_pattern
-from .montecarlo import simulate_decay, simulate_excitation, simulate_photon
-from .predict import predict_decay, predict_excitation, predict_photon
 from .stats import build_model, discriminate, min_sample_size
 
 __all__ = ["main"]
 
-_PREDICTORS = {
-    "excitation": predict_excitation,
-    "decay": predict_decay,
-    "photon": predict_photon,
-}
-_SIMULATORS = {
-    "excitation": simulate_excitation,
-    "decay": simulate_decay,
-    "photon": simulate_photon,
-}
+# errors that a configuration value provokes, wherever they surface
+_CONFIG_ERRORS = (ConfigError, DomainError, StructureError, UnsupportedHypothesisError)
 
 
 def _fmt(value) -> str:
@@ -87,20 +85,10 @@ def _experiment_inputs(cfg: RunConfig):
     return cfg.experiment, params
 
 
-def _tables_for(kind: str, params, hypothesis: Hypothesis, cfg: RunConfig, simulate: bool):
-    """Prediction (and optionally a sampled run); config-induced mismatches exit as config errors."""
-    try:
-        predicted = _PREDICTORS[kind](params, hypothesis)
-        sampled = _SIMULATORS[kind](params, hypothesis, cfg.sim) if simulate else None
-    except (DomainError, UnsupportedHypothesisError) as exc:
-        raise ConfigError(str(exc)) from None
-    return predicted, sampled
-
-
 def _cmd_predict(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "predict needs a hypothesis")
-    table, _ = _tables_for(kind, params, cfg.hypothesis, cfg, simulate=False)
+    table = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
     if (cfg.output_format or "csv") == "json":
         return _json(table.as_dict())
     return _csv(table.labels, [table.values()])
@@ -122,7 +110,8 @@ def _z_scores(tallies: np.ndarray, probs: np.ndarray, n0: int) -> np.ndarray:
 def _cmd_simulate(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "simulate needs a hypothesis")
-    predicted, sampled = _tables_for(kind, params, cfg.hypothesis, cfg, simulate=True)
+    predicted = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
+    sampled = getattr(montecarlo, f"simulate_{kind}")(params, cfg.hypothesis, cfg.sim)
     probs = np.array(predicted.values(), dtype=float)
     probs = probs / params.n0 if params.n0 else probs
     z = _z_scores(np.array(sampled.values(), dtype=float), probs, params.n0)
@@ -157,16 +146,13 @@ def _stats_models(cfg: RunConfig):
     background = cfg.stats.background
     if background is not None and len(background) == 1:
         background = background[0]
-    try:
-        if cfg.stats.visibility is not None:
-            model_h0 = build_model(
-                kind, params, background=background, visibility=cfg.stats.visibility
-            )
-        else:
-            model_h0 = build_model(kind, params, cfg.stats.h0, background=background)
-        model_h1 = build_model(kind, params, cfg.stats.h1, background=background)
-    except (DomainError, UnsupportedHypothesisError) as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg.stats.visibility is not None:
+        model_h0 = build_model(
+            kind, params, background=background, visibility=cfg.stats.visibility
+        )
+    else:
+        model_h0 = build_model(kind, params, cfg.stats.h0, background=background)
+    model_h1 = build_model(kind, params, cfg.stats.h1, background=background)
     return model_h0, model_h1
 
 
@@ -285,10 +271,7 @@ def _load_config(args) -> RunConfig:
     if args.out is not None:
         cfg.output_path = args.out
     if getattr(args, "seed", None) is not None:
-        try:
-            cfg.sim = replace(cfg.sim, seed=args.seed)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg.sim = replace(cfg.sim, seed=args.seed)
     return cfg
 
 
@@ -297,7 +280,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         text = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"mzsim: config error: {exc}", file=sys.stderr)
         return 2
     except (MzsimError, OSError) as exc:

@@ -25,9 +25,11 @@ screen geometry plus ``pattern`` (coherent | incoherent).  ``[output]``
 holds ``format`` (csv | json) and ``path``.
 """
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
-from .core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
+from .core import EXPERIMENTS, DecayParams, ExcitationParams, Hypothesis, PhotonParams
 from .errors import ConfigError, DomainError, GeometryError
 from .fringes import FringeGeometry
 from .montecarlo import SimConfig
@@ -36,16 +38,8 @@ __all__ = ["RunConfig", "StatsOptions", "parse_config"]
 
 _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 
-_PARAM_KEYS = {
-    "excitation": ("n0", "epsilon", "lambda", "t"),
-    "decay": ("n0", "lambda", "lambda_prime", "t1", "t2", "t3", "mu"),
-    "photon": ("n0", "d", "u"),
-}
-_REQUIRED_PARAM_KEYS = {
-    "excitation": ("n0", "epsilon", "lambda", "t"),
-    "decay": ("n0", "lambda", "t1", "t2", "t3"),
-    "photon": ("n0", "d", "u"),
-}
+# config keys that differ from the parameter-record field they set
+_FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
 _SIMULATION_KEYS = ("seed", "chunk_size", "workers")
 _STATS_KEYS = (
     "alpha", "power", "h0", "h1", "counts", "background", "visibility",
@@ -131,17 +125,20 @@ def _reject_unknown(section: str, entries: dict, allowed: tuple[str, ...]) -> No
             )
 
 
-def _as_float(section: str, entries: dict, key: str) -> float | None:
+def _as_float(entries: dict, key: str) -> float | None:
     if key not in entries:
         return None
     value, lineno = entries[key]
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}", lineno)
+    return number
 
 
-def _as_int(section: str, entries: dict, key: str) -> int | None:
+def _as_int(entries: dict, key: str) -> int | None:
     if key not in entries:
         return None
     value, lineno = entries[key]
@@ -151,7 +148,7 @@ def _as_int(section: str, entries: dict, key: str) -> int | None:
         raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
 
 
-def _as_choice(section: str, entries: dict, key: str, choices: tuple[str, ...]) -> str | None:
+def _as_choice(entries: dict, key: str, choices: tuple[str, ...]) -> str | None:
     if key not in entries:
         return None
     value, lineno = entries[key]
@@ -162,8 +159,8 @@ def _as_choice(section: str, entries: dict, key: str, choices: tuple[str, ...]) 
     return value
 
 
-def _as_hypothesis(section: str, entries: dict, key: str) -> Hypothesis | None:
-    name = _as_choice(section, entries, key, tuple(h.value for h in Hypothesis))
+def _as_hypothesis(entries: dict, key: str) -> Hypothesis | None:
+    name = _as_choice(entries, key, tuple(h.value for h in Hypothesis))
     return None if name is None else Hypothesis(name)
 
 
@@ -172,53 +169,35 @@ def _parse_experiment(entries: dict, cfg: RunConfig) -> None:
         first_line = min(line for _, line in entries.values()) if entries else None
         raise ConfigError("[experiment] requires an 'experiment' key", first_line)
     kind, lineno = entries["experiment"]
-    if kind not in _PARAM_KEYS:
+    if kind not in EXPERIMENTS:
         raise ConfigError(
-            f"experiment must be one of {', '.join(_PARAM_KEYS)}, got {kind!r}", lineno
+            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {kind!r}", lineno
         )
-    allowed = ("experiment", "hypothesis") + _PARAM_KEYS[kind]
-    _reject_unknown("experiment", entries, allowed)
-    for key in _REQUIRED_PARAM_KEYS[kind]:
-        if key not in entries:
+    fields = dataclasses.fields(EXPERIMENTS[kind].params)
+    keys = {_FIELD_KEYS.get(f.name, f.name): f for f in fields}
+    _reject_unknown("experiment", entries, ("experiment", "hypothesis", *keys))
+    for key, f in keys.items():
+        if f.default is dataclasses.MISSING and key not in entries:
             raise ConfigError(f"experiment {kind!r} requires key {key!r}")
 
     cfg.experiment = kind
-    cfg.hypothesis = _as_hypothesis("experiment", entries, "hypothesis")
-    n0 = _as_int("experiment", entries, "n0")
+    cfg.hypothesis = _as_hypothesis(entries, "hypothesis")
+    values = {
+        f.name: (_as_int if f.type is int else _as_float)(entries, key)
+        for key, f in keys.items()
+        if key in entries
+    }
     try:
-        if kind == "excitation":
-            cfg.params = ExcitationParams(
-                n0=n0,
-                epsilon=_as_float("experiment", entries, "epsilon"),
-                lam=_as_float("experiment", entries, "lambda"),
-                t=_as_float("experiment", entries, "t"),
-            )
-        elif kind == "decay":
-            mu = _as_float("experiment", entries, "mu")
-            cfg.params = DecayParams(
-                n0=n0,
-                lam=_as_float("experiment", entries, "lambda"),
-                t1=_as_float("experiment", entries, "t1"),
-                t2=_as_float("experiment", entries, "t2"),
-                t3=_as_float("experiment", entries, "t3"),
-                lam_prime=_as_float("experiment", entries, "lambda_prime"),
-                mu=1.0 if mu is None else mu,
-            )
-        else:
-            cfg.params = PhotonParams(
-                n0=n0,
-                d=_as_float("experiment", entries, "d"),
-                u=_as_float("experiment", entries, "u"),
-            )
+        cfg.params = EXPERIMENTS[kind].params(**values)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _parse_simulation(entries: dict, cfg: RunConfig) -> None:
     _reject_unknown("simulation", entries, _SIMULATION_KEYS)
-    seed = _as_int("simulation", entries, "seed")
-    chunk_size = _as_int("simulation", entries, "chunk_size")
-    workers = _as_int("simulation", entries, "workers")
+    seed = _as_int(entries, "seed")
+    chunk_size = _as_int(entries, "chunk_size")
+    workers = _as_int(entries, "workers")
     try:
         cfg.sim = SimConfig(
             seed=0 if seed is None else seed,
@@ -229,47 +208,50 @@ def _parse_simulation(entries: dict, cfg: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_number_list(section: str, entries: dict, key: str, kind) -> tuple | None:
+def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
     if key not in entries:
         return None
     value, lineno = entries[key]
     try:
-        return tuple(kind(part.strip()) for part in value.split(","))
+        numbers = tuple(kind(part.strip()) for part in value.split(","))
     except ValueError:
         raise ConfigError(
             f"{key} must be comma-separated {kind.__name__} values, got {value!r}",
             lineno,
         ) from None
+    if kind is float and not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{key} must be finite numbers, got {value!r}", lineno)
+    return numbers
 
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
     _reject_unknown("stats", entries, _STATS_KEYS)
     opts = StatsOptions()
-    opts.alpha = _as_float("stats", entries, "alpha")
+    opts.alpha = _as_float(entries, "alpha")
     if opts.alpha is not None and not 0.0 < opts.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {opts.alpha}")
-    opts.power = _as_float("stats", entries, "power")
+    opts.power = _as_float(entries, "power")
     if opts.power is not None and not 0.0 < opts.power < 1.0:
         raise ConfigError(f"power must be in (0, 1), got {opts.power}")
-    h0 = _as_hypothesis("stats", entries, "h0")
-    h1 = _as_hypothesis("stats", entries, "h1")
+    h0 = _as_hypothesis(entries, "h0")
+    h1 = _as_hypothesis(entries, "h1")
     if h0 is not None:
         opts.h0 = h0
     if h1 is not None:
         opts.h1 = h1
-    opts.counts = _parse_number_list("stats", entries, "counts", int)
+    opts.counts = _parse_number_list(entries, "counts", int)
     if opts.counts is not None and any(c < 0 for c in opts.counts):
         raise ConfigError(f"counts must be non-negative integers, got {opts.counts}")
-    opts.background = _parse_number_list("stats", entries, "background", float)
+    opts.background = _parse_number_list(entries, "background", float)
     if opts.background is not None and any(b < 0 for b in opts.background):
         raise ConfigError("background probabilities must be >= 0")
-    opts.visibility = _as_float("stats", entries, "visibility")
+    opts.visibility = _as_float(entries, "visibility")
     if opts.visibility is not None and not 0.0 <= opts.visibility <= 1.0:
         raise ConfigError(f"visibility must be in [0, 1], got {opts.visibility}")
-    opts.replicates = _as_int("stats", entries, "replicates")
+    opts.replicates = _as_int(entries, "replicates")
     if opts.replicates is not None and opts.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {opts.replicates}")
-    method = _as_choice("stats", entries, "method", ("auto", "closed_form", "simulation"))
+    method = _as_choice(entries, "method", ("auto", "closed_form", "simulation"))
     if method is not None:
         opts.method = method
     cfg.stats = opts
@@ -282,23 +264,23 @@ def _parse_fringes(entries: dict, cfg: RunConfig) -> None:
             raise ConfigError(f"[fringes] requires key {key!r}")
     try:
         cfg.geometry = FringeGeometry(
-            source_separation=_as_float("fringes", entries, "source_separation"),
-            wavelength=_as_float("fringes", entries, "wavelength"),
-            screen_distance=_as_float("fringes", entries, "screen_distance"),
-            x_min=_as_float("fringes", entries, "x_min"),
-            x_max=_as_float("fringes", entries, "x_max"),
-            n_points=_as_int("fringes", entries, "n_points"),
+            source_separation=_as_float(entries, "source_separation"),
+            wavelength=_as_float(entries, "wavelength"),
+            screen_distance=_as_float(entries, "screen_distance"),
+            x_min=_as_float(entries, "x_min"),
+            x_max=_as_float(entries, "x_max"),
+            n_points=_as_int(entries, "n_points"),
         )
     except (DomainError, GeometryError) as exc:
         raise ConfigError(str(exc)) from None
-    pattern = _as_choice("fringes", entries, "pattern", ("coherent", "incoherent"))
+    pattern = _as_choice(entries, "pattern", ("coherent", "incoherent"))
     if pattern is not None:
         cfg.fringe_pattern = pattern
 
 
 def _parse_output(entries: dict, cfg: RunConfig) -> None:
     _reject_unknown("output", entries, _OUTPUT_KEYS)
-    cfg.output_format = _as_choice("output", entries, "format", ("csv", "json"))
+    cfg.output_format = _as_choice(entries, "format", ("csv", "json"))
     if "path" in entries:
         cfg.output_path = entries["path"][0]
 
@@ -324,11 +306,16 @@ def parse_config(text: str) -> RunConfig:
         _parse_fringes(sections["fringes"], cfg)
     if "output" in sections:
         _parse_output(sections["output"], cfg)
-    if cfg.stats.counts is not None and cfg.experiment is not None:
-        expected = 3 if cfg.experiment == "photon" else 4
-        if len(cfg.stats.counts) != expected:
+    if cfg.experiment is not None:
+        expected = len(EXPERIMENTS[cfg.experiment].labels)
+        counts, background = cfg.stats.counts, cfg.stats.background
+        if counts is not None and len(counts) != expected:
             raise ConfigError(
-                f"counts needs {expected} values for {cfg.experiment}, "
-                f"got {len(cfg.stats.counts)}"
+                f"counts needs {expected} values for {cfg.experiment}, got {len(counts)}"
+            )
+        if background is not None and len(background) not in (1, expected):
+            raise ConfigError(
+                f"background needs 1 or {expected} values for {cfg.experiment}, "
+                f"got {len(background)}"
             )
     return cfg

@@ -10,11 +10,10 @@ all functions are pure, so they can be shared freely between workers.
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StructureError, UnsupportedHypothesisError
 
 __all__ = [
     "Hypothesis",
@@ -22,7 +21,10 @@ __all__ = [
     "DecayParams",
     "PhotonParams",
     "CountTable",
-    "PhotonCountTable",
+    "ATOM_LABELS",
+    "PHOTON_LABELS",
+    "Experiment",
+    "EXPERIMENTS",
     "survival_fraction",
     "purity_time_offset",
 ]
@@ -193,58 +195,79 @@ def _check_tally(name: str, value) -> None:
         raise DomainError(f"{name} must be >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Detector tallies for the atom experiments.
+ATOM_LABELS = ("na1", "na2", "nb1", "nb2")
+PHOTON_LABELS = ("counter1", "counter2", "lost")
 
-    ``na1``/``nb1`` count ground-state arrivals at counters a/b,
-    ``na2``/``nb2`` the excited arrivals.  Predictions hold real-valued
-    expectations; Monte Carlo runs hold integer tallies.  Either way the
-    entries sum to the number of atoms sent.
+
+@dataclass(frozen=True, init=False)
+class CountTable:
+    """Detector tallies, one per labelled category, readable by label.
+
+    The atom experiments use :data:`ATOM_LABELS`: ``na1``/``nb1`` count
+    ground-state arrivals at counters a/b, ``na2``/``nb2`` the excited
+    arrivals.  The photon experiment uses :data:`PHOTON_LABELS`, lost
+    flux included.  Predictions hold real-valued expectations; Monte
+    Carlo runs hold integer tallies.  Either way the entries sum to the
+    number of particles sent.
     """
 
-    na1: float
-    na2: float
-    nb1: float
-    nb2: float
+    counts: tuple[float, ...]
+    labels: tuple[str, ...]
 
-    labels: ClassVar[tuple[str, ...]] = ("na1", "na2", "nb1", "nb2")
+    def __init__(self, *counts, labels: tuple[str, ...] = ATOM_LABELS):
+        if len(counts) != len(labels):
+            raise StructureError(f"expected {len(labels)} counts {labels}, got {len(counts)}")
+        for name, value in zip(labels, counts):
+            _check_tally(name, value)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "labels", tuple(labels))
 
-    def __post_init__(self):
-        for name in self.labels:
-            _check_tally(name, getattr(self, name))
+    def __getattr__(self, name: str):
+        labels = self.__dict__.get("labels", ())
+        if name not in labels:
+            raise AttributeError(name)
+        return self.counts[labels.index(name)]
 
     @property
     def total(self) -> float:
-        return self.na1 + self.na2 + self.nb1 + self.nb2
+        return sum(self.counts)
 
     def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in self.labels)
+        return self.counts
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.labels}
+        return dict(zip(self.labels, self.counts))
 
 
 @dataclass(frozen=True)
-class PhotonCountTable:
-    """Counter tallies for the photon experiment, lost flux included."""
+class Experiment:
+    """One experiment kind: its parameter record, count categories and hypotheses.
 
-    counter1: float
-    counter2: float
-    lost: float
+    Closed-form tables and samplers live in :mod:`mzsim.predict` and
+    :mod:`mzsim.montecarlo` as ``predict_<name>`` and ``simulate_<name>``.
+    """
 
-    labels: ClassVar[tuple[str, ...]] = ("counter1", "counter2", "lost")
+    name: str
+    params: type
+    labels: tuple[str, ...]
+    hypotheses: tuple[Hypothesis, ...]
 
-    def __post_init__(self):
-        for name in self.labels:
-            _check_tally(name, getattr(self, name))
+    def check(self, h: Hypothesis) -> None:
+        """Raise :class:`UnsupportedHypothesisError` unless ``h`` applies here."""
+        if h not in self.hypotheses:
+            names = " and ".join(x.name for x in self.hypotheses)
+            raise UnsupportedHypothesisError(
+                f"{self.name} run supports {names}, not {getattr(h, 'name', h)}"
+            )
 
-    @property
-    def total(self) -> float:
-        return self.counter1 + self.counter2 + self.lost
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in self.labels)
+_ROUTING = (Hypothesis.POS, Hypothesis.CCQI)
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.labels}
+EXPERIMENTS = {
+    e.name: e
+    for e in (
+        Experiment("excitation", ExcitationParams, ATOM_LABELS, _ROUTING),
+        Experiment("decay", DecayParams, ATOM_LABELS, tuple(Hypothesis)),
+        Experiment("photon", PhotonParams, PHOTON_LABELS, _ROUTING),
+    )
+}

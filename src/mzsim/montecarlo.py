@@ -17,15 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXPERIMENTS,
+    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
     Hypothesis,
-    PhotonCountTable,
     PhotonParams,
     survival_fraction,
 )
-from .errors import DomainError, UnsupportedHypothesisError
+from .errors import DomainError
 
 __all__ = [
     "SimConfig",
@@ -117,10 +118,7 @@ def simulate_excitation(
     collapsed atom to either counter.  Excited survivors land in the
     "2" column of their counter, everything else in the "1" column.
     """
-    if h not in (Hypothesis.POS, Hypothesis.CCQI):
-        raise UnsupportedHypothesisError(
-            f"excitation run supports POS and CCQI, not {h.name}"
-        )
+    EXPERIMENTS["excitation"].check(h)
     s = survival_fraction(p.lam, p.t)
     collapse = h is Hypothesis.CCQI
 
@@ -136,8 +134,7 @@ def simulate_excitation(
         nb1 = np.count_nonzero(to_b & ~alive)
         return np.array([size - na2 - nb1 - nb2, na2, nb1, nb2], dtype=np.int64)
 
-    na1, na2, nb1, nb2 = (int(x) for x in _run_chunked(p.n0, cfg, kernel, 4))
-    table = CountTable(na1, na2, nb1, nb2)
+    table = CountTable(*(int(x) for x in _run_chunked(p.n0, cfg, kernel, 4)))
     assert table.total == p.n0
     return table
 
@@ -182,15 +179,14 @@ def simulate_decay(
         na2 = np.count_nonzero(excited)
         return np.array([size - na2 - nb1, na2, nb1, 0], dtype=np.int64)
 
-    na1, na2, nb1, nb2 = (int(x) for x in _run_chunked(p.n0, cfg, kernel, 4))
-    table = CountTable(na1, na2, nb1, nb2)
+    table = CountTable(*(int(x) for x in _run_chunked(p.n0, cfg, kernel, 4)))
     assert table.total == p.n0
     return table
 
 
 def simulate_photon(
     p: PhotonParams, h: Hypothesis, cfg: SimConfig = SimConfig()
-) -> PhotonCountTable:
+) -> CountTable:
     """Sample one run of the pair-splitting photon experiment.
 
     POS: with probability ``u*d`` the device-arm component survives the
@@ -203,10 +199,7 @@ def simulate_photon(
     the crystals with probability ``u*d`` or are lost; every surviving
     photon then routes 50/50 at the exit splitter.
     """
-    if h not in (Hypothesis.POS, Hypothesis.CCQI):
-        raise UnsupportedHypothesisError(
-            f"photon run supports POS and CCQI, not {h.name}"
-        )
+    EXPERIMENTS["photon"].check(h)
     ud = p.u * p.d
 
     if h is Hypothesis.POS:
@@ -231,7 +224,7 @@ def simulate_photon(
             n2 = np.count_nonzero(survives & ~to_c1)
             return np.array([n1, n2, size - n1 - n2], dtype=np.int64)
 
-    c1, c2, lost = (int(x) for x in _run_chunked(p.n0, cfg, kernel, 3))
-    table = PhotonCountTable(c1, c2, lost)
+    tally = _run_chunked(p.n0, cfg, kernel, 3)
+    table = CountTable(*(int(x) for x in tally), labels=PHOTON_LABELS)
     assert table.total == p.n0
     return table

@@ -9,15 +9,16 @@ tuned; detector imperfections belong to :mod:`mzsim.stats`.
 """
 
 from .core import (
+    EXPERIMENTS,
+    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
     Hypothesis,
-    PhotonCountTable,
     PhotonParams,
     survival_fraction,
 )
-from .errors import DomainError, UnsupportedHypothesisError
+from .errors import DomainError
 
 __all__ = ["predict_excitation", "predict_decay", "predict_photon"]
 
@@ -36,20 +37,16 @@ def predict_excitation(p: ExcitationParams, h: Hypothesis) -> CountTable:
     "2" columns, in-flight decayers in the "1" columns) while the
     unexcited remainder still interferes onto counter a.
     """
+    EXPERIMENTS["excitation"].check(h)
     s = survival_fraction(p.lam, p.t)
     n0 = p.n0
     if h is Hypothesis.POS:
         na2 = s * p.epsilon * n0
-        return CountTable(na1=n0 - na2, na2=na2, nb1=0.0, nb2=0.0)
-    if h is Hypothesis.CCQI:
-        half_excited = 0.5 * p.epsilon * n0
-        decayed = (1.0 - s) * half_excited
-        alive = s * half_excited
-        na1 = (1.0 - p.epsilon) * n0 + decayed
-        return CountTable(na1=na1, na2=alive, nb1=decayed, nb2=alive)
-    raise UnsupportedHypothesisError(
-        f"excitation run supports POS and CCQI, not {h.name}"
-    )
+        return CountTable(n0 - na2, na2, 0.0, 0.0)
+    half_excited = 0.5 * p.epsilon * n0
+    decayed = (1.0 - s) * half_excited
+    alive = s * half_excited
+    return CountTable((1.0 - p.epsilon) * n0 + decayed, alive, decayed, alive)
 
 
 def predict_decay(p: DecayParams, h: Hypothesis) -> CountTable:
@@ -75,27 +72,26 @@ def predict_decay(p: DecayParams, h: Hypothesis) -> CountTable:
         raise DomainError(
             "fold the source purity into t1 first (DecayParams.with_purity_folded)"
         )
+    EXPERIMENTS["decay"].check(h)
     n0 = p.n0
     if h is Hypothesis.POS:
         na2 = survival_fraction(p.lam, p.total_time) * n0
-        return CountTable(na1=n0 - na2, na2=na2, nb1=0.0, nb2=0.0)
+        return CountTable(n0 - na2, na2, 0.0, 0.0)
     if h is Hypothesis.CCQI:
         s_total = survival_fraction(p.lam, p.total_time)
         s1 = survival_fraction(p.lam, p.t1)
         s12 = survival_fraction(p.lam, p.t1 + p.t2)
         nb1 = 0.5 * s1 * (1.0 - survival_fraction(p.lam, p.t2)) * n0
         na1 = (1.0 - s_total - 0.5 * s1 + 0.5 * s12) * n0
-        return CountTable(na1=na1, na2=s_total * n0, nb1=nb1, nb2=0.0)
-    if h is Hypothesis.MODIFIED_RATE:
-        if p.lam_prime is None:
-            raise DomainError("lam_prime is required under MODIFIED_RATE")
-        s = survival_fraction(p.lam, p.t1 + p.t3) * survival_fraction(p.lam_prime, p.t2)
-        na2 = s * n0
-        return CountTable(na1=n0 - na2, na2=na2, nb1=0.0, nb2=0.0)
-    raise UnsupportedHypothesisError(f"unknown hypothesis {h!r}")
+        return CountTable(na1, s_total * n0, nb1, 0.0)
+    if p.lam_prime is None:
+        raise DomainError("lam_prime is required under MODIFIED_RATE")
+    s = survival_fraction(p.lam, p.t1 + p.t3) * survival_fraction(p.lam_prime, p.t2)
+    na2 = s * n0
+    return CountTable(n0 - na2, na2, 0.0, 0.0)
 
 
-def predict_photon(p: PhotonParams, h: Hypothesis) -> PhotonCountTable:
+def predict_photon(p: PhotonParams, h: Hypothesis) -> CountTable:
     """Expected counts for the pair-splitting and recombination run.
 
     ``u * d`` is the fraction of the device-arm flux that survives the
@@ -109,18 +105,12 @@ def predict_photon(p: PhotonParams, h: Hypothesis) -> PhotonCountTable:
     counters at ``(1 + u*d) / 4 * n0``.  The per-counter difference
     between the hypotheses is ``u*d*n0 / 2``.
     """
+    EXPERIMENTS["photon"].check(h)
     ud = p.u * p.d
     n0 = p.n0
     lost = 0.5 * (1.0 - ud) * n0
     if h is Hypothesis.POS:
-        return PhotonCountTable(
-            counter1=(0.25 + 0.75 * ud) * n0,
-            counter2=0.25 * (1.0 - ud) * n0,
-            lost=lost,
-        )
-    if h is Hypothesis.CCQI:
-        c = 0.25 * (1.0 + ud) * n0
-        return PhotonCountTable(counter1=c, counter2=c, lost=lost)
-    raise UnsupportedHypothesisError(
-        f"photon run supports POS and CCQI, not {h.name}"
-    )
+        counter1, counter2 = (0.25 + 0.75 * ud) * n0, 0.25 * (1.0 - ud) * n0
+    else:
+        counter1 = counter2 = 0.25 * (1.0 + ud) * n0
+    return CountTable(counter1, counter2, lost, labels=PHOTON_LABELS)

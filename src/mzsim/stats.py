@@ -16,21 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CountTable,
-    DecayParams,
-    ExcitationParams,
-    Hypothesis,
-    PhotonCountTable,
-    PhotonParams,
-)
+from . import predict
+from .core import EXPERIMENTS, CountTable, Hypothesis
 from .errors import (
     DegenerateComparisonError,
     DomainError,
     ResourceLimitError,
     StructureError,
 )
-from .predict import predict_decay, predict_excitation, predict_photon
 
 __all__ = [
     "CategoryModel",
@@ -43,12 +36,6 @@ __all__ = [
 
 MODEL_DISTINCTION_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
-
-_EXPERIMENTS = {
-    "excitation": (ExcitationParams, predict_excitation, CountTable.labels),
-    "decay": (DecayParams, predict_decay, CountTable.labels),
-    "photon": (PhotonParams, predict_photon, PhotonCountTable.labels),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +69,6 @@ class DiscriminationReport:
     log_likelihood_ratio: float
     p_value_h0: float
     decision: str
-    min_n0: int | None = None
 
     _DECISIONS = ("favor_H0", "favor_H1", "inconclusive")
 
@@ -93,14 +79,11 @@ class DiscriminationReport:
             raise DomainError(f"p-value must be in [0, 1], got {self.p_value_h0}")
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "log_likelihood_ratio": self.log_likelihood_ratio,
             "p_value_h0": self.p_value_h0,
             "decision": self.decision,
         }
-        if self.min_n0 is not None:
-            out["min_n0"] = self.min_n0
-        return out
 
 
 def build_model(
@@ -118,15 +101,16 @@ def build_model(
     both).  ``background`` adds per-category dark-count probability,
     with a total budget of at most 1, followed by renormalization.
     """
-    if experiment not in _EXPERIMENTS:
+    kind = EXPERIMENTS.get(experiment)
+    if kind is None:
         raise StructureError(
-            f"experiment must be one of {sorted(_EXPERIMENTS)}, got {experiment!r}"
+            f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}"
         )
-    params_type, predictor, labels = _EXPERIMENTS[experiment]
-    if not isinstance(params, params_type):
+    if not isinstance(params, kind.params):
         raise StructureError(
-            f"{experiment} needs {params_type.__name__}, got {type(params).__name__}"
+            f"{experiment} needs {kind.params.__name__}, got {type(params).__name__}"
         )
+    predictor = getattr(predict, f"predict_{experiment}")
     if params.n0 < 1:
         raise DomainError("n0 must be >= 1 to derive category probabilities")
 
@@ -156,11 +140,11 @@ def build_model(
             raise DomainError("background probabilities must sum to at most 1")
         probs = (probs + b) / (1.0 + b.sum())
 
-    return CategoryModel(labels, probs)
+    return CategoryModel(kind.labels, probs)
 
 
 def _count_vector(counts, model: CategoryModel) -> np.ndarray:
-    if isinstance(counts, (CountTable, PhotonCountTable)):
+    if isinstance(counts, CountTable):
         if counts.labels != model.labels:
             raise StructureError(
                 f"count categories {counts.labels} do not match model {model.labels}"
@@ -256,10 +240,14 @@ def discriminate(
         return DiscriminationReport(float("-inf"), 1.0, "favor_H0")
 
     llr = ll1 - ll0
+    p0, p1 = model_h0.probabilities, model_h1.probabilities
+    # the replicates' arithmetic can differ from ll1 - ll0 in the last bits,
+    # so the observed statistic goes through it too before ties are counted
+    observed = float(_llr_values(n[np.newaxis, :], p0, p1)[0])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    draws = rng.multinomial(int(n.sum()), model_h0.probabilities, size=replicates)
-    null_llr = _llr_values(draws, model_h0.probabilities, model_h1.probabilities)
-    count_ge = int(np.count_nonzero(null_llr >= llr))
+    null_llr = _llr_values(rng.multinomial(int(n.sum()), p0, size=replicates), p0, p1)
+    tie_tol = 1e-9 * max(1.0, abs(observed))
+    count_ge = int(np.count_nonzero(null_llr >= observed - tie_tol))
     p_value = (1 + count_ge) / (1 + replicates)
 
     if p_value <= alpha:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim.cli import main
 
@@ -255,3 +261,116 @@ class TestPlumbing:
         assert run_cli(capsys, "simulate", "--config", cfg1, "--out", str(a))[0] == 0
         assert run_cli(capsys, "simulate", "--config", cfg8, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+DECAY_WITHOUT_OFFSET = """
+[experiment]
+experiment = decay
+hypothesis = pos
+n0 = 1000
+lambda = 0
+t1 = 0.5
+t2 = 0.5
+t3 = 0.5
+mu = 0.5
+"""
+
+
+class TestConfigInducedErrors:
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("predict", DECAY_WITHOUT_OFFSET, "mu"),
+            ("plan", EXCITATION + "\n[stats]\npower = 0.99\nbackground = 1e-3\n", "alpha"),
+            (
+                "discriminate",
+                EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\n"
+                "background = 0.1,0.1\n",
+                "background",
+            ),
+        ],
+    )
+    def test_exit_2_naming_the_key(self, write_config, capsys, command, config, key):
+        code, out, err = run_cli(capsys, command, "--config", write_config(config))
+        assert code == 2 and out == ""
+        assert err.startswith("mzsim: config error:") and key in err
+
+
+HYPOTHESES = st.sampled_from(["pos", "ccqi", "modified_rate"])
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+RATE = st.floats(min_value=0.0, max_value=5.0)
+EXPERIMENT_KEYS = {
+    "excitation": {"epsilon": UNIT, "lambda": RATE, "t": RATE},
+    "decay": {"lambda": RATE, "lambda_prime": RATE, "t1": RATE, "t2": RATE, "t3": RATE,
+              "mu": UNIT},
+    "photon": {"d": UNIT, "u": UNIT},
+}
+# what replaces a value or a list: zero, negative, out of range, non-finite, junk, wrong length
+BAD_VALUES = st.sampled_from(
+    ["0", "-1", "1.5", "inf", "-inf", "nan", "1e400", "abc", "1,2", "1,2,3,4,5"]
+)
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def config_documents(draw):
+    """A valid experiment with a [stats] section, then up to three entries broken."""
+    kind = draw(st.sampled_from(sorted(EXPERIMENT_KEYS)))
+    ncat = 3 if kind == "photon" else 4
+    experiment = {"experiment": kind, "hypothesis": draw(HYPOTHESES),
+                  "n0": draw(st.integers(0, 10**4))}
+    experiment.update({k: draw(v) for k, v in EXPERIMENT_KEYS[kind].items()})
+    stats = {
+        "replicates": draw(st.integers(1, 1000)),
+        "alpha": draw(UNIT),
+        "power": draw(st.sampled_from([0.5, 0.9, 0.99])),
+        "h0": draw(HYPOTHESES),
+        "h1": draw(HYPOTHESES),
+        "counts": _joined(draw(st.lists(st.integers(0, 60), min_size=ncat, max_size=ncat))),
+        "background": draw(st.one_of(
+            st.floats(0.0, 1e-2),
+            st.lists(st.floats(0.0, 1e-2), min_size=ncat, max_size=ncat).map(_joined),
+        )),
+    }
+    if draw(st.booleans()):
+        stats["visibility"] = draw(UNIT)
+    if draw(st.booleans()):
+        stats["method"] = draw(st.sampled_from(["auto", "closed_form", "simulation"]))
+    sections = {"experiment": experiment, "stats": stats}
+    for _ in range(draw(st.integers(0, 3))):
+        section = sections[draw(st.sampled_from(sorted(sections)))]
+        key = draw(st.sampled_from(sorted(k for k in section if k != "replicates")))
+        bad = draw(st.none() | BAD_VALUES)
+        if bad is None:
+            del section[key]
+        else:
+            section[key] = bad
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for name, entries in sections.items()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["predict", "simulate", "discriminate", "plan"]),
+    text=config_documents(),
+)
+def test_random_configs_run_or_exit_with_a_config_error(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+    message = err.getvalue()
+    if code == 0:
+        assert message == "" and out.getvalue()
+    elif code == 2:
+        assert message.startswith("mzsim: config error:") and out.getvalue() == ""
+    else:
+        assert code == 3 and ("identical" in message or "cap" in message), message

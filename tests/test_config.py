@@ -125,6 +125,27 @@ class TestErrors:
         with pytest.raises(ConfigError, match="counts needs 4 values"):
             parse_config(MINIMAL_EXCITATION + "\n[stats]\ncounts = 1,2,3\n")
 
+    def test_background_arity_must_match_experiment(self):
+        with pytest.raises(ConfigError, match="background needs 1 or 4 values"):
+            parse_config(MINIMAL_EXCITATION + "\n[stats]\nbackground = 0.1,0.1\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (
+                MINIMAL_EXCITATION.replace("lambda = 1.0", "lambda = inf").replace(
+                    "t = 0.6931471805599453", "t = 0"
+                ),
+                "line 7: lambda",
+            ),
+            (MINIMAL_EXCITATION.replace("epsilon = 0.2", "epsilon = nan"), "line 6: epsilon"),
+            (MINIMAL_EXCITATION + "\n[stats]\nbackground = nan\n", "line 11: background"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, text, where):
+        with pytest.raises(ConfigError, match=f"{where} must be (a )?finite"):
+            parse_config(text)
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
             parse_config("[stats]\nalpha = 0\n")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mzsim.core import (
+    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
-    PhotonCountTable,
     PhotonParams,
     purity_time_offset,
     survival_fraction,
@@ -180,7 +180,7 @@ class TestCountTables:
         assert t.as_dict() == {"na1": 1, "na2": 2, "nb1": 3, "nb2": 4}
 
     def test_photon_total(self):
-        t = PhotonCountTable(5.0, 2.5, 2.5)
+        t = CountTable(5.0, 2.5, 2.5, labels=PHOTON_LABELS)
         assert t.total == 10.0
         assert t.labels == ("counter1", "counter2", "lost")
 
@@ -188,7 +188,7 @@ class TestCountTables:
         with pytest.raises(DomainError):
             CountTable(-1, 0, 0, 0)
         with pytest.raises(DomainError):
-            PhotonCountTable(1.0, -0.5, 0.0)
+            CountTable(1.0, -0.5, 0.0, labels=PHOTON_LABELS)
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):

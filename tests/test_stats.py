@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mzsim.core import (
+    ATOM_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
@@ -27,7 +28,7 @@ from mzsim.stats import (
 )
 
 LN2 = math.log(2.0)
-COUNT_LABELS = CountTable.labels
+COUNT_LABELS = ATOM_LABELS
 
 
 def excitation_params(n0=10_000, epsilon=0.2):
@@ -224,14 +225,20 @@ class TestDiscriminate:
         with pytest.raises(DomainError):
             discriminate((9000, 1000, 0, 0), pos_model(), ccqi_model(), alpha=1.5)
 
+    def test_ties_with_the_observed_statistic_count_as_extreme(self):
+        # many null replicates tie (89, 10, 1, 0) up to the last bits of the LLR
+        params = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=LN2)
+        h0 = build_model("excitation", params, Hypothesis.POS, background=1e-3)
+        h1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3)
+        report = discriminate((89, 10, 1, 0), h0, h1, alpha=0.11, seed=0)
+        assert report.decision != "favor_H1"
+        assert report.p_value_h0 > 0.11
+
     def test_report_validation(self):
         with pytest.raises(DomainError):
             DiscriminationReport(0.0, 0.5, "maybe")
         with pytest.raises(DomainError):
             DiscriminationReport(0.0, 1.5, "favor_H0")
-        report = DiscriminationReport(1.0, 0.2, "inconclusive", min_n0=5)
-        assert report.as_dict()["min_n0"] == 5
-        assert "min_n0" not in DiscriminationReport(1.0, 0.2, "inconclusive").as_dict()
 
 
 class TestMinSampleSize:
