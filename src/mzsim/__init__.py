@@ -7,9 +7,9 @@ look like, and how many particles does it take to notice?
 
 * :mod:`mzsim.predict` gives closed-form expected count tables per
   experiment and routing hypothesis.
-* :mod:`mzsim.montecarlo` samples the same experiments event by event,
-  reproducibly and in parallel, as an independent cross-check and a
-  source of realistic finite-sample fluctuations.
+* :mod:`mzsim.montecarlo` samples the same experiments at count level,
+  exact in distribution and reproducible, as an independent
+  cross-check and a source of realistic finite-sample fluctuations.
 * :mod:`mzsim.fringes` renders the coherent-versus-incoherent screen
   patterns for the annihilation-photon variant.
 * :mod:`mzsim.sectors` implements the superselection-sector algebra
@@ -54,7 +54,6 @@ from .fringes import (
 from .montecarlo import (
     SimConfig,
     chunk_rng,
-    exponential_decay_times,
     simulate_decay,
     simulate_excitation,
     simulate_photon,
@@ -99,7 +98,6 @@ __all__ = [
     "predict_photon",
     "SimConfig",
     "chunk_rng",
-    "exponential_decay_times",
     "simulate_excitation",
     "simulate_decay",
     "simulate_photon",

@@ -15,9 +15,11 @@ The ``[experiment]`` section names the experiment and its parameters::
     lambda = 1.0                   # decay: lambda, lambda_prime, t1, t2, t3, mu
     t = 0.693                      # photon: d, u
 
-``[simulation]`` holds ``seed`` (default 0), ``chunk_size`` (default
-65536) and ``workers`` (default 1).  ``[stats]`` holds ``alpha``,
-``power``, ``h0``/``h1`` hypothesis names (defaults pos/ccqi),
+``[simulation]`` holds ``seed`` (default 0) and ``chunk_size`` (default
+65536).  A legacy ``workers`` key must be an integer >= 1 and is
+otherwise ignored: the count-level sampler has no worker pool.
+``[stats]`` holds ``alpha``, ``power``, ``h0``/``h1`` hypothesis names
+(defaults pos/ccqi),
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` and
 ``method`` (auto | closed_form | simulation).  ``[fringes]`` holds the
@@ -198,11 +200,12 @@ def _parse_simulation(entries: dict, cfg: RunConfig) -> None:
     seed = _as_int(entries, "seed")
     chunk_size = _as_int(entries, "chunk_size")
     workers = _as_int(entries, "workers")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     try:
         cfg.sim = SimConfig(
             seed=0 if seed is None else seed,
             chunk_size=65536 if chunk_size is None else chunk_size,
-            workers=1 if workers is None else workers,
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from None

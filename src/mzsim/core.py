@@ -1,10 +1,10 @@
 """Parameter records, count tables, and the exponential survival law.
 
-Everything downstream (closed-form predictions, the event-level Monte
+Everything downstream (closed-form predictions, the count-level Monte
 Carlo, and the discrimination statistics) consumes the types defined
 here.  Rates and times are plain dimensionless floats; the caller is
 responsible for using consistent units.  All types are immutable and
-all functions are pure, so they can be shared freely between workers.
+all functions are pure.
 """
 
 import enum

@@ -1,17 +1,21 @@
-"""Event-level Monte Carlo for the three experiments.
+"""Count-level Monte Carlo for the three experiments.
 
-Each particle is simulated with a few uniform draws whose expectations
-reproduce the closed-form tables in :mod:`mzsim.predict`, so the
-predictors double as the statistical oracle for these samplers.
+Every particle follows a short branch tree: excited or not, decayed
+before, inside or after the interferometer, routed to which counter.
+A chunk of particles is split along that tree with nested binomials,
+one draw per branch, so a chunk costs O(1) draws whatever its size and
+the tallies follow the same multinomial law as sampling each particle
+on its own (Davis 1993, *Comput. Stat. Data Anal.* 16:205).  Branch
+probabilities come from :func:`~mzsim.core.survival_fraction` and the
+50/50 splitters, never from :mod:`mzsim.predict`, so the predictors
+stay an independent statistical oracle for these samplers.
 
-Events are partitioned into fixed-size chunks and every chunk gets its
-own RNG substream derived from ``(seed, chunk index)``.  Chunk tallies
-are combined by integer addition, which is order independent, so the
-result depends on ``(seed, chunk_size, parameters)`` and never on how
-many workers execute the chunks.
+Particles are partitioned into fixed-size chunks and every chunk gets
+its own RNG substream derived from ``(seed, chunk index)``.  Chunk
+tallies are summed, so the result is a pure function of
+``(seed, chunk_size, parameters)``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +35,14 @@ from .errors import DomainError
 __all__ = [
     "SimConfig",
     "chunk_rng",
-    "exponential_decay_times",
     "simulate_excitation",
     "simulate_decay",
     "simulate_photon",
 ]
 
 _MAX_SEED = 2**64
+# the largest number of trials numpy's binomial sampler accepts
+_MAX_CHUNK = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -45,20 +50,17 @@ class SimConfig:
     """Reproducibility contract for a simulation run.
 
     ``chunk_size`` fixes the substream layout: changing it changes the
-    sampled tallies; changing ``workers`` never does.
+    sampled tallies.
     """
 
     seed: int = 0
     chunk_size: int = 65536
-    workers: int = 1
 
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.chunk_size < 1:
-            raise DomainError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.chunk_size <= _MAX_CHUNK:
+            raise DomainError(f"chunk_size must be in [1, 2**63 - 1], got {self.chunk_size}")
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -66,44 +68,13 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def exponential_decay_times(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    """Spontaneous-decay times at rate ``lam``, sampled by inverse transform.
-
-    The empirical survival beyond ``t`` follows ``exp(-lam * t)``.  A
-    zero rate yields ``+inf`` everywhere (the atom never decays).
-    """
-    if not lam >= 0:
-        raise DomainError(f"decay rate must be >= 0, got {lam}")
-    u = rng.random(size)
-    if lam == 0.0:
-        return np.full(size, np.inf)
-    return -np.log1p(-u) / lam
-
-
-def _chunk_sizes(n0: int, chunk_size: int) -> list[int]:
-    full, rem = divmod(n0, chunk_size)
-    sizes = [chunk_size] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
-def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> np.ndarray:
-    """Sum kernel tallies over all chunks; worker count cannot change the result."""
-    sizes = _chunk_sizes(n0, cfg.chunk_size)
-
-    def one(item):
-        index, size = item
-        return kernel(chunk_rng(cfg.seed, index), size)
-
-    total = np.zeros(ncat, dtype=np.int64)
-    if cfg.workers == 1 or len(sizes) <= 1:
-        for item in enumerate(sizes):
-            total += one(item)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for tally in pool.map(one, enumerate(sizes)):
-                total += tally
+def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> list[int]:
+    """Sum kernel tallies over the chunks of ``n0`` particles, one chunk at a time."""
+    total = [0] * ncat
+    for index in range(-(-n0 // cfg.chunk_size)):
+        size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
+        tally = kernel(chunk_rng(cfg.seed, index), size)
+        total = [a + b for a, b in zip(total, tally)]
     return total
 
 
@@ -112,29 +83,26 @@ def simulate_excitation(
 ) -> CountTable:
     """Sample one run of the cavity-excitation experiment.
 
-    Per atom: one draw decides excitation (probability ``epsilon``), one
-    decides whether an excited atom is still excited at the counters
-    (probability ``exp(-lam * t)``), and under CCQI one routes the
-    collapsed atom to either counter.  Excited survivors land in the
-    "2" column of their counter, everything else in the "1" column.
+    Each atom is excited with probability ``epsilon``; an excited atom
+    is still excited at the counters with probability
+    ``exp(-lam * t)``.  Under CCQI every excited atom, alive or decayed,
+    routes 50/50 to either counter.  Excited survivors land in the "2"
+    column of their counter, everything else in the "1" column.
     """
     EXPERIMENTS["excitation"].check(h)
     s = survival_fraction(p.lam, p.t)
     collapse = h is Hypothesis.CCQI
 
     def kernel(rng, size):
-        excited = rng.random(size) < p.epsilon
-        alive = excited & (rng.random(size) < s)
-        if collapse:
-            to_b = excited & (rng.random(size) < 0.5)
-        else:
-            to_b = np.zeros(size, dtype=bool)
-        na2 = np.count_nonzero(alive & ~to_b)
-        nb2 = np.count_nonzero(alive & to_b)
-        nb1 = np.count_nonzero(to_b & ~alive)
-        return np.array([size - na2 - nb1 - nb2, na2, nb1, nb2], dtype=np.int64)
+        excited = rng.binomial(size, p.epsilon)
+        alive = rng.binomial(excited, s)
+        if not collapse:
+            return size - alive, alive, 0, 0
+        nb2 = rng.binomial(alive, 0.5)
+        nb1 = rng.binomial(excited - alive, 0.5)
+        return size - alive - nb1, alive - nb2, nb1, nb2
 
-    table = CountTable(*(int(x) for x in _run_chunked(p.n0, cfg, kernel, 4)))
+    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 4))
     assert table.total == p.n0
     return table
 
@@ -144,13 +112,12 @@ def simulate_decay(
 ) -> CountTable:
     """Sample one run of the in-flight-decay experiment.
 
-    Decay times come from :func:`exponential_decay_times`; under
-    MODIFIED_RATE the three flight segments are sampled one at a time
-    (memorylessness of the exponential law) with the in-arm segment at
-    rate ``lam_prime``.  Atoms that decay inside the interferometer
-    route 50/50 under CCQI; every other atom reaches counter a, and
-    excited arrivals land in ``na2``.  ``p.t1`` must already include
-    any source-purity offset.
+    An excited atom survives the three flight segments one after the
+    other (memorylessness of the exponential law), the in-arm segment
+    at rate ``lam_prime`` under MODIFIED_RATE and at ``lam`` otherwise.
+    Atoms that decay inside the interferometer route 50/50 under CCQI;
+    every other atom reaches counter a, and excited arrivals land in
+    ``na2``.  ``p.t1`` must already include any source-purity offset.
     """
     if p.mu != 1.0:
         raise DomainError(
@@ -160,26 +127,18 @@ def simulate_decay(
     if modified and p.lam_prime is None:
         raise DomainError("lam_prime is required under MODIFIED_RATE")
     collapse = h is Hypothesis.CCQI
+    s1 = survival_fraction(p.lam, p.t1)
+    s2 = survival_fraction(p.lam_prime if modified else p.lam, p.t2)
+    s3 = survival_fraction(p.lam, p.t3)
 
     def kernel(rng, size):
-        if modified:
-            pre = exponential_decay_times(rng, p.lam, size) < p.t1
-            inside = ~pre & (exponential_decay_times(rng, p.lam_prime, size) < p.t2)
-            after = ~pre & ~inside & (exponential_decay_times(rng, p.lam, size) < p.t3)
-        else:
-            t = exponential_decay_times(rng, p.lam, size)
-            pre = t < p.t1
-            inside = ~pre & (t < p.t1 + p.t2)
-            after = ~pre & ~inside & (t < p.total_time)
-        excited = ~(pre | inside | after)
-        if collapse:
-            nb1 = np.count_nonzero(inside & (rng.random(size) < 0.5))
-        else:
-            nb1 = 0
-        na2 = np.count_nonzero(excited)
-        return np.array([size - na2 - nb1, na2, nb1, 0], dtype=np.int64)
+        entered = rng.binomial(size, s1)
+        left = rng.binomial(entered, s2)
+        na2 = rng.binomial(left, s3)
+        nb1 = rng.binomial(entered - left, 0.5) if collapse else 0
+        return size - na2 - nb1, na2, nb1, 0
 
-    table = CountTable(*(int(x) for x in _run_chunked(p.n0, cfg, kernel, 4)))
+    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 4))
     assert table.total == p.n0
     return table
 
@@ -201,30 +160,19 @@ def simulate_photon(
     """
     EXPERIMENTS["photon"].check(h)
     ud = p.u * p.d
+    coherent = h is Hypothesis.POS
 
-    if h is Hypothesis.POS:
+    def kernel(rng, size):
+        if coherent:
+            recombined = rng.binomial(size, ud)
+            lost = rng.binomial(size - recombined, 0.5)
+            stray = rng.binomial(size - recombined - lost, 0.5)
+            return recombined + stray, size - recombined - lost - stray, lost
+        device = rng.binomial(size, 0.5)
+        survivors = size - device + rng.binomial(device, ud)
+        counter1 = rng.binomial(survivors, 0.5)
+        return counter1, survivors - counter1, size - survivors
 
-        def kernel(rng, size):
-            recombined = rng.random(size) < ud
-            u_cat = rng.random(size)
-            rest = ~recombined
-            lost = rest & (u_cat < 0.5)
-            c1 = recombined | (rest & (u_cat >= 0.5) & (u_cat < 0.75))
-            n1 = np.count_nonzero(c1)
-            nlost = np.count_nonzero(lost)
-            return np.array([n1, size - n1 - nlost, nlost], dtype=np.int64)
-
-    else:
-
-        def kernel(rng, size):
-            device = rng.random(size) < 0.5
-            survives = ~device | (rng.random(size) < ud)
-            to_c1 = survives & (rng.random(size) < 0.5)
-            n1 = np.count_nonzero(to_c1)
-            n2 = np.count_nonzero(survives & ~to_c1)
-            return np.array([n1, n2, size - n1 - n2], dtype=np.int64)
-
-    tally = _run_chunked(p.n0, cfg, kernel, 3)
-    table = CountTable(*(int(x) for x in tally), labels=PHOTON_LABELS)
+    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 3), labels=PHOTON_LABELS)
     assert table.total == p.n0
     return table

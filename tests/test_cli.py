@@ -288,6 +288,11 @@ class TestConfigInducedErrors:
                 "background = 0.1,0.1\n",
                 "background",
             ),
+            (
+                "simulate",
+                EXCITATION + "\n[simulation]\nchunk_size = 100000000000000000000\n",
+                "chunk_size",
+            ),
         ],
     )
     def test_exit_2_naming_the_key(self, write_config, capsys, command, config, key):

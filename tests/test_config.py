@@ -24,7 +24,6 @@ class TestParsing:
         assert cfg.params.n0 == 10000
         assert cfg.sim.seed == 0
         assert cfg.sim.chunk_size == 65536
-        assert cfg.sim.workers == 1
         assert cfg.output_format is None  # subcommand default (csv)
         assert cfg.output_path is None
 
@@ -58,7 +57,7 @@ class TestParsing:
             + "pattern = incoherent\n"
             + "[output]\nformat = json\npath = out.json\n"
         )
-        assert cfg.sim.seed == 9 and cfg.sim.workers == 4
+        assert cfg.sim.seed == 9 and cfg.sim.chunk_size == 1024
         assert cfg.stats.alpha == 0.01
         assert cfg.stats.counts == (9000, 1000, 0, 0)
         assert cfg.stats.background == (1e-4,)
@@ -145,6 +144,10 @@ class TestErrors:
     def test_non_finite_numbers_are_rejected(self, text, where):
         with pytest.raises(ConfigError, match=f"{where} must be (a )?finite"):
             parse_config(text)
+
+    def test_workers_below_one(self):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            parse_config(MINIMAL_EXCITATION + "\n[simulation]\nworkers = 0\n")
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):

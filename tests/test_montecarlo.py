@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from mzsim.errors import DomainError, UnsupportedHypothesisError
 from mzsim.montecarlo import (
     SimConfig,
     chunk_rng,
-    exponential_decay_times,
     simulate_decay,
     simulate_excitation,
     simulate_photon,
@@ -34,11 +35,11 @@ def assert_within_5_sigma(table, predicted, n0):
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert (cfg.seed, cfg.chunk_size, cfg.workers) == (0, 65536, 1)
+        assert (cfg.seed, cfg.chunk_size) == (0, 65536)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(seed=-1), dict(seed=2**64), dict(chunk_size=0), dict(workers=0)],
+        [dict(seed=-1), dict(seed=2**64), dict(chunk_size=0), dict(chunk_size=2**63)],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
@@ -49,31 +50,6 @@ class TestSimConfig:
         b = chunk_rng(42, 3).random(8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, chunk_rng(42, 4).random(8))
-
-
-class TestExponentialSampler:
-    def test_zero_rate_never_decays(self):
-        times = exponential_decay_times(np.random.default_rng(0), 0.0, 1000)
-        assert np.all(np.isinf(times))
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(DomainError):
-            exponential_decay_times(np.random.default_rng(0), -1.0, 10)
-
-    def test_survival_matches_exponential_law(self):
-        # Kolmogorov-Smirnov gate on the inverse-transform sampler itself
-        lam = 0.7
-        times = exponential_decay_times(np.random.default_rng(1234), lam, MILLION)
-        result = scipy_stats.kstest(times, "expon", args=(0.0, 1.0 / lam))
-        assert result.pvalue > 1e-3
-
-    def test_empirical_survival_curve(self):
-        lam = 1.3
-        times = exponential_decay_times(np.random.default_rng(99), lam, MILLION)
-        for t in (0.1, 0.5, 1.0, 2.0):
-            frac = np.count_nonzero(times > t) / MILLION
-            p = math.exp(-lam * t)
-            assert abs(frac - p) <= 5.0 * math.sqrt(p * (1 - p) / MILLION)
 
 
 class TestExcitationSim:
@@ -105,6 +81,11 @@ class TestDecaySim:
         p = DecayParams(n0=500, lam=1.0, t1=0.0, t2=0.0, t3=0.0, lam_prime=0.5)
         for h in Hypothesis:
             assert simulate_decay(p, h, SimConfig(seed=6)).values() == (0, 500, 0, 0)
+
+    def test_zero_rate_never_decays(self):
+        p = DecayParams(n0=500, lam=0.0, t1=1.0, t2=1.0, t3=1.0, lam_prime=0.0)
+        for h in Hypothesis:
+            assert simulate_decay(p, h, SimConfig(seed=8)).values() == (0, 500, 0, 0)
 
     @pytest.mark.parametrize("h", list(Hypothesis))
     def test_concentrates_on_prediction(self, h):
@@ -157,13 +138,6 @@ class TestReproducibility:
         b = simulate_excitation(p, Hypothesis.CCQI, cfg)
         assert a.values() == b.values()
 
-    def test_worker_count_cannot_change_tallies(self):
-        p = DecayParams(n0=200_000, lam=1.1, t1=0.2, t2=0.5, t3=0.1)
-        base = simulate_decay(p, Hypothesis.CCQI, SimConfig(seed=78, chunk_size=8192))
-        for workers in (2, 4, 8):
-            cfg = SimConfig(seed=78, chunk_size=8192, workers=workers)
-            assert simulate_decay(p, Hypothesis.CCQI, cfg).values() == base.values()
-
     def test_seed_changes_tallies(self):
         p = PhotonParams(n0=100_000, d=0.5, u=0.5)
         a = simulate_photon(p, Hypothesis.CCQI, SimConfig(seed=1))
@@ -175,3 +149,45 @@ class TestReproducibility:
         table = simulate_excitation(p, Hypothesis.CCQI, SimConfig(seed=9, chunk_size=65536))
         assert table.total == p.n0
         assert all(isinstance(v, int) for v in table.values())
+
+
+JOINT_SEEDS = 3000
+_EXC = ExcitationParams(n0=3, epsilon=0.9, lam=1.0, t=2 * LN2)
+_DEC = DecayParams(n0=3, lam=1.0, t1=0.1, t2=1.5, t3=0.1, lam_prime=0.5)
+_PHO = PhotonParams(n0=3, d=0.5, u=0.8)
+
+
+class TestJointLaw:
+    """The whole table, not just its marginals, follows the multinomial law."""
+
+    @pytest.mark.parametrize(
+        "simulate, predict, params, h",
+        [
+            (simulate_excitation, predict_excitation, _EXC, Hypothesis.POS),
+            (simulate_excitation, predict_excitation, _EXC, Hypothesis.CCQI),
+            (simulate_decay, predict_decay, _DEC, Hypothesis.POS),
+            (simulate_decay, predict_decay, _DEC, Hypothesis.CCQI),
+            (simulate_decay, predict_decay, _DEC, Hypothesis.MODIFIED_RATE),
+            (simulate_photon, predict_photon, _PHO, Hypothesis.POS),
+            (simulate_photon, predict_photon, _PHO, Hypothesis.CCQI),
+        ],
+        ids=[
+            "excitation-pos", "excitation-ccqi", "decay-pos", "decay-ccqi",
+            "decay-modified_rate", "photon-pos", "photon-ccqi",
+        ],
+    )
+    def test_tables_follow_the_multinomial_pmf(self, simulate, predict, params, h):
+        # n0 = 3 with chunk_size = 2 crosses a chunk boundary in every run
+        n0 = params.n0
+        probs = np.array(predict(params, h).values()) / n0
+        seen = Counter(
+            simulate(params, h, SimConfig(seed=seed, chunk_size=2)).values()
+            for seed in range(JOINT_SEEDS)
+        )
+        support = [x for x in itertools.product(range(n0 + 1), repeat=len(probs)) if sum(x) == n0]
+        pmf = {x: scipy_stats.multinomial.pmf(x, n0, probs) for x in support}
+        assert all(pmf[x] > 0 for x in seen), "an outcome of probability 0 occurred"
+        cells = [x for x in support if pmf[x] > 0]
+        observed = [seen[x] for x in cells]
+        expected = [JOINT_SEEDS * pmf[x] for x in cells]
+        assert scipy_stats.chisquare(observed, expected).pvalue > 1e-3
