@@ -22,7 +22,10 @@ otherwise ignored: the count-level sampler has no worker pool.
 (defaults pos/ccqi),
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` and
-``method`` (auto | closed_form | simulation).  ``[fringes]`` holds the
+``method`` (auto | closed_form | simulation).  ``discriminate`` and
+``plan`` compute p-values and power exactly while the multinomial
+support is at most ``stats.EXACT_SUPPORT_CAP`` outcomes; only above it
+do ``replicates`` Monte Carlo draws and ``seed`` enter.  ``[fringes]`` holds the
 screen geometry plus ``pattern`` (coherent | incoherent).  ``[output]``
 holds ``format`` (csv | json) and ``path``.
 """

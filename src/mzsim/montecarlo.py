@@ -43,6 +43,9 @@ __all__ = [
 _MAX_SEED = 2**64
 # the largest number of trials numpy's binomial sampler accepts
 _MAX_CHUNK = 2**63 - 1
+# chunks run one after another in Python at ~20 us each, so this many
+# take about 20 s; a run needing more must use larger chunks
+_MAX_CHUNKS = 2**20
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class SimConfig:
     """Reproducibility contract for a simulation run.
 
     ``chunk_size`` fixes the substream layout: changing it changes the
-    sampled tallies.
+    sampled tallies.  A run may span at most 2**20 chunks.
     """
 
     seed: int = 0
@@ -70,8 +73,15 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> list[int]:
     """Sum kernel tallies over the chunks of ``n0`` particles, one chunk at a time."""
+    chunks = -(-n0 // cfg.chunk_size)
+    if chunks > _MAX_CHUNKS:
+        raise DomainError(
+            f"n0 = {n0} at chunk_size = {cfg.chunk_size} needs {chunks} chunks, "
+            f"more than the limit of 2**20; raise chunk_size to at least "
+            f"{-(-n0 // _MAX_CHUNKS)}"
+        )
     total = [0] * ncat
-    for index in range(-(-n0 // cfg.chunk_size)):
+    for index in range(chunks):
         size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
         tally = kernel(chunk_rng(cfg.seed, index), size)
         total = [a + b for a, b in zip(total, tally)]

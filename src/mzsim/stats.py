@@ -3,11 +3,13 @@
 The null tables produced by a perfectly tuned interferometer contain
 structural zeros (nothing reaches counter b under POS), which puts the
 null hypothesis on the boundary of the parameter space.  Chi-square
-asymptotics are invalid there, so p-values come from exact parametric
-simulation of the multinomial, and sample-size planning for the
-background-free design reduces to a closed form: the first count in a
-null-impossible category settles the question by itself, at any
-significance level.
+asymptotics are invalid there, so p-values and power come from the
+multinomial itself: exactly, by enumerating every outcome, while the
+support has at most ``EXACT_SUPPORT_CAP`` outcomes (Resin 2023,
+*J. Comput. Graph. Stat.* 32(2)), and by seeded parametric simulation
+above it.  Sample-size planning for the background-free design reduces
+to a closed form: the first count in a null-impossible category
+settles the question by itself, at any significance level.
 """
 
 import math
@@ -36,6 +38,11 @@ __all__ = [
 
 MODEL_DISTINCTION_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
+# statistics within this relative distance of each other count as tied
+TIE_REL_TOL = 1e-9
+# largest multinomial support enumerated exactly; its int64 matrix takes
+# 8 MB with 4 categories (n <= 114), or n <= 722 with 3
+EXACT_SUPPORT_CAP = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +212,65 @@ def _llr_values(draws: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray
     return vals
 
 
+def _tie_floor(llr):
+    """Lowest statistic that ties or beats ``llr``; ``llr`` must not be ``+inf``."""
+    return llr - TIE_REL_TOL * np.maximum(1.0, np.abs(llr))
+
+
+def _is_enumerable(n: int, ncat: int) -> bool:
+    return math.comb(n + ncat - 1, ncat - 1) <= EXACT_SUPPORT_CAP
+
+
+def _support(n: int, ncat: int) -> np.ndarray:
+    """Every vector of ``ncat`` non-negative integers summing to ``n``, one per row."""
+    columns = []
+    left = np.array([n], dtype=np.int64)
+    for _ in range(ncat - 1):
+        # each prefix branches into left + 1 prefixes, one per value of the next cell
+        width = left + 1
+        value = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        columns = [np.repeat(c, width) for c in columns] + [value]
+        left = np.repeat(left, width) - value
+    return np.column_stack(columns + [left])
+
+
+class _ExactTest:
+    """Every outcome of ``n`` draws with its LLR and its mass under h0 and h1."""
+
+    def __init__(self, n: int, p0: np.ndarray, p1: np.ndarray):
+        outcomes = _support(n, p0.shape[0])
+        log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+        log_coef = log_fact[n] - sum(log_fact[column] for column in outcomes.T)
+        self.llr = _llr_values(outcomes, p0, p1)
+        self.mass0 = self._pmf(outcomes, log_coef, p0)
+        self.mass1 = self._pmf(outcomes, log_coef, p1)
+
+    @staticmethod
+    def _pmf(outcomes: np.ndarray, log_coef: np.ndarray, p: np.ndarray) -> np.ndarray:
+        live = p > 0
+        log_p = np.log(p, out=np.zeros(p.shape), where=live)
+        with np.errstate(under="ignore"):
+            pmf = np.exp(log_coef + outcomes @ log_p)
+        pmf[outcomes[:, ~live].any(axis=1)] = 0.0
+        return pmf
+
+    def p_value(self, observed: float) -> float:
+        """Null mass of the outcomes at least as extreme as ``observed``."""
+        tail = self.mass0[self.llr >= _tie_floor(observed)].sum()
+        return min(1.0, float(tail))
+
+    def power(self, alpha: float) -> float:
+        """h1 mass of the outcomes whose p-value is at most ``alpha``."""
+        order = np.argsort(self.llr)
+        ordered, mass1 = self.llr[order], self.mass1[order]
+        tail = np.append(np.cumsum(self.mass0[order][::-1])[::-1], 0.0)
+        # an outcome with h1 mass has a finite LLR when no null-impossible
+        # category is open to h1, the only case the power search sees
+        reach = mass1 > 0
+        p_values = tail[np.searchsorted(ordered, _tie_floor(ordered[reach]))]
+        return float(mass1[reach][p_values <= alpha].sum())
+
+
 def discriminate(
     counts,
     model_h0: CategoryModel,
@@ -219,9 +285,13 @@ def discriminate(
     The statistic is ``log L(counts | h1) - log L(counts | h0)``.  When
     the counts hit a category that is impossible under the null, the
     null is rejected outright with a p-value of exactly 0.  Otherwise
-    the p-value is the fraction of parametric multinomial replicates
-    under the null whose statistic is at least as extreme, with the
-    usual add-one correction.
+    the p-value is the null probability of a statistic at least as
+    extreme, ties within ``TIE_REL_TOL`` included.  While the support
+    has at most ``EXACT_SUPPORT_CAP`` outcomes that probability is
+    summed over all of them, and ``replicates`` and ``seed`` go unused;
+    above the cap it is the fraction of ``replicates`` seeded
+    multinomial draws under the null, with the usual add-one
+    correction, so it cannot fall below ``1 / (replicates + 1)``.
     """
     _check_comparable(model_h0, model_h1)
     if not 0.0 < alpha < 1.0:
@@ -241,14 +311,17 @@ def discriminate(
 
     llr = ll1 - ll0
     p0, p1 = model_h0.probabilities, model_h1.probabilities
-    # the replicates' arithmetic can differ from ll1 - ll0 in the last bits,
-    # so the observed statistic goes through it too before ties are counted
+    # the null statistics' arithmetic can differ from ll1 - ll0 in the last
+    # bits, so the observed statistic goes through it too before ties are counted
     observed = float(_llr_values(n[np.newaxis, :], p0, p1)[0])
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    null_llr = _llr_values(rng.multinomial(int(n.sum()), p0, size=replicates), p0, p1)
-    tie_tol = 1e-9 * max(1.0, abs(observed))
-    count_ge = int(np.count_nonzero(null_llr >= observed - tie_tol))
-    p_value = (1 + count_ge) / (1 + replicates)
+    total = int(n.sum())
+    if _is_enumerable(total, n.shape[0]):
+        p_value = _ExactTest(total, p0, p1).p_value(observed)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        null_llr = _llr_values(rng.multinomial(total, p0, size=replicates), p0, p1)
+        count_ge = int(np.count_nonzero(null_llr >= _tie_floor(observed)))
+        p_value = (1 + count_ge) / (1 + replicates)
 
     if p_value <= alpha:
         decision = "favor_H1"
@@ -305,9 +378,12 @@ def _rejection_rate(
     replicates: int,
     seed: int,
 ) -> float:
-    """Power estimate at sample size ``n`` via a shared null reference sample."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+    """Power at sample size ``n``: exact below the support cap, else a
+    Monte Carlo estimate via a shared null reference sample."""
     p0, p1 = model_h0.probabilities, model_h1.probabilities
+    if _is_enumerable(n, p0.shape[0]):
+        return _ExactTest(n, p0, p1).power(alpha)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
     null_llr = np.sort(_llr_values(rng.multinomial(n, p0, size=replicates), p0, p1))
     alt_llr = _llr_values(rng.multinomial(n, p1, size=replicates), p0, p1)
     count_ge = replicates - np.searchsorted(null_llr, alt_llr, side="left")
@@ -359,11 +435,14 @@ def min_sample_size(
     When the null has structural-zero categories that h1 populates, a
     single hit there rejects at any significance level, so the answer
     is the closed form ``ceil(ln(1 - power) / ln(1 - p_hit))`` and
-    ``alpha`` is not consulted.  Without such categories the search
-    runs a Monte Carlo power estimate (``replicates`` per probe, at the
-    stated ``alpha``) inside a doubling-then-bisection loop; the
-    smallest resolvable p-value is ``1 / (replicates + 1)``, so
-    ``alpha`` below that needs more replicates.
+    ``alpha`` is not consulted.  Without such categories a
+    doubling-then-bisection search probes the power at the stated
+    ``alpha``.  A probe whose support has at most ``EXACT_SUPPORT_CAP``
+    outcomes computes it exactly, with no dependence on ``replicates``
+    or ``seed``.  Above the cap a probe estimates it from
+    ``replicates`` seeded draws per hypothesis; the smallest p-value it
+    can resolve is ``1 / (replicates + 1)``, so ``alpha`` below that
+    needs more replicates.
 
     ``method`` selects ``"auto"`` (closed form when available),
     ``"closed_form"`` (error when unavailable), or ``"simulation"``

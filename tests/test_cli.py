@@ -183,6 +183,16 @@ class TestDiscriminate:
         assert payload["decision"] == "favor_H0"
         assert payload["p_value_h0"] > 0.01
 
+    def test_exact_p_value_does_not_depend_on_the_seed(self, write_config, capsys):
+        path = write_config(
+            EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 70,8,1,1\nbackground = 1e-3\n"
+        )
+        outs = {run_cli(capsys, "discriminate", "--config", path, "--seed", seed)
+                for seed in ("1", "2")}
+        assert len(outs) == 1
+        code, out, _ = outs.pop()
+        assert code == 0 and json.loads(out)["decision"] == "favor_H1"
+
     def test_csv_format_is_rejected(self, write_config, capsys):
         config = EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\n"
         code, _, err = run_cli(
@@ -292,6 +302,11 @@ class TestConfigInducedErrors:
                 "simulate",
                 EXCITATION + "\n[simulation]\nchunk_size = 100000000000000000000\n",
                 "chunk_size",
+            ),
+            (
+                "simulate",
+                EXCITATION.replace("n0 = 10000", "n0 = 1000000000000000"),
+                "n0",
             ),
         ],
     )

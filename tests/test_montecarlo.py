@@ -150,6 +150,19 @@ class TestReproducibility:
         assert table.total == p.n0
         assert all(isinstance(v, int) for v in table.values())
 
+    @pytest.mark.parametrize(
+        "simulate, params",
+        [
+            (simulate_excitation, ExcitationParams(n0=2**22 + 1, epsilon=0.2, lam=1.0, t=LN2)),
+            (simulate_decay, DecayParams(n0=2**22 + 1, lam=1.0, t1=0.1, t2=0.5, t3=0.1)),
+            (simulate_photon, PhotonParams(n0=2**22 + 1, d=0.5, u=0.5)),
+        ],
+    )
+    def test_more_than_2_to_the_20_chunks_are_refused(self, simulate, params):
+        # 2**20 + 1 chunks of 4; chunks of 5 would need only 838861
+        with pytest.raises(DomainError, match=r"n0.*chunk_size.*at least 5\b"):
+            simulate(params, Hypothesis.POS, SimConfig(chunk_size=4))
+
 
 JOINT_SEEDS = 3000
 _EXC = ExcitationParams(n0=3, epsilon=0.9, lam=1.0, t=2 * LN2)

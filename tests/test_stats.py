@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from mzsim.core import (
     ATOM_LABELS,
@@ -19,8 +21,10 @@ from mzsim.errors import (
 )
 from mzsim.montecarlo import SimConfig, simulate_excitation
 from mzsim.stats import (
+    EXACT_SUPPORT_CAP,
     CategoryModel,
     DiscriminationReport,
+    _rejection_rate,
     build_model,
     discriminate,
     log_likelihood,
@@ -311,3 +315,87 @@ class TestMinSampleSize:
         assert all(a <= b + 0.02 for a, b in zip(rates, rates[1:]))
         assert rates[1] == pytest.approx(0.999, abs=0.02)
         assert rates[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+def brute_force_test(p0, p1, n):
+    """Support, null-tail p-values and h1 masses by scipy and plain Python."""
+    support = [x for x in itertools.product(range(n + 1), repeat=len(p0)) if sum(x) == n]
+    llr = np.array([direct_log_likelihood(x, p1) - direct_log_likelihood(x, p0)
+                    for x in support])
+    mass0 = np.array([scipy_stats.multinomial.pmf(x, n, p0) for x in support])
+    mass1 = np.array([scipy_stats.multinomial.pmf(x, n, p1) for x in support])
+    with np.errstate(invalid="ignore"):
+        floor = llr - 1e-9 * np.maximum(1.0, np.abs(llr))
+        p_values = np.array([mass0[llr >= f].sum() for f in floor])
+    return support, llr, p_values, mass1
+
+
+ORACLE_DESIGNS = {
+    "photon": (
+        build_model("photon", PhotonParams(n0=100, d=0.5, u=0.5), Hypothesis.POS),
+        build_model("photon", PhotonParams(n0=100, d=0.5, u=0.5), Hypothesis.CCQI),
+    ),
+    "excitation-background": (pos_model(background=1e-3), ccqi_model(background=1e-3)),
+    "decay-modified_rate": (
+        build_model("decay", DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2,
+                                         lam_prime=0.3), Hypothesis.POS),
+        build_model("decay", DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2,
+                                         lam_prime=0.3), Hypothesis.MODIFIED_RATE),
+    ),
+}
+
+
+class TestExactEngine:
+    """Below EXACT_SUPPORT_CAP p-values and power are exact sums over the support."""
+
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_p_values_and_power_match_a_brute_force_sum(self, design):
+        h0, h1 = ORACLE_DESIGNS[design]
+        n = 12
+        support, llr, p_values, mass1 = brute_force_test(h0.probabilities, h1.probabilities, n)
+        if design == "decay-modified_rate":
+            # the two shared structural-zero cells carry no mass under either model
+            assert np.all(h0.probabilities[2:] == 0) and np.all(h1.probabilities[2:] == 0)
+        for x, stat, p in zip(support, llr, p_values):
+            if np.isfinite(stat):
+                report = discriminate(x, h0, h1, alpha=0.05, seed=5)
+                assert report.p_value_h0 == pytest.approx(p, abs=1e-12)
+        for alpha in (0.01, 0.05, 0.3):
+            power = mass1[p_values <= alpha].sum()
+            assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
+
+    def test_power_is_monotone_in_n(self):
+        # the Monte Carlo estimate stepped down 4 times between n = 50 and 73
+        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        power = [_rejection_rate(n, h0, h1, 0.01, 10_000, 0) for n in range(40, 80)]
+        assert all(a <= b for a, b in zip(power, power[1:]))
+
+    def test_min_sample_size_ignores_seed_and_replicates(self):
+        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        sizes = {
+            min_sample_size(h0, h1, 0.01, 0.99, replicates=replicates, seed=seed)
+            for seed in (0, 1, 2)
+            for replicates in (500, 10_000)
+        }
+        assert sizes == {62}
+
+    def test_minimum_llr_outcome_has_p_value_at_most_one(self):
+        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        weights = np.log(h1.probabilities) - np.log(h0.probabilities)
+        counts = [0, 0, 0, 0]
+        # the null masses of all C(53, 3) outcomes of 50 draws sum to 1 plus rounding
+        counts[int(np.argmin(weights))] = 50
+        report = discriminate(counts, h0, h1, alpha=0.01)
+        assert report.p_value_h0 <= 1.0
+        assert report.p_value_h0 == pytest.approx(1.0, abs=1e-12)
+
+    def test_above_the_cap_the_seeded_simulation_runs(self):
+        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        counts = (100, 13, 1, 1)  # 115 draws: C(118, 3) outcomes
+        assert math.comb(118, 3) > EXACT_SUPPORT_CAP >= math.comb(117, 3)
+        p_values = {
+            discriminate(counts, h0, h1, alpha=0.01, replicates=999, seed=seed).p_value_h0
+            for seed in (0, 1)
+        }
+        assert len(p_values) == 2
+        assert all((1000 * p) == pytest.approx(round(1000 * p), abs=1e-9) for p in p_values)
