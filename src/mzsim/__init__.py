@@ -17,7 +17,18 @@ look like, and how many particles does it take to notice?
 * :mod:`mzsim.stats` turns count data into decisions: exact
   likelihood-ratio tests and minimum-sample-size planning.
 * :mod:`mzsim.cli` wires everything to config files and CSV/JSON.
+
+``import mzsim`` loads only the standard-library layers (:mod:`~mzsim.core`,
+:mod:`~mzsim.errors`, :mod:`~mzsim.predict`, :mod:`~mzsim.config`), so
+closed-form predictions and configuration checks never import numpy.
+The numpy-backed modules (``montecarlo``, ``stats``, ``fringes`` and
+``sectors``) are bound lazily: each one runs, and imports numpy, on
+the first access to one of its attributes, including the names this
+package re-exports from it.
 """
+
+import importlib.util
+import sys
 
 from .core import (
     ATOM_LABELS,
@@ -27,8 +38,10 @@ from .core import (
     DecayParams,
     ExcitationParams,
     Experiment,
+    FringeGeometry,
     Hypothesis,
     PhotonParams,
+    SimConfig,
     purity_time_offset,
     survival_fraction,
 )
@@ -43,41 +56,54 @@ from .errors import (
     StructureError,
     UnsupportedHypothesisError,
 )
-from .fringes import (
-    FringeGeometry,
-    FringeProfile,
-    calibration_patterns,
-    coherent_intensity,
-    coherent_pattern,
-    incoherent_pattern,
-)
-from .montecarlo import (
-    SimConfig,
-    chunk_rng,
-    simulate_decay,
-    simulate_excitation,
-    simulate_photon,
-)
 from .predict import predict_decay, predict_excitation, predict_photon
-from .sectors import (
-    DensityMatrix,
-    SectorObservable,
-    SectorSpace,
-    StateVector,
-    is_valid_observable,
-    purity,
-    sector_matrix_element,
-    superselect,
-)
-from .stats import (
-    CategoryModel,
-    DiscriminationReport,
-    build_model,
-    discriminate,
-    log_likelihood,
-    min_sample_size,
-)
 from .config import RunConfig, parse_config
+
+
+def _lazy(name: str):
+    """The submodule ``name``, bound now and executed on first attribute access."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+fringes = _lazy("fringes")
+montecarlo = _lazy("montecarlo")
+sectors = _lazy("sectors")
+stats = _lazy("stats")
+
+# re-exported names served from the lazily bound modules
+_LAZY_NAMES = {
+    name: module
+    for module, names in (
+        (fringes, ("FringeProfile", "coherent_intensity", "coherent_pattern",
+                   "incoherent_pattern", "calibration_patterns")),
+        (montecarlo, ("chunk_rng", "simulate_excitation", "simulate_decay",
+                      "simulate_photon")),
+        (sectors, ("SectorSpace", "SectorObservable", "StateVector", "DensityMatrix",
+                   "is_valid_observable", "sector_matrix_element", "superselect",
+                   "purity")),
+        (stats, ("CategoryModel", "DiscriminationReport", "build_model",
+                 "log_likelihood", "discriminate", "min_sample_size")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

@@ -23,16 +23,23 @@ runtime error: identical models, a search cap, or an I/O failure.  Data
 goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
 emitted with 17 significant digits so identical configurations yield
 byte-identical output.
+
+``predict`` and every configuration error are answered without loading
+numpy.  ``simulate``, ``fringes``, ``discriminate``, ``plan`` and
+``sectors-demo`` load it on their first call into the numpy-backed
+layers (:mod:`~mzsim.montecarlo`, :mod:`~mzsim.fringes`,
+:mod:`~mzsim.stats`, :mod:`~mzsim.sectors`), which the package binds
+lazily and this module calls through their module objects.
 """
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import montecarlo, predict, sectors
+from . import fringes, montecarlo, predict, sectors, stats
 from .config import RunConfig, parse_config
 from .core import DecayParams
 from .errors import (
@@ -42,8 +49,6 @@ from .errors import (
     StructureError,
     UnsupportedHypothesisError,
 )
-from .fringes import coherent_pattern, incoherent_pattern
-from .stats import build_model, discriminate, min_sample_size
 
 __all__ = ["main"]
 
@@ -52,7 +57,7 @@ _CONFIG_ERRORS = (ConfigError, DomainError, StructureError, UnsupportedHypothesi
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -68,7 +73,7 @@ def _json(payload) -> str:
 
 
 def _finite(x: float):
-    return float(x) if np.isfinite(x) else None
+    return float(x) if math.isfinite(x) else None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -94,27 +99,25 @@ def _cmd_predict(cfg: RunConfig) -> str:
     return _csv(table.labels, [table.values()])
 
 
-def _z_scores(tallies: np.ndarray, probs: np.ndarray, n0: int) -> np.ndarray:
-    expected = probs * n0
-    variance = n0 * probs * (1.0 - probs)
-    z = np.zeros(len(probs))
-    spread = variance > 0
-    z[spread] = (tallies[spread] - expected[spread]) / np.sqrt(variance[spread])
-    deviation = tallies[~spread] - expected[~spread]
-    z[~spread] = np.where(
-        deviation == 0, 0.0, np.where(deviation > 0, np.inf, -np.inf)
-    )
-    return z
+def _z_score(tally: float, prob: float, n0: int) -> float:
+    deviation = tally - prob * n0
+    variance = n0 * prob * (1.0 - prob)
+    if variance > 0:
+        return deviation / math.sqrt(variance)
+    return math.copysign(math.inf, deviation) if deviation else 0.0
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "simulate needs a hypothesis")
     predicted = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
+    cfg.sim.chunk_count(params.n0)  # refuse an oversized run before numpy loads
     sampled = getattr(montecarlo, f"simulate_{kind}")(params, cfg.hypothesis, cfg.sim)
-    probs = np.array(predicted.values(), dtype=float)
-    probs = probs / params.n0 if params.n0 else probs
-    z = _z_scores(np.array(sampled.values(), dtype=float), probs, params.n0)
+    probs = [float(v) / params.n0 if params.n0 else float(v) for v in predicted.values()]
+    z = [
+        _z_score(float(tally), prob, params.n0)
+        for tally, prob in zip(sampled.values(), probs)
+    ]
     if (cfg.output_format or "csv") == "json":
         return _json(
             {
@@ -129,7 +132,11 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_fringes(cfg: RunConfig) -> str:
     _require(cfg.geometry is not None, "fringes needs a [fringes] section")
-    pattern = coherent_pattern if cfg.fringe_pattern == "coherent" else incoherent_pattern
+    pattern = (
+        fringes.coherent_pattern
+        if cfg.fringe_pattern == "coherent"
+        else fringes.incoherent_pattern
+    )
     profile = pattern(cfg.geometry)
     if (cfg.output_format or "csv") == "json":
         return _json(
@@ -147,12 +154,12 @@ def _stats_models(cfg: RunConfig):
     if background is not None and len(background) == 1:
         background = background[0]
     if cfg.stats.visibility is not None:
-        model_h0 = build_model(
+        model_h0 = stats.build_model(
             kind, params, background=background, visibility=cfg.stats.visibility
         )
     else:
-        model_h0 = build_model(kind, params, cfg.stats.h0, background=background)
-    model_h1 = build_model(kind, params, cfg.stats.h1, background=background)
+        model_h0 = stats.build_model(kind, params, cfg.stats.h0, background=background)
+    model_h1 = stats.build_model(kind, params, cfg.stats.h1, background=background)
     return model_h0, model_h1
 
 
@@ -161,7 +168,7 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
     _require(cfg.stats.counts is not None, "discriminate needs counts in [stats]")
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
     model_h0, model_h1 = _stats_models(cfg)
-    report = discriminate(
+    report = stats.discriminate(
         cfg.stats.counts,
         model_h0,
         model_h1,
@@ -178,7 +185,7 @@ def _cmd_plan(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "plan emits JSON; remove format = csv")
     _require(cfg.stats.power is not None, "plan needs power in [stats]")
     model_h0, model_h1 = _stats_models(cfg)
-    n = min_sample_size(
+    n = stats.min_sample_size(
         model_h0,
         model_h1,
         cfg.stats.alpha,
@@ -197,7 +204,7 @@ def _cmd_plan(cfg: RunConfig) -> str:
     )
 
 
-def _matrix_lines(matrix: np.ndarray) -> list[str]:
+def _matrix_lines(matrix) -> list[str]:
     return [
         "  [" + "  ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in row) + "]"
         for row in matrix
@@ -206,7 +213,7 @@ def _matrix_lines(matrix: np.ndarray) -> list[str]:
 
 def _cmd_sectors_demo(cfg: RunConfig) -> str:
     space = sectors.SectorSpace((1, 1))
-    rho = sectors.DensityMatrix(np.full((2, 2), 0.5, dtype=complex), space)
+    rho = sectors.DensityMatrix([[0.5, 0.5], [0.5, 0.5]], space)
     projected = sectors.superselect(rho)
     lines = [
         "sector dimensions: (1, 1)",

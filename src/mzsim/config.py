@@ -34,10 +34,16 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .core import EXPERIMENTS, DecayParams, ExcitationParams, Hypothesis, PhotonParams
+from .core import (
+    EXPERIMENTS,
+    DecayParams,
+    ExcitationParams,
+    FringeGeometry,
+    Hypothesis,
+    PhotonParams,
+    SimConfig,
+)
 from .errors import ConfigError, DomainError, GeometryError
-from .fringes import FringeGeometry
-from .montecarlo import SimConfig
 
 __all__ = ["RunConfig", "StatsOptions", "parse_config"]
 

@@ -1,19 +1,26 @@
-"""Parameter records, count tables, and the exponential survival law.
+"""Parameter records, count tables, run settings and the exponential survival law.
 
 Everything downstream (closed-form predictions, the count-level Monte
-Carlo, and the discrimination statistics) consumes the types defined
-here.  Rates and times are plain dimensionless floats; the caller is
-responsible for using consistent units.  All types are immutable and
-all functions are pure.
+Carlo, the fringe patterns and the discrimination statistics) consumes
+the types defined here.  Rates and times are plain dimensionless
+floats; the caller is responsible for using consistent units.  All
+types are immutable and all functions are pure.  This module needs
+only the standard library, so validating a configuration never loads
+numpy.
 """
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import DomainError, StructureError, UnsupportedHypothesisError
+from .errors import (
+    DomainError,
+    GeometryError,
+    StructureError,
+    UnsupportedHypothesisError,
+)
 
 __all__ = [
     "Hypothesis",
@@ -25,6 +32,8 @@ __all__ = [
     "PHOTON_LABELS",
     "Experiment",
     "EXPERIMENTS",
+    "SimConfig",
+    "FringeGeometry",
     "survival_fraction",
     "purity_time_offset",
 ]
@@ -85,14 +94,20 @@ def purity_time_offset(mu: float, lam: float) -> float:
 
 
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
+    # predictions scale the count by floats, so it must convert to one
+    if value > sys.float_info.max:
+        raise DomainError(
+            f"{name} must be at most the largest float, about 1.8e308; "
+            f"got an integer of {len(str(value))} digits"
+        )
 
 
 def _check_nonnegative(name: str, value) -> None:
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and value >= 0):
+    if not (isinstance(value, numbers.Real) and value >= 0):
         raise DomainError(f"{name} must be a number >= 0, got {value!r}")
 
 
@@ -189,7 +204,7 @@ class PhotonParams:
 
 
 def _check_tally(name: str, value) -> None:
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a number, got {value!r}")
     if math.isnan(value) or value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
@@ -271,3 +286,92 @@ EXPERIMENTS = {
         Experiment("photon", PhotonParams, PHOTON_LABELS, _ROUTING),
     )
 }
+
+
+_MAX_SEED = 2**64
+# the largest number of trials numpy's binomial sampler accepts
+_MAX_CHUNK = 2**63 - 1
+# chunks run one after another in Python at ~20 us each, so this many
+# take about 20 s; a run needing more must use larger chunks
+_MAX_CHUNKS = 2**20
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Reproducibility contract for a simulation run.
+
+    ``chunk_size`` fixes the substream layout: changing it changes the
+    sampled tallies.  A run may span at most 2**20 chunks.
+    """
+
+    seed: int = 0
+    chunk_size: int = 65536
+
+    def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < _MAX_SEED:
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not 1 <= self.chunk_size <= _MAX_CHUNK:
+            raise DomainError(f"chunk_size must be in [1, 2**63 - 1], got {self.chunk_size}")
+
+    def chunk_count(self, n0: int) -> int:
+        """Number of chunks a run of ``n0`` particles spans, at most 2**20."""
+        chunks = -(-n0 // self.chunk_size)
+        if chunks > _MAX_CHUNKS:
+            raise DomainError(
+                f"n0 = {n0} at chunk_size = {self.chunk_size} needs {chunks} chunks, "
+                f"more than the limit of 2**20; raise chunk_size to at least "
+                f"{-(-n0 // _MAX_CHUNKS)}"
+            )
+        return chunks
+
+
+# screen_distance must exceed source_separation by this factor so the
+# small-angle approximation stays below 1e-3 of a fringe period over a
+# +-50-fringe window
+FAR_FIELD_RATIO = 100.0
+# the CLI holds about 200 bytes per point while it formats a profile
+# (measured at 2e5 points, CSV and JSON), so the cap keeps one fringes
+# run near 200 MB
+MAX_FRINGE_POINTS = 10**6
+
+
+@dataclass(frozen=True)
+class FringeGeometry:
+    """Two-source screen geometry and the sampling window on the plate.
+
+    ``n_points`` is capped at :data:`MAX_FRINGE_POINTS`; the check runs
+    before anything is allocated.
+    """
+
+    source_separation: float
+    wavelength: float
+    screen_distance: float
+    x_min: float
+    x_max: float
+    n_points: int
+
+    def __post_init__(self):
+        for name in ("source_separation", "wavelength", "screen_distance"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise DomainError(f"{name} must be > 0, got {value}")
+        if self.n_points < 2:
+            raise DomainError(f"n_points must be >= 2, got {self.n_points}")
+        if self.n_points > MAX_FRINGE_POINTS:
+            raise DomainError(
+                f"n_points must be at most {MAX_FRINGE_POINTS}, got {self.n_points}"
+            )
+        if not self.x_min < self.x_max:
+            raise DomainError(
+                f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]"
+            )
+        if self.screen_distance < FAR_FIELD_RATIO * self.source_separation:
+            raise GeometryError(
+                "far-field model requires screen_distance >= "
+                f"{FAR_FIELD_RATIO:g} * source_separation"
+            )
+
+    @property
+    def fringe_period(self) -> float:
+        """Screen spacing between adjacent coherent maxima."""
+        return self.wavelength * self.screen_distance / self.source_separation

@@ -7,16 +7,20 @@ between 0 and 4 with period ``wavelength * screen_distance /
 source_separation``.  The model is the textbook small-angle two-source
 interference pattern with equal amplitudes; polarization, pair
 correlations and source kinematics are out of scope.
+:class:`FringeGeometry` lives in :mod:`mzsim.core` so that parsing a
+configuration never loads numpy; it is re-exported here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, StructureError
+from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry
+from .errors import DomainError, StructureError
 
 __all__ = [
     "FAR_FIELD_RATIO",
+    "MAX_FRINGE_POINTS",
     "FringeGeometry",
     "FringeProfile",
     "coherent_intensity",
@@ -25,47 +29,8 @@ __all__ = [
     "calibration_patterns",
 ]
 
-# screen_distance must exceed source_separation by this factor so the
-# small-angle approximation stays below 1e-3 of a fringe period over a
-# +-50-fringe window
-FAR_FIELD_RATIO = 100.0
-
-
-@dataclass(frozen=True)
-class FringeGeometry:
-    """Two-source screen geometry and the sampling window on the plate."""
-
-    source_separation: float
-    wavelength: float
-    screen_distance: float
-    x_min: float
-    x_max: float
-    n_points: int
-
-    def __post_init__(self):
-        for name in ("source_separation", "wavelength", "screen_distance"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise DomainError(f"{name} must be > 0, got {value}")
-        if self.n_points < 2:
-            raise DomainError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.x_min < self.x_max:
-            raise DomainError(
-                f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]"
-            )
-        if self.screen_distance < FAR_FIELD_RATIO * self.source_separation:
-            raise GeometryError(
-                "far-field model requires screen_distance >= "
-                f"{FAR_FIELD_RATIO:g} * source_separation"
-            )
-
-    @property
-    def fringe_period(self) -> float:
-        """Screen spacing between adjacent coherent maxima."""
-        return self.wavelength * self.screen_distance / self.source_separation
-
-    def positions(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+def _positions(g: FringeGeometry) -> np.ndarray:
+    return np.linspace(g.x_min, g.x_max, g.n_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +67,7 @@ def coherent_intensity(g: FringeGeometry, x) -> np.ndarray:
 
 def coherent_pattern(g: FringeGeometry) -> FringeProfile:
     """Pattern left when the two sources emit in superposition (fringes)."""
-    x = g.positions()
+    x = _positions(g)
     return FringeProfile(x, coherent_intensity(g, x))
 
 
@@ -112,7 +77,7 @@ def incoherent_pattern(g: FringeGeometry) -> FringeProfile:
     Probabilities add instead of amplitudes, so two unit point sources
     give a flat intensity of 2 regardless of their separation.
     """
-    x = g.positions()
+    x = _positions(g)
     return FringeProfile(x, np.full(g.n_points, 2.0))
 
 
@@ -125,5 +90,5 @@ def calibration_patterns(g: FringeGeometry) -> list[FringeProfile]:
     twice.  Each profile is a flat 1, their sum on one plate is a flat
     4, and half of that sum reproduces :func:`incoherent_pattern`.
     """
-    x = g.positions()
+    x = _positions(g)
     return [FringeProfile(x, np.ones(g.n_points)) for _ in range(4)]

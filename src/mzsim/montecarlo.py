@@ -13,10 +13,10 @@ stay an independent statistical oracle for these samplers.
 Particles are partitioned into fixed-size chunks and every chunk gets
 its own RNG substream derived from ``(seed, chunk index)``.  Chunk
 tallies are summed, so the result is a pure function of
-``(seed, chunk_size, parameters)``.
+``(seed, chunk_size, parameters)``.  :class:`SimConfig` lives in
+:mod:`mzsim.core` so that parsing a configuration never loads numpy;
+it is re-exported here.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     ExcitationParams,
     Hypothesis,
     PhotonParams,
+    SimConfig,
     survival_fraction,
 )
 from .errors import DomainError
@@ -40,32 +41,6 @@ __all__ = [
     "simulate_photon",
 ]
 
-_MAX_SEED = 2**64
-# the largest number of trials numpy's binomial sampler accepts
-_MAX_CHUNK = 2**63 - 1
-# chunks run one after another in Python at ~20 us each, so this many
-# take about 20 s; a run needing more must use larger chunks
-_MAX_CHUNKS = 2**20
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Reproducibility contract for a simulation run.
-
-    ``chunk_size`` fixes the substream layout: changing it changes the
-    sampled tallies.  A run may span at most 2**20 chunks.
-    """
-
-    seed: int = 0
-    chunk_size: int = 65536
-
-    def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 1 <= self.chunk_size <= _MAX_CHUNK:
-            raise DomainError(f"chunk_size must be in [1, 2**63 - 1], got {self.chunk_size}")
-
-
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one chunk, a pure function of (seed, index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -73,15 +48,8 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> list[int]:
     """Sum kernel tallies over the chunks of ``n0`` particles, one chunk at a time."""
-    chunks = -(-n0 // cfg.chunk_size)
-    if chunks > _MAX_CHUNKS:
-        raise DomainError(
-            f"n0 = {n0} at chunk_size = {cfg.chunk_size} needs {chunks} chunks, "
-            f"more than the limit of 2**20; raise chunk_size to at least "
-            f"{-(-n0 // _MAX_CHUNKS)}"
-        )
     total = [0] * ncat
-    for index in range(chunks):
+    for index in range(cfg.chunk_count(n0)):
         size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
         tally = kernel(chunk_rng(cfg.seed, index), size)
         total = [a + b for a, b in zip(total, tally)]

@@ -13,6 +13,7 @@ settles the question by itself, at any significance level.
 """
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -163,10 +164,17 @@ def _count_vector(counts, model: CategoryModel) -> np.ndarray:
             raise StructureError(
                 f"expected {len(model.labels)} counts, got {len(values)}"
             )
-    arr = np.asarray(values, dtype=float)
-    if np.any(arr < 0) or np.any(arr != np.floor(arr)):
-        raise DomainError(f"counts must be non-negative integers, got {values}")
-    return arr.astype(np.int64)
+    # checked before the int64 cast, which would wrap larger values
+    if not all(map(_is_count, values)) or sum(map(int, values)) >= 2**63:
+        raise DomainError(
+            f"counts must be non-negative integers summing to less than 2**63, "
+            f"got {values}"
+        )
+    return np.array([int(v) for v in values], dtype=np.int64)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Real) and 0 <= value < 2**63 and value == int(value)
 
 
 def log_likelihood(counts, model: CategoryModel) -> float:

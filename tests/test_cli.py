@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim.cli import main
+import mzsim
+from mzsim.cli import _z_score, main
 
 LN2 = "0.6931471805599453"
 
@@ -128,6 +132,21 @@ class TestSimulate:
         assert set(payload) == {"simulated", "predicted", "z_scores"}
         assert sum(payload["simulated"].values()) == 16000
 
+    def test_z_scores_match_the_array_formula_exactly(self):
+        rng = np.random.default_rng(5)
+        n0 = 10**6
+        probs = np.append(rng.dirichlet(np.ones(5)), [0.0, 0.0, 0.0, 1.0])
+        tallies = np.append(rng.integers(0, n0, 5), [0, 3, 0, n0 - 1]).astype(float)
+        variance = n0 * probs * (1.0 - probs)
+        deviation = tallies - probs * n0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(
+                variance > 0, deviation / np.sqrt(variance), np.sign(deviation) * np.inf
+            )
+        want[(variance == 0) & (deviation == 0)] = 0.0
+        got = [_z_score(t, p, n0) for t, p in zip(tallies.tolist(), probs.tolist())]
+        assert got == want.tolist()
+
     def test_seed_flag_overrides_config(self, write_config, tmp_path, capsys):
         config = write_config(EXCITATION + "\n[simulation]\nseed = 1\n")
         _, out_config_seed, _ = run_cli(capsys, "simulate", "--config", config)
@@ -204,6 +223,16 @@ class TestDiscriminate:
         config = EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\nh1 = pos\n"
         code, _, err = run_cli(capsys, "discriminate", "--config", write_config(config))
         assert code == 3 and "identical" in err
+
+    def test_counts_beyond_int64_are_echoed_as_given(self, write_config, capsys):
+        big = 2**62
+        for counts in (f"{2 * big},0,0,0", f"{big},0,0,{big}"):
+            config = EXCITATION + f"\n[stats]\nalpha = 0.01\ncounts = {counts}\n"
+            code, out, err = run_cli(
+                capsys, "discriminate", "--config", write_config(config)
+            )
+            assert code == 2 and out == ""
+            assert f"({counts.replace(',', ', ')})" in err and "np." not in err
 
     def test_missing_counts(self, write_config, capsys):
         config = EXCITATION + "\n[stats]\nalpha = 0.01\n"
@@ -286,34 +315,86 @@ mu = 0.5
 """
 
 
+HUGE_N0 = EXCITATION.replace("n0 = 10000", "n0 = " + "9" * 400)
+
+# (subcommand, config, key the error must name)
+CONFIG_ERRORS = [
+    ("predict", DECAY_WITHOUT_OFFSET, "mu"),
+    ("plan", EXCITATION + "\n[stats]\npower = 0.99\nbackground = 1e-3\n", "alpha"),
+    (
+        "discriminate",
+        EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\n"
+        "background = 0.1,0.1\n",
+        "background",
+    ),
+    (
+        "simulate",
+        EXCITATION + "\n[simulation]\nchunk_size = 100000000000000000000\n",
+        "chunk_size",
+    ),
+    (
+        "simulate",
+        EXCITATION.replace("n0 = 10000", "n0 = 1000000000000000"),
+        "n0",
+    ),
+    ("predict", HUGE_N0, "n0"),
+    ("simulate", HUGE_N0, "n0"),
+    ("plan", HUGE_N0 + "\n[stats]\nalpha = 0.01\npower = 0.99\n", "n0"),
+    # above the cap; validation refuses it before anything is allocated
+    ("fringes", FRINGES.replace("n_points = 5", "n_points = 100000000000000"),
+     "n_points"),
+]
+
+
 class TestConfigInducedErrors:
-    @pytest.mark.parametrize(
-        "command, config, key",
-        [
-            ("predict", DECAY_WITHOUT_OFFSET, "mu"),
-            ("plan", EXCITATION + "\n[stats]\npower = 0.99\nbackground = 1e-3\n", "alpha"),
-            (
-                "discriminate",
-                EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\n"
-                "background = 0.1,0.1\n",
-                "background",
-            ),
-            (
-                "simulate",
-                EXCITATION + "\n[simulation]\nchunk_size = 100000000000000000000\n",
-                "chunk_size",
-            ),
-            (
-                "simulate",
-                EXCITATION.replace("n0 = 10000", "n0 = 1000000000000000"),
-                "n0",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("command, config, key", CONFIG_ERRORS)
     def test_exit_2_naming_the_key(self, write_config, capsys, command, config, key):
         code, out, err = run_cli(capsys, command, "--config", write_config(config))
         assert code == 2 and out == ""
         assert err.startswith("mzsim: config error:") and key in err
+
+
+# runs in a fresh interpreter: import the package and the CLI, answer every
+# request given on stdin, then report the exit codes and whether numpy loaded
+GUARD_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+import mzsim, mzsim.cli
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "run.cfg")
+    for command, config, *flags in json.load(sys.stdin):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(mzsim.cli.main([command, "--config", path, *flags]))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_predict_and_config_errors_do_not_import_numpy():
+    decay = DECAY_WITHOUT_OFFSET.replace("mu = 0.5", "mu = 1")
+    predicts = [
+        ["predict", config, "--format", fmt]
+        for config in (EXCITATION, decay, PHOTON)
+        for fmt in ("csv", "json")
+    ]
+    # plan learns that it needs alpha only after stats has built both models
+    # and found no null-impossible category, so that case loads numpy
+    errors = [[command, config] for command, config, key in CONFIG_ERRORS
+              if (command, key) != ("plan", "alpha")]
+    src = os.path.dirname(os.path.dirname(mzsim.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT],
+        input=json.dumps(predicts + errors),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    report = json.loads(result.stdout)
+    assert report["codes"] == [0] * len(predicts) + [2] * len(errors)
+    assert report["numpy"] is False
 
 
 HYPOTHESES = st.sampled_from(["pos", "ccqi", "modified_rate"])

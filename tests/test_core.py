@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,17 @@ class TestParamValidation:
             ExcitationParams(n0=10.5, epsilon=0.5, lam=1.0, t=1.0)
         with pytest.raises(DomainError):
             PhotonParams(n0=True, d=0.5, u=0.5)
+
+    def test_rejects_n0_beyond_the_float_range(self):
+        ExcitationParams(n0=int(sys.float_info.max), epsilon=0.5, lam=1.0, t=1.0)
+        for cls, fields in (
+            (ExcitationParams, dict(epsilon=0.5, lam=1.0, t=1.0)),
+            (DecayParams, dict(lam=1.0, t1=0.1, t2=0.2, t3=0.3)),
+            (PhotonParams, dict(d=0.5, u=0.5)),
+        ):
+            for n0 in (2**1024, 10**400 - 1):
+                with pytest.raises(DomainError, match="n0"):
+                    cls(n0=n0, **fields)
 
     def test_rejects_negative_lam_prime(self):
         with pytest.raises(DomainError):

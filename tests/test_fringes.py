@@ -4,6 +4,7 @@ from scipy import integrate, optimize
 
 from mzsim.errors import DomainError, GeometryError
 from mzsim.fringes import (
+    MAX_FRINGE_POINTS,
     FringeGeometry,
     FringeProfile,
     calibration_patterns,
@@ -54,6 +55,7 @@ class TestGeometry:
             dict(distance=0.0),
             dict(n_points=1),
             dict(x_half=-1.0),  # makes x_min > x_max
+            dict(n_points=MAX_FRINGE_POINTS + 1),  # refused before any allocation
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -45,6 +45,13 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(**kwargs)
 
+    def test_chunk_count_is_capped(self):
+        cfg = SimConfig(chunk_size=3)
+        assert cfg.chunk_count(0) == 0
+        assert cfg.chunk_count(3 * 2**20) == 2**20
+        with pytest.raises(DomainError, match="chunk_size"):
+            cfg.chunk_count(3 * 2**20 + 1)
+
     def test_chunk_rng_is_a_pure_function(self):
         a = chunk_rng(42, 3).random(8)
         b = chunk_rng(42, 3).random(8)

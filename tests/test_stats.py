@@ -176,6 +176,12 @@ class TestLogLikelihood:
         with pytest.raises(DomainError):
             log_likelihood((-1, 2, 3, 4), pos_model())
 
+    def test_counts_beyond_int64_are_refused_as_given(self):
+        for counts in ((2**63, 0, 0, 0), (2**62, 2**62, 0, 0)):
+            with pytest.raises(DomainError) as info:
+                log_likelihood(counts, pos_model())
+            assert str(counts) in str(info.value)
+
     def test_accepts_count_tables(self):
         table = CountTable(9000, 1000, 0, 0)
         assert log_likelihood(table, pos_model()) == log_likelihood(
