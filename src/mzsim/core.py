@@ -93,9 +93,13 @@ def purity_time_offset(mu: float, lam: float) -> float:
     return -math.log(mu) / lam
 
 
-def _check_count(name: str, value) -> None:
+def _check_integer(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    _check_integer(name, value)
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
     # predictions scale the count by floats, so it must convert to one
@@ -291,8 +295,9 @@ EXPERIMENTS = {
 _MAX_SEED = 2**64
 # the largest number of trials numpy's binomial sampler accepts
 _MAX_CHUNK = 2**63 - 1
-# chunks run one after another in Python at ~20 us each, so this many
-# take about 20 s; a run needing more must use larger chunks
+# chunks run one after another in Python at 6-10 us each (substream
+# set-up and binomial draws: 2**20 chunks of 4 took 6-10 s per experiment
+# on a 2-core host); a run needing more must use larger chunks
 _MAX_CHUNKS = 2**20
 
 
@@ -308,7 +313,11 @@ class SimConfig:
     chunk_size: int = 65536
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < _MAX_SEED:
+        for name in ("seed", "chunk_size"):
+            _check_integer(name, getattr(self, name))
+            # numpy integers become ints, so chunk arithmetic cannot wrap
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not 0 <= self.seed < _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 1 <= self.chunk_size <= _MAX_CHUNK:
             raise DomainError(f"chunk_size must be in [1, 2**63 - 1], got {self.chunk_size}")

@@ -11,11 +11,15 @@ probabilities come from :func:`~mzsim.core.survival_fraction` and the
 stay an independent statistical oracle for these samplers.
 
 Particles are partitioned into fixed-size chunks and every chunk gets
-its own RNG substream derived from ``(seed, chunk index)``.  Chunk
-tallies are summed, so the result is a pure function of
-``(seed, chunk_size, parameters)``.  :class:`SimConfig` lives in
-:mod:`mzsim.core` so that parsing a configuration never loads numpy;
-it is re-exported here.
+its own RNG substream: the PCG64 state that
+``np.random.SeedSequence(entropy=seed, spawn_key=(chunk index,))``
+gives.  Those states are derived in bulk, a block of chunk indices per
+numpy pass, and loaded one after another into a single reused
+generator, so a chunk costs a state assignment rather than a
+``SeedSequence`` and a new generator.  Chunk tallies are summed, so the
+result is a pure function of ``(seed, chunk_size, parameters)``.
+:class:`SimConfig` lives in :mod:`mzsim.core` so that parsing a
+configuration never loads numpy; it is re-exported here.
 """
 
 import numpy as np
@@ -41,17 +45,115 @@ __all__ = [
     "simulate_photon",
 ]
 
+# np.random.SeedSequence's constants (numpy/random/bit_generator.pyx); the
+# tests compare the derived states with numpy's own
+_M32 = 0xFFFF_FFFF
+_MIX_L = 0xCA01F9DD
+_MIX_R = -0x4973F715 & _M32  # the mix subtracts; add its negation mod 2**32
+# the hash constant steps once per hash: 4 entropy words, 12 cross-mixes
+# and 4 spawn-word mixes walk _HASH_A, the 8 state words walk _HASH_B
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(21)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(9)]
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = 2**128 - 1
+# chunk indices whose states are derived in one numpy pass; memory is
+# O(1) in the chunk count
+_STATE_BLOCK = 4096
+
+
+def _hash(value, xor: int, mult: int):
+    """SeedSequence's 32-bit hash, on a Python int or a uint64 array."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's 32-bit mix of two words, on Python ints or uint64 arrays."""
+    value = ((_MIX_L * x & _M32) + (_MIX_R * y & _M32)) & _M32
+    return value ^ value >> 16
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """The SeedSequence pool once the run entropy, ``seed``, is mixed in.
+
+    A seed below 2**64 is two 32-bit words, zero-padded to the pool
+    size of 4 because a spawn key follows.
+    """
+    pool = [_hash(w, _HASH_A[k], _HASH_A[k + 1])
+            for k, w in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
+                k += 1
+    return pool
+
+
+def _pcg64_states(seed: int, start: int, stop: int):
+    """Yield the PCG64 ``(state, inc)`` of chunks ``start`` to ``stop - 1``.
+
+    Each equals ``np.random.PCG64(np.random.SeedSequence(entropy=seed,
+    spawn_key=(index,))).state``, for ``seed < 2**64`` and
+    ``index < 2**32`` (one spawn word).  The seed's part of the pool is
+    mixed once; the rest is derived :data:`_STATE_BLOCK` indices at a time.
+    """
+    pool = _seed_pool(int(seed))
+    for first in range(start, stop, _STATE_BLOCK):
+        yield from _block_states(pool, first, min(first + _STATE_BLOCK, stop))
+
+
+def _block_states(pool: list[int], start: int, stop: int):
+    """The spawn word's four mixes and the eight state words, vectorised over indices."""
+    spawn = np.arange(start, stop, dtype=np.uint64)
+    mixed = [_mix(p, _hash(spawn, _HASH_A[16 + k], _HASH_A[17 + k]))
+             for k, p in enumerate(pool)]
+    words = [_hash(mixed[k % 4], _HASH_B[k], _HASH_B[k + 1]) for k in range(8)]
+    # PCG64 reads the words as four little-endian uint64s: state hi, lo, inc hi, lo
+    halves = [(words[k] | words[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        # pcg64 srandom: two LCG steps from state 0, the seed added between them
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _substreams(seed: int, start: int, stop: int):
+    """Yield one generator per chunk index in ``range(start, stop)``.
+
+    The same :class:`numpy.random.Generator` is yielded every time, its
+    PCG64 state set to that chunk's substream, so each generator is only
+    valid until the next one is drawn.
+    """
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    state = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for state["state"], state["inc"] in _pcg64_states(seed, start, stop):
+        bitgen.state = full
+        yield rng
+
+
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for one chunk, a pure function of (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    """Independent substream for one chunk, a pure function of (seed, index).
+
+    It is the generator ``np.random.default_rng(np.random.SeedSequence(
+    entropy=seed, spawn_key=(index,)))`` would give, derived as the
+    simulator derives the substreams of a whole run.
+    """
+    if not (0 <= seed < 2**64 and 0 <= index < 2**32):
+        raise DomainError(
+            f"chunk_rng needs 0 <= seed < 2**64 and 0 <= index < 2**32, got {seed}, {index}"
+        )
+    return next(_substreams(seed, index, index + 1))
 
 
 def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> list[int]:
     """Sum kernel tallies over the chunks of ``n0`` particles, one chunk at a time."""
     total = [0] * ncat
-    for index in range(cfg.chunk_count(n0)):
+    chunks = _substreams(cfg.seed, 0, cfg.chunk_count(n0))
+    for index, rng in enumerate(chunks):
         size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
-        tally = kernel(chunk_rng(cfg.seed, index), size)
+        tally = kernel(rng, size)
         total = [a + b for a, b in zip(total, tally)]
     return total
 

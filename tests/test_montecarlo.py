@@ -1,6 +1,7 @@
 import itertools
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from scipy import stats as scipy_stats
 from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
 from mzsim.errors import DomainError, UnsupportedHypothesisError
 from mzsim.montecarlo import (
+    _STATE_BLOCK,
     SimConfig,
+    _pcg64_states,
     chunk_rng,
     simulate_decay,
     simulate_excitation,
@@ -39,11 +42,20 @@ class TestSimConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(seed=-1), dict(seed=2**64), dict(chunk_size=0), dict(chunk_size=2**63)],
+        [
+            dict(seed=-1), dict(seed=2**64), dict(chunk_size=0), dict(chunk_size=2**63),
+            dict(chunk_size=2.5), dict(chunk_size="7"), dict(seed=True), dict(chunk_size=True),
+        ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(DomainError):
+        (field,) = kwargs
+        with pytest.raises(DomainError, match=field):
             SimConfig(**kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SimConfig(seed=np.uint64(7), chunk_size=np.uint64(5))
+        assert cfg == SimConfig(seed=7, chunk_size=5)
+        assert cfg.chunk_count(11) == 3
 
     def test_chunk_count_is_capped(self):
         cfg = SimConfig(chunk_size=3)
@@ -169,6 +181,107 @@ class TestReproducibility:
         # 2**20 + 1 chunks of 4; chunks of 5 would need only 838861
         with pytest.raises(DomainError, match=r"n0.*chunk_size.*at least 5\b"):
             simulate(params, Hypothesis.POS, SimConfig(chunk_size=4))
+
+
+class TestSubstreams:
+    """Bulk-derived chunk states equal numpy's per-chunk SeedSequence ones."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(12345)]
+    INDICES = [0, 1, _STATE_BLOCK - 1, _STATE_BLOCK, 2**20 - 1]
+
+    @staticmethod
+    def numpy_state(seed, index):
+        state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))).state
+        return state["state"]["state"], state["state"]["inc"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence(self, seed):
+        for index in self.INDICES:
+            assert next(_pcg64_states(seed, index, index + 1)) == self.numpy_state(seed, index)
+        # a range across a block boundary, in one pass
+        start = _STATE_BLOCK - 3
+        expected = [self.numpy_state(seed, i) for i in range(start, start + 6)]
+        assert list(_pcg64_states(seed, start, start + 6)) == expected
+
+    def test_chunk_rng_is_the_seed_sequence_generator(self):
+        for seed in (0, 2**64 - 1, np.uint64(5)):
+            ours = chunk_rng(seed, 7).binomial(1000, 0.3, size=16)
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+            assert np.array_equal(ours, ref.binomial(1000, 0.3, size=16))
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**32)])
+    def test_chunk_rng_rejects_out_of_range(self, seed, index):
+        with pytest.raises(DomainError):
+            chunk_rng(seed, index)
+
+    def test_run_of_no_chunks(self):
+        assert list(_pcg64_states(3, 0, 0)) == []
+        p = PhotonParams(n0=0, d=0.5, u=0.5)
+        assert simulate_photon(p, Hypothesis.CCQI, SimConfig(seed=3)).values() == (0, 0, 0)
+
+    def test_memory_does_not_grow_with_the_chunk_count(self):
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                deque(_pcg64_states(2**64 - 1, 0, chunks), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 16 blocks against one; tracemalloc makes 2**18 chunks take ~8 s
+        small, large = peak(2**12), peak(2**16)
+        assert large < 1.1 * small
+
+
+_N0 = 10**6 + 7  # leaves a remainder chunk at both chunk sizes
+_GOLDEN_PARAMS = {
+    "excitation": (simulate_excitation, ExcitationParams(n0=_N0, epsilon=0.2, lam=1.0, t=LN2)),
+    "decay": (
+        simulate_decay,
+        DecayParams(n0=_N0, lam=1.0, t1=0.1, t2=0.5, t3=0.1, lam_prime=2.0),
+    ),
+    "photon": (simulate_photon, PhotonParams(n0=_N0, d=0.5, u=0.8)),
+}
+# tallies of the count-level sampler on its per-chunk SeedSequence substreams
+_GOLDEN = {
+    ("excitation", "POS", 4096, 0): (900338, 99669, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (899761, 100246, 0, 0),
+    ("excitation", "POS", 65536, 0): (899475, 100532, 0, 0),
+    ("excitation", "POS", 65536, 2**64 - 1): (900006, 100001, 0, 0),
+    ("excitation", "CCQI", 4096, 0): (850618, 49749, 49720, 49920),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (849597, 49880, 50164, 50366),
+    ("excitation", "CCQI", 65536, 0): (849304, 50239, 50171, 50293),
+    ("excitation", "CCQI", 65536, 2**64 - 1): (849900, 49803, 50106, 50198),
+    ("decay", "POS", 4096, 0): (503385, 496622, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (503658, 496349, 0, 0),
+    ("decay", "POS", 65536, 0): (504456, 495551, 0, 0),
+    ("decay", "POS", 65536, 2**64 - 1): (503555, 496452, 0, 0),
+    ("decay", "CCQI", 4096, 0): (324961, 496622, 178424, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (325094, 496349, 178564, 0),
+    ("decay", "CCQI", 65536, 0): (325837, 495551, 178619, 0),
+    ("decay", "CCQI", 65536, 2**64 - 1): (326026, 496452, 177529, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (698378, 301629, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (699043, 300964, 0, 0),
+    ("decay", "MODIFIED_RATE", 65536, 0): (698307, 301700, 0, 0),
+    ("decay", "MODIFIED_RATE", 65536, 2**64 - 1): (699492, 300515, 0, 0),
+    ("photon", "POS", 4096, 0): (549048, 150151, 300808),
+    ("photon", "POS", 4096, 2**64 - 1): (551058, 149345, 299604),
+    ("photon", "POS", 65536, 0): (550235, 149587, 300185),
+    ("photon", "POS", 65536, 2**64 - 1): (550775, 149680, 299552),
+    ("photon", "CCQI", 4096, 0): (350611, 350183, 299213),
+    ("photon", "CCQI", 4096, 2**64 - 1): (350558, 349011, 300438),
+    ("photon", "CCQI", 65536, 0): (350075, 349997, 299935),
+    ("photon", "CCQI", 65536, 2**64 - 1): (350288, 349249, 300470),
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN), ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
+def test_golden_stream(key):
+    """The sample stream is pinned: same (seed, chunk_size, parameters), same tallies."""
+    name, hypothesis, chunk_size, seed = key
+    simulate, params = _GOLDEN_PARAMS[name]
+    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
+    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN[key]
 
 
 JOINT_SEEDS = 3000
