@@ -41,7 +41,6 @@ from dataclasses import replace
 
 from . import fringes, montecarlo, predict, sectors, stats
 from .config import RunConfig, parse_config
-from .core import DecayParams
 from .errors import (
     ConfigError,
     DomainError,
@@ -82,12 +81,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _experiment_inputs(cfg: RunConfig):
-    """Validated (kind, params) with any source impurity folded into t1."""
+    """Validated (kind, params)."""
     _require(cfg.params is not None, "this subcommand needs an [experiment] section")
-    params = cfg.params
-    if isinstance(params, DecayParams):
-        params = params.with_purity_folded()
-    return cfg.experiment, params
+    return cfg.experiment, cfg.params
 
 
 def _cmd_predict(cfg: RunConfig) -> str:

@@ -15,19 +15,25 @@ The ``[experiment]`` section names the experiment and its parameters::
     lambda = 1.0                   # decay: lambda, lambda_prime, t1, t2, t3, mu
     t = 0.693                      # photon: d, u
 
-``[simulation]`` holds ``seed`` (default 0) and ``chunk_size`` (default
-65536).  A legacy ``workers`` key must be an integer >= 1 and is
-otherwise ignored: the count-level sampler has no worker pool.
-``[stats]`` holds ``alpha``, ``power``, ``h0``/``h1`` hypothesis names
-(defaults pos/ccqi),
+Every section but ``[output]`` takes its keys from a record: the
+experiment's params dataclass, :class:`~mzsim.core.SimConfig`,
+:class:`StatsOptions` and :class:`~mzsim.core.FringeGeometry`.  A
+field without a default is a required key; the others default to the
+record's own defaults.
+
+``[simulation]`` holds ``seed`` and ``chunk_size``.  A legacy
+``workers`` key must be an integer >= 1 and is otherwise ignored: the
+count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
+``power``, ``h0``/``h1`` hypothesis names (defaults pos/ccqi),
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
-or per-category comma list), ``visibility``, ``replicates`` and
-``method`` (auto | closed_form | simulation).  ``discriminate`` and
-``plan`` compute p-values and power exactly while the multinomial
-support is at most ``stats.EXACT_SUPPORT_CAP`` outcomes; only above it
-do ``replicates`` Monte Carlo draws and ``seed`` enter.  ``[fringes]`` holds the
-screen geometry plus ``pattern`` (coherent | incoherent).  ``[output]``
-holds ``format`` (csv | json) and ``path``.
+or per-category comma list), ``visibility``, ``replicates`` (1 to
+``core.MAX_REPLICATES``) and ``method`` (auto | closed_form |
+simulation).  ``discriminate`` and ``plan`` compute p-values and power
+exactly while the multinomial support is at most
+``stats.EXACT_SUPPORT_CAP`` outcomes; only above it do ``replicates``
+Monte Carlo draws and ``seed`` enter.  ``[fringes]`` holds the screen
+geometry plus ``pattern`` (coherent | incoherent).  ``[output]`` holds
+``format`` (csv | json) and ``path``.
 """
 
 import dataclasses
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     EXPERIMENTS,
+    MAX_REPLICATES,
     DecayParams,
     ExcitationParams,
     FringeGeometry,
@@ -51,15 +58,6 @@ _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 
 # config keys that differ from the parameter-record field they set
 _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
-_SIMULATION_KEYS = ("seed", "chunk_size", "workers")
-_STATS_KEYS = (
-    "alpha", "power", "h0", "h1", "counts", "background", "visibility",
-    "replicates", "method",
-)
-_FRINGE_KEYS = (
-    "source_separation", "wavelength", "screen_distance",
-    "x_min", "x_max", "n_points", "pattern",
-)
 _OUTPUT_KEYS = ("format", "path")
 
 
@@ -170,9 +168,39 @@ def _as_choice(entries: dict, key: str, choices: tuple[str, ...]) -> str | None:
     return value
 
 
+def _as_text(entries: dict, key: str) -> str | None:
+    return entries[key][0] if key in entries else None
+
+
 def _as_hypothesis(entries: dict, key: str) -> Hypothesis | None:
     name = _as_choice(entries, key, tuple(h.value for h in Hypothesis))
     return None if name is None else Hypothesis(name)
+
+
+def _record(section: str, cls: type, entries: dict, extras: dict):
+    """Build ``cls`` from a section whose keys are its fields, plus ``extras``.
+
+    Each field's key is its name (or its ``_FIELD_KEYS`` spelling); a
+    field without a default is required.  ``extras`` maps every other
+    allowed key to its parser.  Checks run in order: unknown keys,
+    missing keys, the extra keys, then the field values.  Returns the
+    record and the parsed extras by key.
+    """
+    fields = {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    _reject_unknown(section, entries, (*extras, *fields))
+    for key, f in fields.items():
+        if f.default is dataclasses.MISSING and key not in entries:
+            raise ConfigError(f"[{section}] requires key {key!r}")
+    parsed = {key: parse(entries, key) for key, parse in extras.items()}
+    values = {
+        f.name: (_as_int if f.type is int else _as_float)(entries, key)
+        for key, f in fields.items()
+        if key in entries
+    }
+    try:
+        return cls(**values), parsed
+    except (DomainError, GeometryError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_experiment(entries: dict, cfg: RunConfig) -> None:
@@ -184,40 +212,15 @@ def _parse_experiment(entries: dict, cfg: RunConfig) -> None:
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {kind!r}", lineno
         )
-    fields = dataclasses.fields(EXPERIMENTS[kind].params)
-    keys = {_FIELD_KEYS.get(f.name, f.name): f for f in fields}
-    _reject_unknown("experiment", entries, ("experiment", "hypothesis", *keys))
-    for key, f in keys.items():
-        if f.default is dataclasses.MISSING and key not in entries:
-            raise ConfigError(f"experiment {kind!r} requires key {key!r}")
-
-    cfg.experiment = kind
-    cfg.hypothesis = _as_hypothesis(entries, "hypothesis")
-    values = {
-        f.name: (_as_int if f.type is int else _as_float)(entries, key)
-        for key, f in keys.items()
-        if key in entries
-    }
-    try:
-        cfg.params = EXPERIMENTS[kind].params(**values)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    extras = {"experiment": _as_text, "hypothesis": _as_hypothesis}
+    cfg.params, parsed = _record("experiment", EXPERIMENTS[kind].params, entries, extras)
+    cfg.experiment, cfg.hypothesis = kind, parsed["hypothesis"]
 
 
 def _parse_simulation(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("simulation", entries, _SIMULATION_KEYS)
-    seed = _as_int(entries, "seed")
-    chunk_size = _as_int(entries, "chunk_size")
-    workers = _as_int(entries, "workers")
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    try:
-        cfg.sim = SimConfig(
-            seed=0 if seed is None else seed,
-            chunk_size=65536 if chunk_size is None else chunk_size,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.sim, parsed = _record("simulation", SimConfig, entries, {"workers": _as_int})
+    if parsed["workers"] is not None and parsed["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {parsed['workers']}")
 
 
 def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
@@ -237,7 +240,7 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("stats", entries, _STATS_KEYS)
+    _reject_unknown("stats", entries, tuple(f.name for f in dataclasses.fields(StatsOptions)))
     opts = StatsOptions()
     opts.alpha = _as_float(entries, "alpha")
     if opts.alpha is not None and not 0.0 < opts.alpha < 1.0:
@@ -261,8 +264,10 @@ def _parse_stats(entries: dict, cfg: RunConfig) -> None:
     if opts.visibility is not None and not 0.0 <= opts.visibility <= 1.0:
         raise ConfigError(f"visibility must be in [0, 1], got {opts.visibility}")
     opts.replicates = _as_int(entries, "replicates")
-    if opts.replicates is not None and opts.replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {opts.replicates}")
+    if opts.replicates is not None and not 1 <= opts.replicates <= MAX_REPLICATES:
+        raise ConfigError(
+            f"replicates must be in [1, {MAX_REPLICATES}], got {opts.replicates}"
+        )
     method = _as_choice(entries, "method", ("auto", "closed_form", "simulation"))
     if method is not None:
         opts.method = method
@@ -270,31 +275,16 @@ def _parse_stats(entries: dict, cfg: RunConfig) -> None:
 
 
 def _parse_fringes(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("fringes", entries, _FRINGE_KEYS)
-    for key in _FRINGE_KEYS[:-1]:
-        if key not in entries:
-            raise ConfigError(f"[fringes] requires key {key!r}")
-    try:
-        cfg.geometry = FringeGeometry(
-            source_separation=_as_float(entries, "source_separation"),
-            wavelength=_as_float(entries, "wavelength"),
-            screen_distance=_as_float(entries, "screen_distance"),
-            x_min=_as_float(entries, "x_min"),
-            x_max=_as_float(entries, "x_max"),
-            n_points=_as_int(entries, "n_points"),
-        )
-    except (DomainError, GeometryError) as exc:
-        raise ConfigError(str(exc)) from None
-    pattern = _as_choice(entries, "pattern", ("coherent", "incoherent"))
-    if pattern is not None:
-        cfg.fringe_pattern = pattern
+    patterns = ("coherent", "incoherent")
+    extras = {"pattern": lambda entries, key: _as_choice(entries, key, patterns)}
+    cfg.geometry, parsed = _record("fringes", FringeGeometry, entries, extras)
+    cfg.fringe_pattern = parsed["pattern"] or cfg.fringe_pattern
 
 
 def _parse_output(entries: dict, cfg: RunConfig) -> None:
     _reject_unknown("output", entries, _OUTPUT_KEYS)
     cfg.output_format = _as_choice(entries, "format", ("csv", "json"))
-    if "path" in entries:
-        cfg.output_path = entries["path"][0]
+    cfg.output_path = _as_text(entries, "path")
 
 
 def parse_config(text: str) -> RunConfig:

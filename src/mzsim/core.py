@@ -150,9 +150,9 @@ class DecayParams:
     inside, and after the interferometer; ``lam_prime`` is the
     in-superposition decay rate consulted only under
     ``Hypothesis.MODIFIED_RATE``.  ``mu`` is the fraction of atoms
-    actually excited at the source; call :meth:`with_purity_folded`
-    to absorb it into an effective ``t1`` before predicting or
-    simulating.
+    actually excited at the source; the predictor and the sampler fold
+    it into an effective ``t1`` (:meth:`with_purity_folded`), so a
+    ``mu`` below 1 needs a nonzero ``lam``.
     """
 
     n0: int
@@ -172,6 +172,11 @@ class DecayParams:
             _check_nonnegative("lam_prime", self.lam_prime)
         if not 0 < self.mu <= 1:
             raise DomainError(f"mu must be in (0, 1], got {self.mu}")
+        if self.mu < 1 and self.lam == 0:
+            raise DomainError(
+                f"mu must be 1 when lam is 0, got {self.mu}: without decay no "
+                "flight time leaves only a fraction mu of the atoms excited"
+            )
 
     @property
     def total_time(self) -> float:
@@ -181,7 +186,8 @@ class DecayParams:
         """Absorb the source impurity into a longer pre-interferometer leg.
 
         Returns an equivalent parameter set with ``mu == 1`` and ``t1``
-        extended by ``purity_time_offset(mu, lam)``.
+        extended by ``purity_time_offset(mu, lam)``; it never fails,
+        since construction refuses ``mu < 1`` with ``lam == 0``.
         """
         if self.mu == 1.0:
             return self
@@ -342,6 +348,10 @@ FAR_FIELD_RATIO = 100.0
 # (measured at 2e5 points, CSV and JSON), so the cap keeps one fringes
 # run near 200 MB
 MAX_FRINGE_POINTS = 10**6
+# a discriminate run above the exact cap, with 4 categories, peaked at
+# 104 MB RSS with 10**6 replicates and 179 MB with 2**21, so the cap
+# keeps one stats run near 200 MB
+MAX_REPLICATES = 2**21
 
 
 @dataclass(frozen=True)
@@ -364,6 +374,7 @@ class FringeGeometry:
             value = getattr(self, name)
             if not value > 0:
                 raise DomainError(f"{name} must be > 0, got {value}")
+        _check_integer("n_points", self.n_points)
         if self.n_points < 2:
             raise DomainError(f"n_points must be >= 2, got {self.n_points}")
         if self.n_points > MAX_FRINGE_POINTS:

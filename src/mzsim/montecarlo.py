@@ -197,12 +197,10 @@ def simulate_decay(
     at rate ``lam_prime`` under MODIFIED_RATE and at ``lam`` otherwise.
     Atoms that decay inside the interferometer route 50/50 under CCQI;
     every other atom reaches counter a, and excited arrivals land in
-    ``na2``.  ``p.t1`` must already include any source-purity offset.
+    ``na2``.  A source purity ``mu`` below 1 is first folded into a
+    longer ``t1`` (:meth:`DecayParams.with_purity_folded`).
     """
-    if p.mu != 1.0:
-        raise DomainError(
-            "fold the source purity into t1 first (DecayParams.with_purity_folded)"
-        )
+    p = p.with_purity_folded()
     modified = h is Hypothesis.MODIFIED_RATE
     if modified and p.lam_prime is None:
         raise DomainError("lam_prime is required under MODIFIED_RATE")

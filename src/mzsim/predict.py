@@ -52,9 +52,9 @@ def predict_excitation(p: ExcitationParams, h: Hypothesis) -> CountTable:
 def predict_decay(p: DecayParams, h: Hypothesis) -> CountTable:
     """Expected counts when excited atoms may decay in flight.
 
-    ``p.t1`` must already include any source-purity offset; a ``mu``
-    below 1 is rejected here so the offset cannot be applied twice
-    (see :meth:`DecayParams.with_purity_folded`).
+    A source purity ``mu`` below 1 is first folded into a longer ``t1``
+    (:meth:`DecayParams.with_purity_folded`); already folded params
+    give the same table.
 
     POS: every atom reaches counter a, excited survivors in ``na2``.
 
@@ -68,10 +68,7 @@ def predict_decay(p: DecayParams, h: Hypothesis) -> CountTable:
     ``exp(-lam * (t1 + t3) - lam_prime * t2)``.  Setting
     ``lam_prime == lam`` recovers the POS table.
     """
-    if p.mu != 1.0:
-        raise DomainError(
-            "fold the source purity into t1 first (DecayParams.with_purity_folded)"
-        )
+    p = p.with_purity_folded()
     EXPERIMENTS["decay"].check(h)
     n0 = p.n0
     if h is Hypothesis.POS:

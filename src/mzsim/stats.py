@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import predict
-from .core import EXPERIMENTS, CountTable, Hypothesis
+from .core import EXPERIMENTS, MAX_REPLICATES, CountTable, Hypothesis
 from .errors import (
     DegenerateComparisonError,
     DomainError,
@@ -44,6 +44,8 @@ TIE_REL_TOL = 1e-9
 # largest multinomial support enumerated exactly; its int64 matrix takes
 # 8 MB with 4 categories (n <= 114), or n <= 722 with 3
 EXACT_SUPPORT_CAP = 2**18
+# largest sample size min_sample_size reports or probes
+MAX_SAMPLE_SIZE = 10**9
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +227,22 @@ def _tie_floor(llr):
     return llr - TIE_REL_TOL * np.maximum(1.0, np.abs(llr))
 
 
+def _sampled_p_values(sorted_null: np.ndarray, llr):
+    """Add-one p-values of ``llr`` against a sorted sample of null statistics.
+
+    Each counts the null statistics at or above its tie floor, so ties
+    within ``TIE_REL_TOL`` count as at least as extreme.
+    """
+    replicates = sorted_null.shape[0]
+    count_ge = replicates - np.searchsorted(sorted_null, _tie_floor(llr), side="left")
+    return (1 + count_ge) / (1 + replicates)
+
+
+def _check_replicates(replicates: int) -> None:
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {replicates}")
+
+
 def _is_enumerable(n: int, ncat: int) -> bool:
     return math.comb(n + ncat - 1, ncat - 1) <= EXACT_SUPPORT_CAP
 
@@ -304,8 +322,7 @@ def discriminate(
     _check_comparable(model_h0, model_h1)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    _check_replicates(replicates)
     n = _count_vector(counts, model_h0)
     ll0 = log_likelihood(n, model_h0)
     ll1 = log_likelihood(n, model_h1)
@@ -327,9 +344,8 @@ def discriminate(
         p_value = _ExactTest(total, p0, p1).p_value(observed)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        null_llr = _llr_values(rng.multinomial(total, p0, size=replicates), p0, p1)
-        count_ge = int(np.count_nonzero(null_llr >= _tie_floor(observed)))
-        p_value = (1 + count_ge) / (1 + replicates)
+        null_llr = np.sort(_llr_values(rng.multinomial(total, p0, size=replicates), p0, p1))
+        p_value = float(_sampled_p_values(null_llr, observed))
 
     if p_value <= alpha:
         decision = "favor_H1"
@@ -345,20 +361,7 @@ def _zero_cell_hit_probability(model_h0: CategoryModel, model_h1: CategoryModel)
     return float(model_h1.probabilities[model_h0.probabilities == 0.0].sum())
 
 
-def _closed_form_min_n(p_hit: float, power: float, n_cap: int) -> int:
-    if p_hit >= 1.0:
-        return 1
-    n = max(1, math.ceil(math.log1p(-power) / math.log1p(-p_hit)))
-    if n > n_cap:
-        raise ResourceLimitError(
-            f"required sample size {n} exceeds the cap of {n_cap}"
-        )
-    return n
-
-
-def _geometric_min_n(
-    p_hit: float, power: float, replicates: int, seed: int, n_cap: int
-) -> int:
+def _geometric_min_n(p_hit: float, power: float, replicates: int, seed: int) -> int:
     """Simulation twin of the closed form.
 
     The first particle to land in a null-impossible category arrives at
@@ -366,16 +369,9 @@ def _geometric_min_n(
     empirical hit rate reaches ``power`` is the corresponding order
     statistic of a geometric sample.
     """
-    if p_hit >= 1.0:
-        return 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     g = rng.geometric(p_hit, size=replicates)
-    n = int(np.quantile(g, power, method="inverted_cdf"))
-    if n > n_cap:
-        raise ResourceLimitError(
-            f"required sample size {n} exceeds the cap of {n_cap}"
-        )
-    return n
+    return int(np.quantile(g, power, method="inverted_cdf"))
 
 
 def _rejection_rate(
@@ -394,29 +390,26 @@ def _rejection_rate(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
     null_llr = np.sort(_llr_values(rng.multinomial(n, p0, size=replicates), p0, p1))
     alt_llr = _llr_values(rng.multinomial(n, p1, size=replicates), p0, p1)
-    count_ge = replicates - np.searchsorted(null_llr, alt_llr, side="left")
-    p_values = (1 + count_ge) / (1 + replicates)
-    return float(np.mean(p_values <= alpha))
+    return float(np.mean(_sampled_p_values(null_llr, alt_llr) <= alpha))
 
 
 def _min_n_by_power_search(
     model_h0: CategoryModel,
     model_h1: CategoryModel,
-    alpha: float,
+    alpha: float | None,
     power: float,
     replicates: int,
     seed: int,
-    n_cap: int,
 ) -> int:
-    if alpha is None or not 0.0 < alpha < 1.0:
+    if alpha is None:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     lo, hi = 0, 1
     while _rejection_rate(hi, model_h0, model_h1, alpha, replicates, seed) < power:
         lo = hi
         hi *= 2
-        if hi > n_cap:
+        if hi > MAX_SAMPLE_SIZE:
             raise ResourceLimitError(
-                f"no sample size up to the cap of {n_cap} reaches power {power}"
+                f"no sample size up to the cap of {MAX_SAMPLE_SIZE} reaches power {power}"
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -436,21 +429,24 @@ def min_sample_size(
     method: str = "auto",
     replicates: int = 10_000,
     seed: int = 0,
-    n_cap: int = 10**9,
 ) -> int:
-    """Smallest ``n0`` at which data drawn under h1 rejects h0 with ``power``.
+    """An ``n0`` at which data drawn under h1 rejects h0 with ``power``.
 
     When the null has structural-zero categories that h1 populates, a
     single hit there rejects at any significance level, so the answer
-    is the closed form ``ceil(ln(1 - power) / ln(1 - p_hit))`` and
-    ``alpha`` is not consulted.  Without such categories a
-    doubling-then-bisection search probes the power at the stated
-    ``alpha``.  A probe whose support has at most ``EXACT_SUPPORT_CAP``
-    outcomes computes it exactly, with no dependence on ``replicates``
-    or ``seed``.  Above the cap a probe estimates it from
-    ``replicates`` seeded draws per hypothesis; the smallest p-value it
-    can resolve is ``1 / (replicates + 1)``, so ``alpha`` below that
-    needs more replicates.
+    is the closed form ``ceil(ln(1 - power) / ln(1 - p_hit))``, the
+    smallest such ``n0``, and ``alpha`` is not consulted.  Without such
+    categories a doubling-then-bisection search probes the power at the
+    stated ``alpha`` and returns an ``n0`` whose power reaches ``power``
+    while that of ``n0 - 1`` falls short.  Exact power saw-tooths in
+    ``n0``, so this crossing need not be the first: a smaller ``n0``
+    may reach ``power`` too.  A probe whose support has at most
+    ``EXACT_SUPPORT_CAP`` outcomes computes the power exactly, with no
+    dependence on ``replicates`` or ``seed``.  Above the cap a probe
+    estimates it from ``replicates`` seeded draws per hypothesis; the
+    smallest p-value it can resolve is ``1 / (replicates + 1)``, so
+    ``alpha`` below that needs more replicates.  An answer above
+    ``MAX_SAMPLE_SIZE`` raises :class:`ResourceLimitError`.
 
     ``method`` selects ``"auto"`` (closed form when available),
     ``"closed_form"`` (error when unavailable), or ``"simulation"``
@@ -461,26 +457,25 @@ def min_sample_size(
         raise DomainError(f"power must be in (0, 1), got {power}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    _check_replicates(replicates)
     if method not in ("auto", "closed_form", "simulation"):
         raise DomainError(f"unknown method {method!r}")
 
     p_hit = _zero_cell_hit_probability(model_h0, model_h1)
-    if method == "closed_form":
-        if p_hit == 0.0:
+    if p_hit == 0.0:
+        if method == "closed_form":
             raise DomainError(
                 "closed form needs a category that is impossible under h0"
             )
-        return _closed_form_min_n(p_hit, power, n_cap)
-    if method == "auto":
-        if p_hit > 0.0:
-            return _closed_form_min_n(p_hit, power, n_cap)
-        return _min_n_by_power_search(
-            model_h0, model_h1, alpha, power, replicates, seed, n_cap
+        return _min_n_by_power_search(model_h0, model_h1, alpha, power, replicates, seed)
+    if p_hit >= 1.0:
+        return 1
+    if method == "simulation":
+        n = _geometric_min_n(p_hit, power, replicates, seed)
+    else:
+        n = max(1, math.ceil(math.log1p(-power) / math.log1p(-p_hit)))
+    if n > MAX_SAMPLE_SIZE:
+        raise ResourceLimitError(
+            f"required sample size {n} exceeds the cap of {MAX_SAMPLE_SIZE}"
         )
-    if p_hit > 0.0:
-        return _geometric_min_n(p_hit, power, replicates, seed, n_cap)
-    return _min_n_by_power_search(
-        model_h0, model_h1, alpha, power, replicates, seed, n_cap
-    )
+    return n

@@ -343,6 +343,14 @@ CONFIG_ERRORS = [
     # above the cap; validation refuses it before anything is allocated
     ("fringes", FRINGES.replace("n_points = 5", "n_points = 100000000000000"),
      "n_points"),
+    ("plan", DECAY_WITHOUT_OFFSET + "\n[stats]\nalpha = 0.01\npower = 0.9\n", "mu"),
+    # above the exact cap the null sample would need 291 TiB
+    (
+        "discriminate",
+        EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 100,13,1,1\n"
+        "background = 1e-3\nreplicates = 10000000000000\n",
+        "replicates",
+    ),
 ]
 
 
@@ -374,9 +382,10 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 
 def test_predict_and_config_errors_do_not_import_numpy():
     decay = DECAY_WITHOUT_OFFSET.replace("mu = 0.5", "mu = 1")
+    impure_decay = DECAY_WITHOUT_OFFSET.replace("lambda = 0", "lambda = 1")
     predicts = [
         ["predict", config, "--format", fmt]
-        for config in (EXCITATION, decay, PHOTON)
+        for config in (EXCITATION, decay, impure_decay, PHOTON)
         for fmt in ("csv", "json")
     ]
     # plan learns that it needs alpha only after stats has built both models

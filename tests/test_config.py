@@ -1,7 +1,14 @@
 import pytest
 
 from mzsim.config import parse_config
-from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
+from mzsim.core import (
+    MAX_REPLICATES,
+    DecayParams,
+    ExcitationParams,
+    Hypothesis,
+    PhotonParams,
+    SimConfig,
+)
 from mzsim.errors import ConfigError
 
 MINIMAL_EXCITATION = """
@@ -45,6 +52,9 @@ class TestParsing:
         assert cfg.params.lam_prime == 2.0
         assert cfg.params.mu == 0.9
         assert cfg.hypothesis is Hypothesis.MODIFIED_RATE
+
+    def test_empty_simulation_section_keeps_the_defaults(self):
+        assert parse_config(MINIMAL_EXCITATION + "\n[simulation]\n").sim == SimConfig()
 
     def test_all_sections_together(self):
         cfg = parse_config(
@@ -152,6 +162,12 @@ class TestErrors:
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match=r"alpha must be in \(0, 1\)"):
             parse_config("[stats]\nalpha = 0\n")
+
+    @pytest.mark.parametrize("replicates", [0, MAX_REPLICATES + 1, 10**13])
+    def test_replicates_out_of_range(self, replicates):
+        with pytest.raises(ConfigError, match="replicates must be in"):
+            parse_config(f"[stats]\nreplicates = {replicates}\n")
+        parse_config(f"[stats]\nreplicates = {MAX_REPLICATES}\n")
 
     def test_bad_output_format(self):
         with pytest.raises(ConfigError, match="format must be one of"):

@@ -163,6 +163,12 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             DecayParams(n0=10, lam=1.0, t1=0.1, t2=0.2, t3=0.3, lam_prime=-1.0)
 
+    def test_rejects_impure_source_without_decay(self):
+        # no t1 offset folds mu < 1 in at lam = 0
+        with pytest.raises(DomainError, match="mu"):
+            DecayParams(n0=10, lam=0.0, t1=0.1, t2=0.2, t3=0.3, mu=0.5)
+        DecayParams(n0=10, lam=0.0, t1=0.1, t2=0.2, t3=0.3, mu=1.0)
+
 
 class TestPurityFold:
     def test_fold_extends_t1(self):

@@ -54,6 +54,7 @@ class TestGeometry:
             dict(wavelength=-1e-7),
             dict(distance=0.0),
             dict(n_points=1),
+            dict(n_points=2.5),
             dict(x_half=-1.0),  # makes x_min > x_max
             dict(n_points=MAX_FRINGE_POINTS + 1),  # refused before any allocation
         ],

@@ -117,10 +117,11 @@ class TestDecaySim:
         table = simulate_decay(p, Hypothesis.MODIFIED_RATE, SimConfig(seed=34))
         assert_within_5_sigma(table, predict_decay(p, Hypothesis.POS), p.n0)
 
-    def test_requires_folded_purity(self):
-        p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3, mu=0.5)
-        with pytest.raises(DomainError):
-            simulate_decay(p, Hypothesis.POS)
+    @pytest.mark.parametrize("h", list(Hypothesis))
+    def test_folds_source_purity_itself(self, h):
+        p = DecayParams(n0=10_000, lam=1.0, t1=0.1, t2=0.2, t3=0.3, lam_prime=0.4, mu=0.5)
+        cfg = SimConfig(seed=35, chunk_size=4096)
+        assert simulate_decay(p, h, cfg) == simulate_decay(p.with_purity_folded(), h, cfg)
 
     def test_modified_rate_requires_lam_prime(self):
         p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3)

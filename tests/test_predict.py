@@ -116,11 +116,10 @@ class TestDecay:
         for other in tables[1:]:
             assert other == pytest.approx(tables[0], rel=1e-12, abs=1e-9)
 
-    def test_requires_folded_purity(self):
-        p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3, mu=0.5)
-        with pytest.raises(DomainError):
-            predict_decay(p, Hypothesis.POS)
-        assert predict_decay(p.with_purity_folded(), Hypothesis.POS).total == pytest.approx(100.0)
+    @pytest.mark.parametrize("h", list(Hypothesis))
+    def test_folds_source_purity_itself(self, h):
+        p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3, lam_prime=0.4, mu=0.5)
+        assert predict_decay(p, h) == predict_decay(p.with_purity_folded(), h)
 
     def test_modified_rate_requires_lam_prime(self):
         p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3)

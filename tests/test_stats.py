@@ -7,6 +7,7 @@ from scipy import stats as scipy_stats
 
 from mzsim.core import (
     ATOM_LABELS,
+    MAX_REPLICATES,
     CountTable,
     DecayParams,
     ExcitationParams,
@@ -137,6 +138,13 @@ class TestBuildModel:
         with pytest.raises(StructureError):
             build_model("interference", excitation_params(), Hypothesis.POS)
 
+    @pytest.mark.parametrize("h", list(Hypothesis))
+    def test_decay_folds_source_purity(self, h):
+        p = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.2, t3=0.3, lam_prime=0.4, mu=0.9)
+        model = build_model("decay", p, h)
+        folded = build_model("decay", p.with_purity_folded(), h)
+        assert np.array_equal(model.probabilities, folded.probabilities)
+
     def test_decay_and_photon_models(self):
         decay = build_model(
             "decay",
@@ -243,6 +251,15 @@ class TestDiscriminate:
         report = discriminate((89, 10, 1, 0), h0, h1, alpha=0.11, seed=0)
         assert report.decision != "favor_H1"
         assert report.p_value_h0 > 0.11
+
+    def test_replicates_are_capped_before_sampling(self):
+        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        # above the exact cap, 10**13 replicates would ask for a 291 TiB sample
+        for replicates in (0, MAX_REPLICATES + 1, 10**13):
+            with pytest.raises(DomainError, match="replicates"):
+                discriminate((100, 13, 1, 1), h0, h1, alpha=0.01, replicates=replicates)
+            with pytest.raises(DomainError, match="replicates"):
+                min_sample_size(h0, h1, 0.01, 0.95, replicates=replicates)
 
     def test_report_validation(self):
         with pytest.raises(DomainError):
@@ -394,6 +411,30 @@ class TestExactEngine:
         report = discriminate(counts, h0, h1, alpha=0.01)
         assert report.p_value_h0 <= 1.0
         assert report.p_value_h0 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_power_counts_ties_like_discriminate(self, seed):
+        # above the cap; float noise in the LLR sums splits many tied statistics
+        n, replicates = 770, 1000
+        params = ExcitationParams(n0=n, epsilon=0.02, lam=1.0, t=LN2)
+        h0 = build_model("excitation", params, Hypothesis.POS, background=1e-3)
+        h1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3)
+        p0, p1 = h0.probabilities, h1.probabilities
+        assert math.comb(n + 3, 3) > EXACT_SUPPORT_CAP
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+
+        def statistics(p):
+            return [direct_log_likelihood(x, p1) - direct_log_likelihood(x, p0)
+                    for x in rng.multinomial(n, p, size=replicates)]
+
+        null, alt = np.array(statistics(p0)), statistics(p1)
+        p_values = np.array([
+            (1 + np.count_nonzero(null >= a - 1e-9 * max(1.0, abs(a)))) / (1 + replicates)
+            for a in alt
+        ])
+        for alpha in sorted(set(p_values[p_values < 0.5])):
+            power = _rejection_rate(n, h0, h1, alpha, replicates, seed)
+            assert power == np.mean(p_values <= alpha), alpha
 
     def test_above_the_cap_the_seeded_simulation_runs(self):
         h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
