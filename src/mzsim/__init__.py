@@ -58,6 +58,7 @@ from .errors import (
 )
 from .predict import predict_decay, predict_excitation, predict_photon
 from .config import RunConfig, parse_config
+from . import core, errors, predict
 
 
 def _lazy(name: str):
@@ -107,56 +108,14 @@ def __dir__():
 
 __version__ = "0.1.0"
 
+# what each standard-library layer exports, plus the lazily served names;
+# listing the lazy ones loads none of their modules
 __all__ = [
-    "Hypothesis",
-    "ExcitationParams",
-    "DecayParams",
-    "PhotonParams",
-    "CountTable",
-    "ATOM_LABELS",
-    "PHOTON_LABELS",
-    "Experiment",
-    "EXPERIMENTS",
-    "survival_fraction",
-    "purity_time_offset",
-    "predict_excitation",
-    "predict_decay",
-    "predict_photon",
-    "SimConfig",
-    "chunk_rng",
-    "simulate_excitation",
-    "simulate_decay",
-    "simulate_photon",
-    "FringeGeometry",
-    "FringeProfile",
-    "coherent_intensity",
-    "coherent_pattern",
-    "incoherent_pattern",
-    "calibration_patterns",
-    "SectorSpace",
-    "SectorObservable",
-    "StateVector",
-    "DensityMatrix",
-    "is_valid_observable",
-    "sector_matrix_element",
-    "superselect",
-    "purity",
-    "CategoryModel",
-    "DiscriminationReport",
-    "build_model",
-    "log_likelihood",
-    "discriminate",
-    "min_sample_size",
+    *core.__all__,
+    *errors.__all__,
+    *predict.__all__,
     "RunConfig",
     "parse_config",
-    "MzsimError",
-    "DomainError",
-    "UnsupportedHypothesisError",
-    "StructureError",
-    "ContractError",
-    "GeometryError",
-    "DegenerateComparisonError",
-    "ResourceLimitError",
-    "ConfigError",
+    *_LAZY_NAMES,
     "__version__",
 ]

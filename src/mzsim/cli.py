@@ -19,7 +19,9 @@ example (a cross-sector cat state losing its coherences).
 
 Exit codes: 0 success, 2 configuration error (including any domain,
 structure or hypothesis error a config value provokes downstream), 3
-runtime error: identical models, a search cap, or an I/O failure.  Data
+runtime error: identical models, a search cap, or an I/O failure.  A
+configuration error names the config key (``lambda``), also where the
+message comes from a parameter record's field (``lam``).  Data
 goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
 emitted with 17 significant digits so identical configurations yield
 byte-identical output.
@@ -36,11 +38,12 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import replace
 
 from . import fringes, montecarlo, predict, sectors, stats
-from .config import RunConfig, parse_config
+from .config import _FIELD_KEYS, RunConfig, parse_config
 from .errors import (
     ConfigError,
     DomainError,
@@ -53,6 +56,14 @@ __all__ = ["main"]
 
 # errors that a configuration value provokes, wherever they surface
 _CONFIG_ERRORS = (ConfigError, DomainError, StructureError, UnsupportedHypothesisError)
+# a parameter-record field named in an error message, outside the quoted or
+# bracketed text in which messages echo what the user wrote
+_FIELD_NAME = re.compile(r"('[^']*'|\[[^\]]*\])|\b(" + "|".join(_FIELD_KEYS) + r")\b")
+
+
+def _config_message(exc: Exception) -> str:
+    """``exc``'s message with each record field spelled as its config key."""
+    return _FIELD_NAME.sub(lambda m: m[1] or _FIELD_KEYS[m[2]], str(exc))
 
 
 def _fmt(value) -> str:
@@ -146,16 +157,13 @@ def _cmd_fringes(cfg: RunConfig) -> str:
 
 def _stats_models(cfg: RunConfig):
     kind, params = _experiment_inputs(cfg)
-    background = cfg.stats.background
-    if background is not None and len(background) == 1:
-        background = background[0]
-    if cfg.stats.visibility is not None:
-        model_h0 = stats.build_model(
-            kind, params, background=background, visibility=cfg.stats.visibility
-        )
-    else:
-        model_h0 = stats.build_model(kind, params, cfg.stats.h0, background=background)
-    model_h1 = stats.build_model(kind, params, cfg.stats.h1, background=background)
+    opts = cfg.stats
+    # visibility stands in for the null hypothesis
+    h0 = opts.h0 if opts.visibility is None else None
+    model_h0 = stats.build_model(
+        kind, params, h0, background=opts.background, visibility=opts.visibility
+    )
+    model_h1 = stats.build_model(kind, params, opts.h1, background=opts.background)
     return model_h0, model_h1
 
 
@@ -284,7 +292,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         text = _COMMANDS[args.command](cfg)
     except _CONFIG_ERRORS as exc:
-        print(f"mzsim: config error: {exc}", file=sys.stderr)
+        print(f"mzsim: config error: {_config_message(exc)}", file=sys.stderr)
         return 2
     except (MzsimError, OSError) as exc:
         print(f"mzsim: error: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ geometry plus ``pattern`` (coherent | incoherent).  ``[output]`` holds
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .core import (
     EXPERIMENTS,
@@ -241,19 +242,15 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
     _reject_unknown("stats", entries, tuple(f.name for f in dataclasses.fields(StatsOptions)))
-    opts = StatsOptions()
+    opts = SimpleNamespace()
     opts.alpha = _as_float(entries, "alpha")
     if opts.alpha is not None and not 0.0 < opts.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {opts.alpha}")
     opts.power = _as_float(entries, "power")
     if opts.power is not None and not 0.0 < opts.power < 1.0:
         raise ConfigError(f"power must be in (0, 1), got {opts.power}")
-    h0 = _as_hypothesis(entries, "h0")
-    h1 = _as_hypothesis(entries, "h1")
-    if h0 is not None:
-        opts.h0 = h0
-    if h1 is not None:
-        opts.h1 = h1
+    opts.h0 = _as_hypothesis(entries, "h0")
+    opts.h1 = _as_hypothesis(entries, "h1")
     opts.counts = _parse_number_list(entries, "counts", int)
     if opts.counts is not None and any(c < 0 for c in opts.counts):
         raise ConfigError(f"counts must be non-negative integers, got {opts.counts}")
@@ -268,10 +265,9 @@ def _parse_stats(entries: dict, cfg: RunConfig) -> None:
         raise ConfigError(
             f"replicates must be in [1, {MAX_REPLICATES}], got {opts.replicates}"
         )
-    method = _as_choice(entries, "method", ("auto", "closed_form", "simulation"))
-    if method is not None:
-        opts.method = method
-    cfg.stats = opts
+    opts.method = _as_choice(entries, "method", ("auto", "closed_form", "simulation"))
+    # an absent key keeps the record's default
+    cfg.stats = StatsOptions(**{k: v for k, v in vars(opts).items() if v is not None})
 
 
 def _parse_fringes(entries: dict, cfg: RunConfig) -> None:

@@ -110,8 +110,17 @@ def _check_count(name: str, value) -> None:
         )
 
 
+def _check_finite(name: str, value) -> None:
+    # comparing with inf, not math.isfinite, keeps integers beyond the float range
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and -math.inf < value < math.inf
+    ):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
 def _check_nonnegative(name: str, value) -> None:
-    if not (isinstance(value, numbers.Real) and value >= 0):
+    _check_finite(name, value)
+    if value < 0:
         raise DomainError(f"{name} must be a number >= 0, got {value!r}")
 
 
@@ -170,6 +179,7 @@ class DecayParams:
             _check_nonnegative(name, getattr(self, name))
         if self.lam_prime is not None:
             _check_nonnegative("lam_prime", self.lam_prime)
+        _check_finite("mu", self.mu)
         if not 0 < self.mu <= 1:
             raise DomainError(f"mu must be in (0, 1], got {self.mu}")
         if self.mu < 1 and self.lam == 0:
@@ -370,6 +380,8 @@ class FringeGeometry:
     n_points: int
 
     def __post_init__(self):
+        for name in ("source_separation", "wavelength", "screen_distance", "x_min", "x_max"):
+            _check_finite(name, getattr(self, name))
         for name in ("source_separation", "wavelength", "screen_distance"):
             value = getattr(self, name)
             if not value > 0:

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MzsimError",
+    "DomainError",
+    "UnsupportedHypothesisError",
+    "StructureError",
+    "ContractError",
+    "GeometryError",
+    "DegenerateComparisonError",
+    "ResourceLimitError",
+    "ConfigError",
+]
+
 
 class MzsimError(Exception):
     """Base class for every error raised by this package."""

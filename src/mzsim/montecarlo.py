@@ -13,10 +13,12 @@ stay an independent statistical oracle for these samplers.
 Particles are partitioned into fixed-size chunks and every chunk gets
 its own RNG substream: the PCG64 state that
 ``np.random.SeedSequence(entropy=seed, spawn_key=(chunk index,))``
-gives.  Those states are derived in bulk, a block of chunk indices per
-numpy pass, and loaded one after another into a single reused
-generator, so a chunk costs a state assignment rather than a
-``SeedSequence`` and a new generator.  Chunk tallies are summed, so the
+gives.  The seed's part of that derivation is numpy's own
+``SeedSequence(seed).pool``, read once per run; the chunk indices' part
+is derived in bulk, a block of indices per numpy pass, and the states
+are loaded one after another into a single reused generator, so a
+chunk costs a state assignment rather than a ``SeedSequence`` and a
+new generator.  Chunk tallies are summed, so the
 result is a pure function of ``(seed, chunk_size, parameters)``.
 :class:`SimConfig` lives in :mod:`mzsim.core` so that parsing a
 configuration never loads numpy; it is re-exported here.
@@ -26,7 +28,6 @@ import numpy as np
 
 from .core import (
     EXPERIMENTS,
-    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
@@ -50,9 +51,10 @@ __all__ = [
 _M32 = 0xFFFF_FFFF
 _MIX_L = 0xCA01F9DD
 _MIX_R = -0x4973F715 & _M32  # the mix subtracts; add its negation mod 2**32
-# the hash constant steps once per hash: 4 entropy words, 12 cross-mixes
-# and 4 spawn-word mixes walk _HASH_A, the 8 state words walk _HASH_B
-_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(21)]
+# the hash constant steps once per hash: numpy's pool takes steps 0-15 of
+# the _HASH_A walk (4 entropy words, 12 cross-mixes), the 4 spawn-word mixes
+# steps 16-20, listed here; the 8 state words walk _HASH_B
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(16, 21)]
 _HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(9)]
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = 2**128 - 1
@@ -62,7 +64,7 @@ _STATE_BLOCK = 4096
 
 
 def _hash(value, xor: int, mult: int):
-    """SeedSequence's 32-bit hash, on a Python int or a uint64 array."""
+    """SeedSequence's 32-bit hash, on a uint64 array."""
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
@@ -73,32 +75,16 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _seed_pool(seed: int) -> list[int]:
-    """The SeedSequence pool once the run entropy, ``seed``, is mixed in.
-
-    A seed below 2**64 is two 32-bit words, zero-padded to the pool
-    size of 4 because a spawn key follows.
-    """
-    pool = [_hash(w, _HASH_A[k], _HASH_A[k + 1])
-            for k, w in enumerate((seed & _M32, seed >> 32, 0, 0))]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
-                k += 1
-    return pool
-
-
 def _pcg64_states(seed: int, start: int, stop: int):
     """Yield the PCG64 ``(state, inc)`` of chunks ``start`` to ``stop - 1``.
 
     Each equals ``np.random.PCG64(np.random.SeedSequence(entropy=seed,
     spawn_key=(index,))).state``, for ``seed < 2**64`` and
     ``index < 2**32`` (one spawn word).  The seed's part of the pool is
-    mixed once; the rest is derived :data:`_STATE_BLOCK` indices at a time.
+    numpy's ``SeedSequence(seed).pool``, read once; the rest is derived
+    :data:`_STATE_BLOCK` indices at a time.
     """
-    pool = _seed_pool(int(seed))
+    pool = np.random.SeedSequence(int(seed)).pool.tolist()
     for first in range(start, stop, _STATE_BLOCK):
         yield from _block_states(pool, first, min(first + _STATE_BLOCK, stop))
 
@@ -106,7 +92,7 @@ def _pcg64_states(seed: int, start: int, stop: int):
 def _block_states(pool: list[int], start: int, stop: int):
     """The spawn word's four mixes and the eight state words, vectorised over indices."""
     spawn = np.arange(start, stop, dtype=np.uint64)
-    mixed = [_mix(p, _hash(spawn, _HASH_A[16 + k], _HASH_A[17 + k]))
+    mixed = [_mix(p, _hash(spawn, _HASH_A[k], _HASH_A[k + 1]))
              for k, p in enumerate(pool)]
     words = [_hash(mixed[k % 4], _HASH_B[k], _HASH_B[k + 1]) for k in range(8)]
     # PCG64 reads the words as four little-endian uint64s: state hi, lo, inc hi, lo
@@ -147,15 +133,22 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return next(_substreams(seed, index, index + 1))
 
 
-def _run_chunked(n0: int, cfg: SimConfig, kernel, ncat: int) -> list[int]:
-    """Sum kernel tallies over the chunks of ``n0`` particles, one chunk at a time."""
-    total = [0] * ncat
+def _run_chunked(name: str, n0: int, cfg: SimConfig, kernel) -> CountTable:
+    """Experiment ``name``'s count table for a run of ``n0`` particles.
+
+    ``kernel(rng, size)`` tallies one chunk in the experiment's label
+    order; the tallies are summed one chunk at a time.
+    """
+    labels = EXPERIMENTS[name].labels
+    total = [0] * len(labels)
     chunks = _substreams(cfg.seed, 0, cfg.chunk_count(n0))
     for index, rng in enumerate(chunks):
         size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
         tally = kernel(rng, size)
         total = [a + b for a, b in zip(total, tally)]
-    return total
+    table = CountTable(*total, labels=labels)
+    assert table.total == n0
+    return table
 
 
 def simulate_excitation(
@@ -182,9 +175,7 @@ def simulate_excitation(
         nb1 = rng.binomial(excited - alive, 0.5)
         return size - alive - nb1, alive - nb2, nb1, nb2
 
-    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 4))
-    assert table.total == p.n0
-    return table
+    return _run_chunked("excitation", p.n0, cfg, kernel)
 
 
 def simulate_decay(
@@ -216,9 +207,7 @@ def simulate_decay(
         nb1 = rng.binomial(entered - left, 0.5) if collapse else 0
         return size - na2 - nb1, na2, nb1, 0
 
-    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 4))
-    assert table.total == p.n0
-    return table
+    return _run_chunked("decay", p.n0, cfg, kernel)
 
 
 def simulate_photon(
@@ -251,6 +240,4 @@ def simulate_photon(
         counter1 = rng.binomial(survivors, 0.5)
         return counter1, survivors - counter1, size - survivors
 
-    table = CountTable(*_run_chunked(p.n0, cfg, kernel, 3), labels=PHOTON_LABELS)
-    assert table.total == p.n0
-    return table
+    return _run_chunked("photon", p.n0, cfg, kernel)

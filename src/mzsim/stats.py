@@ -15,7 +15,7 @@ settles the question by itself, at any significance level.
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,11 +89,7 @@ class DiscriminationReport:
             raise DomainError(f"p-value must be in [0, 1], got {self.p_value_h0}")
 
     def as_dict(self) -> dict:
-        return {
-            "log_likelihood_ratio": self.log_likelihood_ratio,
-            "p_value_h0": self.p_value_h0,
-            "decision": self.decision,
-        }
+        return asdict(self)
 
 
 def build_model(

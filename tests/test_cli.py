@@ -316,6 +316,10 @@ mu = 0.5
 
 
 HUGE_N0 = EXCITATION.replace("n0 = 10000", "n0 = " + "9" * 400)
+# modified_rate needs lambda_prime, which this config leaves out
+DECAY_MODIFIED_RATE = DECAY_WITHOUT_OFFSET.replace(
+    "hypothesis = pos", "hypothesis = modified_rate"
+).replace("lambda = 0", "lambda = 1")
 
 # (subcommand, config, key the error must name)
 CONFIG_ERRORS = [
@@ -351,6 +355,9 @@ CONFIG_ERRORS = [
         "background = 1e-3\nreplicates = 10000000000000\n",
         "replicates",
     ),
+    # the records name these fields lam and lam_prime
+    ("predict", EXCITATION.replace("lambda = 1.0", "lambda = -1"), "lambda"),
+    ("predict", DECAY_MODIFIED_RATE, "lambda_prime"),
 ]
 
 
@@ -360,6 +367,24 @@ class TestConfigInducedErrors:
         code, out, err = run_cli(capsys, command, "--config", write_config(config))
         assert code == 2 and out == ""
         assert err.startswith("mzsim: config error:") and key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "discriminate", "plan"])
+    def test_missing_lambda_prime_is_named_by_its_key(self, write_config, capsys, command):
+        config = DECAY_MODIFIED_RATE + (
+            "\n[stats]\nalpha = 0.01\npower = 0.9\ncounts = 1,1,1,1\nh1 = modified_rate\n"
+        )
+        code, out, err = run_cli(capsys, command, "--config", write_config(config))
+        assert (code, out) == (2, "")
+        assert err == "mzsim: config error: lambda_prime is required under MODIFIED_RATE\n"
+
+    @pytest.mark.parametrize(
+        "config, echoed",
+        [(EXCITATION.replace("lambda", "lam"), "unknown key 'lam'"),
+         (EXCITATION + "[lam]\n", "unknown section [lam]")],
+    )
+    def test_echoed_user_text_keeps_its_spelling(self, write_config, capsys, config, echoed):
+        code, _, err = run_cli(capsys, "predict", "--config", write_config(config))
+        assert code == 2 and echoed in err
 
 
 # runs in a fresh interpreter: import the package and the CLI, answer every

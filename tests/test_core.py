@@ -142,6 +142,27 @@ class TestParamValidation:
             with pytest.raises(DomainError):
                 cls(**fields)
 
+    @pytest.mark.parametrize(
+        "cls, fields, name",
+        [
+            (DecayParams, dict(n0=10, lam=math.inf, t1=0, t2=0, t3=0), "lam"),
+            (ExcitationParams, dict(n0=10, epsilon=0.5, lam=0, t=math.inf), "t"),
+            (ExcitationParams, dict(n0=10, epsilon=True, lam=0, t=1.0), "epsilon"),
+            (DecayParams, dict(n0=10, lam=1.0, t1=0, t2=0, t3=0, lam_prime=math.nan),
+             "lam_prime"),
+            (PhotonParams, dict(n0=10, d=0.5, u=np.float64(-np.inf)), "u"),
+            (PhotonParams, dict(n0=10, d="0.5", u=0.5), "d"),
+            (DecayParams, dict(n0=10, lam=1.0, t1=0, t2=0, t3=0, mu=True), "mu"),
+        ],
+    )
+    def test_rejects_non_finite_and_bool_fields(self, cls, fields, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+            cls(**fields)
+
+    def test_accepts_integers_beyond_the_float_range(self):
+        # finite, so the record takes them; comparing with inf cannot overflow
+        ExcitationParams(n0=10, epsilon=1, lam=0, t=10**400)
+
     def test_rejects_non_integer_n0(self):
         with pytest.raises(DomainError):
             ExcitationParams(n0=10.5, epsilon=0.5, lam=1.0, t=1.0)

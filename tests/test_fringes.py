@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize
@@ -14,12 +16,12 @@ from mzsim.fringes import (
 )
 
 
-def geometry(s=1e-3, wavelength=5e-7, distance=1.0, x_half=0.002, n_points=2001):
+def geometry(s=1e-3, wavelength=5e-7, distance=1.0, x_half=0.002, n_points=2001, x_min=None):
     return FringeGeometry(
         source_separation=s,
         wavelength=wavelength,
         screen_distance=distance,
-        x_min=-x_half,
+        x_min=-x_half if x_min is None else x_min,
         x_max=x_half,
         n_points=n_points,
     )
@@ -57,6 +59,9 @@ class TestGeometry:
             dict(n_points=2.5),
             dict(x_half=-1.0),  # makes x_min > x_max
             dict(n_points=MAX_FRINGE_POINTS + 1),  # refused before any allocation
+            dict(wavelength=math.inf),  # would give a flat profile
+            dict(x_min=-math.inf),
+            dict(x_min="-1"),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
