@@ -67,10 +67,9 @@ def survival_fraction(lam: float, dt: float) -> float:
     emission rate (Einstein A coefficient).  Monotone non-increasing in
     ``dt`` and multiplicative over consecutive intervals.
     """
-    if not lam >= 0:
-        raise DomainError(f"decay rate must be >= 0, got {lam}")
-    if not dt >= 0:
-        raise DomainError(f"elapsed time must be >= 0, got {dt}")
+    # a non-finite argument could make lam * dt a NaN (inf * 0)
+    _check_nonnegative("lam", lam)
+    _check_nonnegative("dt", dt)
     return math.exp(-lam * dt)
 
 
@@ -177,6 +176,12 @@ class DecayParams:
         _check_nonnegative("lam", self.lam)
         for name in ("t1", "t2", "t3"):
             _check_nonnegative(name, getattr(self, name))
+        # survival_fraction refuses an infinite time, so the sum must not overflow
+        if self.total_time == math.inf:
+            raise DomainError(
+                f"t1 + t2 + t3 must be a finite time, got {self.t1!r} + {self.t2!r} "
+                f"+ {self.t3!r}"
+            )
         if self.lam_prime is not None:
             _check_nonnegative("lam_prime", self.lam_prime)
         _check_finite("mu", self.mu)

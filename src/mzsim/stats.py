@@ -10,6 +10,22 @@ support has at most ``EXACT_SUPPORT_CAP`` outcomes (Resin 2023,
 above it.  Sample-size planning for the background-free design reduces
 to a closed form: the first count in a null-impossible category
 settles the question by itself, at any significance level.
+
+The enumeration never stores the outcomes.  Each cell ``k`` gets two
+tables over its count ``c = 0..n``: the null log-pmf term
+``c * log p0_k - lgamma(c + 1)`` and the LLR term ``c * w_k``, with
+``w_k = log(p1_k / p0_k)``; a cell impossible under one model has a
+``-inf`` or ``+inf`` LLR term for ``c > 0`` instead.  Branching one
+cell at a time, every prefix carries the two running sums, so each
+outcome ends with its null log mass and its statistic, and its h1 mass
+is ``exp(log mass0 + LLR)`` (the likelihood-ratio identity).  Cells
+with the same impossibility masks whose weights lie within
+``TIE_REL_TOL / n`` of each other are pooled first: the statistic sees
+the counts only through their sum, a pooled multinomial is again
+multinomial, and pooling moves no outcome's statistic by more than
+``TIE_REL_TOL``.  Cells impossible under both models are dropped, as
+no outcome with mass reaches them.  Whether a support is enumerated
+still depends on its raw category count.
 """
 
 import math
@@ -41,8 +57,9 @@ MODEL_DISTINCTION_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
 # statistics within this relative distance of each other count as tied
 TIE_REL_TOL = 1e-9
-# largest multinomial support enumerated exactly; its int64 matrix takes
-# 8 MB with 4 categories (n <= 114), or n <= 722 with 3
+# largest multinomial support enumerated exactly, counted over the raw
+# categories: n <= 114 with 4 of them, n <= 722 with 3; the engine holds
+# three float64 values per outcome, 6 MB at the cap
 EXACT_SUPPORT_CAP = 2**18
 # largest sample size min_sample_size reports or probes
 MAX_SAMPLE_SIZE = 10**9
@@ -243,38 +260,85 @@ def _is_enumerable(n: int, ncat: int) -> bool:
     return math.comb(n + ncat - 1, ncat - 1) <= EXACT_SUPPORT_CAP
 
 
-def _support(n: int, ncat: int) -> np.ndarray:
-    """Every vector of ``ncat`` non-negative integers summing to ``n``, one per row."""
-    columns = []
-    left = np.array([n], dtype=np.int64)
-    for _ in range(ncat - 1):
-        # each prefix branches into left + 1 prefixes, one per value of the next cell
-        width = left + 1
-        value = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        columns = [np.repeat(c, width) for c in columns] + [value]
-        left = np.repeat(left, width) - value
-    return np.column_stack(columns + [left])
+def _pooled_cells(n: int, p0: np.ndarray, p1: np.ndarray) -> list[list[int]]:
+    """Cells whose LLR weights tie within ``TIE_REL_TOL / n``, as groups of indices.
+
+    A group shares one pair of impossibility masks, and its weights span
+    at most ``TIE_REL_TOL / n``, so pooling it moves no statistic of
+    ``n`` draws by more than ``TIE_REL_TOL``, up to rounding.  Cells
+    impossible under both models join no group.
+    """
+    w, h1_zero, h0_zero = _llr_weights(p0, p1)
+    live = [k for k in range(w.shape[0]) if p0[k] > 0 or p1[k] > 0]
+    groups = []
+    for k in sorted(live, key=lambda k: (h1_zero[k], h0_zero[k], w[k])):
+        head = groups[-1][0] if groups else None
+        if (
+            head is not None
+            and (h1_zero[head], h0_zero[head]) == (h1_zero[k], h0_zero[k])
+            and n * abs(w[k] - w[head]) <= TIE_REL_TOL
+        ):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return sorted(sorted(group) for group in groups)
 
 
 class _ExactTest:
-    """Every outcome of ``n`` draws with its LLR and its mass under h0 and h1."""
+    """Every outcome of ``n`` draws, over pooled cells, with its LLR and null mass.
+
+    Only the per-outcome null log mass and statistic are kept, built
+    from per-cell tables by prefix branching; the h1 mass comes from the
+    likelihood-ratio identity where ``power`` needs it.
+    """
 
     def __init__(self, n: int, p0: np.ndarray, p1: np.ndarray):
-        outcomes = _support(n, p0.shape[0])
-        log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-        log_coef = log_fact[n] - sum(log_fact[column] for column in outcomes.T)
-        self.llr = _llr_values(outcomes, p0, p1)
-        self.mass0 = self._pmf(outcomes, log_coef, p0)
-        self.mass1 = self._pmf(outcomes, log_coef, p1)
+        self.groups = _pooled_cells(n, p0, p1)
+        q0 = np.array([p0[g].sum() for g in self.groups])
+        q1 = np.array([p1[g].sum() for g in self.groups])
+        w, h1_zero, h0_zero = _llr_weights(q0, q1)
+        count = np.arange(n + 1)
+        log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+        # per pooled cell, over its count: the null log-pmf term and the LLR term
+        tables0, self._llr_tables = [], []
+        for q, weight, zero1, zero0 in zip(q0, w, h1_zero, h0_zero):
+            if q > 0:
+                tables0.append(count * math.log(q) - log_fact)
+            else:
+                tables0.append(np.where(count > 0, -np.inf, -log_fact))
+            if zero1 or zero0:
+                self._llr_tables.append(np.where(count > 0, -np.inf if zero1 else np.inf, 0.0))
+            else:
+                self._llr_tables.append(count * weight)
 
-    @staticmethod
-    def _pmf(outcomes: np.ndarray, log_coef: np.ndarray, p: np.ndarray) -> np.ndarray:
-        live = p > 0
-        log_p = np.log(p, out=np.zeros(p.shape), where=live)
+        # each prefix branches into left + 1 prefixes, one per count of the next cell
+        log_mass0, llr = np.array([log_fact[n]]), np.zeros(1)
+        left = np.array([n])
+        # an outcome impossible under both models sums -inf and +inf into NaN;
+        # it has no mass under either, so no p-value or power reads it
+        with np.errstate(invalid="ignore"):
+            for table0, table in zip(tables0[:-1], self._llr_tables[:-1]):
+                width = left + 1
+                value = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+                log_mass0 = np.repeat(log_mass0, width)
+                log_mass0 += table0[value]
+                llr = np.repeat(llr, width)
+                llr += table[value]
+                left = np.repeat(left, width)
+                left -= value
+                del value  # not held through the last cell's pass, which sets the peak
+            log_mass0 += tables0[-1][left]
+            llr += self._llr_tables[-1][left]
+        self.log_mass0, self.llr = log_mass0, llr
         with np.errstate(under="ignore"):
-            pmf = np.exp(log_coef + outcomes @ log_p)
-        pmf[outcomes[:, ~live].any(axis=1)] = 0.0
-        return pmf
+            self.mass0 = np.exp(log_mass0)
+
+    def statistic(self, counts: np.ndarray) -> float:
+        """LLR of raw ``counts``, pooled and summed as the enumeration sums it."""
+        total = 0.0
+        for group, table in zip(self.groups, self._llr_tables):
+            total += table[int(counts[group].sum())]
+        return float(total)
 
     def p_value(self, observed: float) -> float:
         """Null mass of the outcomes at least as extreme as ``observed``."""
@@ -282,15 +346,33 @@ class _ExactTest:
         return min(1.0, float(tail))
 
     def power(self, alpha: float) -> float:
-        """h1 mass of the outcomes whose p-value is at most ``alpha``."""
+        """h1 mass of the outcomes whose p-value is at most ``alpha``.
+
+        The h1 mass is ``exp(log mass0 + LLR)``, which holds wherever h0
+        has mass: the power search runs only when no cell impossible
+        under h0 is open to h1.
+        """
         order = np.argsort(self.llr)
-        ordered, mass1 = self.llr[order], self.mass1[order]
-        tail = np.append(np.cumsum(self.mass0[order][::-1])[::-1], 0.0)
-        # an outcome with h1 mass has a finite LLR when no null-impossible
-        # category is open to h1, the only case the power search sees
-        reach = mass1 > 0
-        p_values = tail[np.searchsorted(ordered, _tie_floor(ordered[reach]))]
-        return float(mass1[reach][p_values <= alpha].sum())
+        ordered = self.llr[order]
+        # upper[j]: null mass of the j + 1 largest statistics
+        upper = self.mass0[order[::-1]]
+        np.cumsum(upper, out=upper)
+        last = ordered.shape[0] - 1
+        # p-values fall as the statistic rises, so the rejected outcomes
+        # are the top of the order, from the first one whose p-value is <= alpha
+        lo, hi = 0, last + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if upper[last - np.searchsorted(ordered, _tie_floor(ordered[mid]))] <= alpha:
+                hi = mid
+            else:
+                lo = mid + 1
+        del ordered, upper  # freed before the h1 pass over the rejected outcomes
+        rejected = order[lo:]
+        log_mass1 = self.log_mass0[rejected]
+        log_mass1 += self.llr[rejected]
+        with np.errstate(under="ignore"):
+            return float(np.exp(log_mass1, out=log_mass1).sum())
 
 
 def discriminate(
@@ -334,11 +416,12 @@ def discriminate(
     p0, p1 = model_h0.probabilities, model_h1.probabilities
     # the null statistics' arithmetic can differ from ll1 - ll0 in the last
     # bits, so the observed statistic goes through it too before ties are counted
-    observed = float(_llr_values(n[np.newaxis, :], p0, p1)[0])
     total = int(n.sum())
     if _is_enumerable(total, n.shape[0]):
-        p_value = _ExactTest(total, p0, p1).p_value(observed)
+        exact = _ExactTest(total, p0, p1)
+        p_value = exact.p_value(exact.statistic(n))
     else:
+        observed = float(_llr_values(n[np.newaxis, :], p0, p1)[0])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         null_llr = np.sort(_llr_values(rng.multinomial(total, p0, size=replicates), p0, p1))
         p_value = float(_sampled_p_values(null_llr, observed))

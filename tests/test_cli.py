@@ -388,7 +388,8 @@ class TestConfigInducedErrors:
 
 
 # runs in a fresh interpreter: import the package and the CLI, answer every
-# request given on stdin, then report the exit codes and whether numpy loaded
+# request given on stdin, then report the exit codes and whether numpy and
+# numpy.random loaded
 GUARD_SCRIPT = """
 import contextlib, io, json, os, sys, tempfile
 import mzsim, mzsim.cli
@@ -401,8 +402,22 @@ with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append(mzsim.cli.main([command, "--config", path, *flags]))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules}))
 """
+
+
+def run_guard(requests) -> dict:
+    src = os.path.dirname(os.path.dirname(mzsim.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT],
+        input=json.dumps(requests),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return json.loads(result.stdout)
 
 
 def test_predict_and_config_errors_do_not_import_numpy():
@@ -417,18 +432,27 @@ def test_predict_and_config_errors_do_not_import_numpy():
     # and found no null-impossible category, so that case loads numpy
     errors = [[command, config] for command, config, key in CONFIG_ERRORS
               if (command, key) != ("plan", "alpha")]
-    src = os.path.dirname(os.path.dirname(mzsim.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT],
-        input=json.dumps(predicts + errors),
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    report = json.loads(result.stdout)
+    report = run_guard(predicts + errors)
     assert report["codes"] == [0] * len(predicts) + [2] * len(errors)
     assert report["numpy"] is False
+
+
+def test_exact_discriminate_and_plan_do_not_import_numpy_random():
+    # numpy.random takes ~14 ms to import, and only the Monte Carlo paths use it
+    stats = EXCITATION + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
+    exact = [
+        ["discriminate", stats + "counts = 80,15,3,2\n"],
+        ["discriminate", stats + "counts = 80,15,3,2\nvisibility = 0.9\n"],
+        ["discriminate", EXCITATION + "[stats]\nalpha = 0.05\ncounts = 80,15,3,2\n"],
+        ["plan", stats + "power = 0.9\n"],
+        ["plan", EXCITATION + "[stats]\npower = 0.9\n"],
+    ]
+    report = run_guard(exact)
+    assert report["codes"] == [0] * len(exact)
+    assert report["numpy"] is True and report["numpy_random"] is False
+    # above the exact cap discriminate draws, and the guard sees it
+    sampled = run_guard([["discriminate", stats + "counts = 160,30,6,4\nreplicates = 10\n"]])
+    assert sampled == {"codes": [0], "numpy": True, "numpy_random": True}
 
 
 HYPOTHESES = st.sampled_from(["pos", "ccqi", "modified_rate"])

@@ -134,9 +134,9 @@ GOLDEN = {
     "fringes-incoherent-json": ("1f96e883a94151ef407efd82287117a26683c6870947d1aa42e1ca2c5515c403", 0),
     "sectors-demo": ("bc605d2fb7b1bc59126fbec507970591b050fdbda8cb0eaae8dbfb6064f60dcc", 0),
     "discriminate-exact-zero-cells": ("458f2c40f95ff8740f4f91392deb2de52234be54daac8786657ceeca1eda10ca", 0),
-    "discriminate-exact-background": ("e8f12ae1ad3ca1745ae5a53681305280260a44a7aae3deb7f06cb015cd503cfa", 0),
-    "discriminate-exact-background-each": ("e8f12ae1ad3ca1745ae5a53681305280260a44a7aae3deb7f06cb015cd503cfa", 0),
-    "discriminate-exact-visibility": ("55e07f24a327bf4d09649589d7302aa411a64b83b99385ba5ee6004e8714a661", 0),
+    "discriminate-exact-background": ("2bf17dbddc410f10ded7be9a86ca4f4f38681da706f5215b430d0b65bfc35908", 0),
+    "discriminate-exact-background-each": ("2bf17dbddc410f10ded7be9a86ca4f4f38681da706f5215b430d0b65bfc35908", 0),
+    "discriminate-exact-visibility": ("4cecd2d793ed08b1becfe86589828826c6966babe91704d4054daa07cd7f514a", 0),
     "discriminate-monte-carlo": ("eafdda10ecbfef3f15c408d15ea935d88b36bdd7f3b5fc69f62cb291670b75c1", 0),
     "plan-closed-form": ("6fce2fc43e1f922687fe8ba340de0268c102289a2f789cd69b55276277c35162", 0),
     "plan-simulation": ("1369457ab97f5dfb7a1e20e15d9a5f3fcc72eebb20236e54a8637eb312143706", 0),

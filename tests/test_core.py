@@ -51,6 +51,16 @@ class TestSurvivalFraction:
         with pytest.raises(DomainError):
             survival_fraction(1.0, float("nan"))
 
+    @pytest.mark.parametrize(
+        "lam, dt, name",
+        [(math.inf, 0.0, "lam"), (0.0, math.inf, "dt"), (math.inf, 1.0, "lam"),
+         (1.0, math.inf, "dt")],
+    )
+    def test_rejects_infinity_naming_the_argument(self, lam, dt, name):
+        # exp(-inf * 0) is a NaN, not a survival fraction
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+            survival_fraction(lam, dt)
+
     def test_monotone_non_increasing_in_time(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -158,6 +168,11 @@ class TestParamValidation:
     def test_rejects_non_finite_and_bool_fields(self, cls, fields, name):
         with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
             cls(**fields)
+
+    def test_rejects_flight_times_whose_sum_overflows(self):
+        # each time is finite, but survival over t1 + t2 + t3 would see inf
+        with pytest.raises(DomainError, match=r"^t1 \+ t2 \+ t3 must be a finite time"):
+            DecayParams(n0=10, lam=1.0, t1=1e308, t2=1e308, t3=0.0)
 
     def test_accepts_integers_beyond_the_float_range(self):
         # finite, so the record takes them; comparing with inf cannot overflow

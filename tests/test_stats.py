@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from mzsim import stats
 from mzsim.core import (
     ATOM_LABELS,
     MAX_REPLICATES,
@@ -25,6 +27,8 @@ from mzsim.stats import (
     EXACT_SUPPORT_CAP,
     CategoryModel,
     DiscriminationReport,
+    _ExactTest,
+    _pooled_cells,
     _rejection_rate,
     build_model,
     discriminate,
@@ -340,6 +344,10 @@ class TestMinSampleSize:
         assert rates[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+DECAY = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2, lam_prime=0.3)
+ULP_TIED = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=1.0)
+
+
 def brute_force_test(p0, p1, n):
     """Support, null-tail p-values and h1 masses by scipy and plain Python."""
     support = [x for x in itertools.product(range(n + 1), repeat=len(p0)) if sum(x) == n]
@@ -360,11 +368,30 @@ ORACLE_DESIGNS = {
     ),
     "excitation-background": (pos_model(background=1e-3), ccqi_model(background=1e-3)),
     "decay-modified_rate": (
-        build_model("decay", DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2,
-                                         lam_prime=0.3), Hypothesis.POS),
-        build_model("decay", DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2,
-                                         lam_prime=0.3), Hypothesis.MODIFIED_RATE),
+        build_model("decay", DECAY, Hypothesis.POS),
+        build_model("decay", DECAY, Hypothesis.MODIFIED_RATE),
     ),
+    # the pooled designs: both b cells tie, at t = ln 2 exactly and at t = 1
+    # one ulp apart; decay's na2 and nb2 tie at weight 0
+    "excitation-visibility-background": (
+        build_model("excitation", excitation_params(), visibility=0.9, background=1e-3),
+        ccqi_model(background=1e-3),
+    ),
+    "excitation-visibility-ulp": (
+        build_model("excitation", ULP_TIED, visibility=0.9),
+        build_model("excitation", ULP_TIED, Hypothesis.CCQI),
+    ),
+    "decay-ccqi": (
+        build_model("decay", DECAY, Hypothesis.POS, background=1e-3),
+        build_model("decay", DECAY, Hypothesis.CCQI, background=1e-3),
+    ),
+}
+POOLED_DESIGNS = {
+    "excitation-visibility-background": [[0], [1], [2, 3]],
+    "excitation-visibility-ulp": [[0], [1], [2, 3]],
+    "decay-ccqi": [[0], [1, 3], [2]],
+    # the two cells impossible under both models are dropped
+    "decay-modified_rate": [[0], [1]],
 }
 
 
@@ -386,6 +413,99 @@ class TestExactEngine:
         for alpha in (0.01, 0.05, 0.3):
             power = mass1[p_values <= alpha].sum()
             assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
+
+    @pytest.mark.parametrize("design", sorted(POOLED_DESIGNS))
+    def test_tied_cells_pool(self, design):
+        h0, h1 = ORACLE_DESIGNS[design]
+        p0, p1 = h0.probabilities, h1.probabilities
+        assert _pooled_cells(12, p0, p1) == POOLED_DESIGNS[design]
+        if design == "excitation-visibility-ulp":
+            w = stats._llr_weights(p0, p1)[0]
+            assert 0 < 12 * abs(w[2] - w[3]) <= stats.TIE_REL_TOL
+
+    def test_pooling_matches_the_unpooled_engine(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        designs = []
+        for _ in range(40):
+            k = int(rng.integers(3, 5))
+            p0 = rng.dirichlet(np.ones(k))
+            w = rng.normal(size=k)
+            w[1] = w[0]
+            p1 = p0 * np.exp(w)
+            extra = int(rng.integers(3)) if k == 4 else 0
+            if extra == 1:
+                p1[3] = 0.0  # impossible under h1 alone
+            elif extra == 2:
+                p0[3] = p1[3] = 0.0  # impossible under both
+            order = rng.permutation(k)
+            p0, p1 = p0[order] / p0.sum(), p1[order] / p1.sum()
+            designs.append((int(rng.integers(1, 61)), p0, p1))
+        pooled = [_ExactTest(n, p0, p1) for n, p0, p1 in designs]
+        monkeypatch.setattr(
+            stats, "_pooled_cells", lambda n, p0, p1: [[k] for k in range(p0.shape[0])]
+        )
+        for (n, p0, p1), test in zip(designs, pooled):
+            assert len(test.groups) < p0.shape[0]
+            raw = _ExactTest(n, p0, p1)
+            for alpha in (0.01, 0.05, 0.2):
+                assert test.power(alpha) == pytest.approx(raw.power(alpha), abs=1e-12)
+            for x in np.concatenate([rng.multinomial(n, p, size=4) for p in (p0, p1)]):
+                assert test.p_value(test.statistic(x)) == pytest.approx(
+                    raw.p_value(raw.statistic(x)), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_masses_match_direct_pmfs_in_enumeration_order(self, design):
+        h0, h1 = ORACLE_DESIGNS[design]
+        n = 12
+        test = _ExactTest(n, h0.probabilities, h1.probabilities)
+        q0, q1 = ([p[g].sum() for g in test.groups] for p in (h0.probabilities,
+                                                             h1.probabilities))
+        # prefix branching lists the outcomes of the pooled cells in lexicographic order
+        support = [x for x in itertools.product(range(n + 1), repeat=len(q0)) if sum(x) == n]
+        mass0 = [scipy_stats.multinomial.pmf(x, n, q0) for x in support]
+        mass1 = [scipy_stats.multinomial.pmf(x, n, q1) for x in support]
+        assert test.mass0 == pytest.approx(mass0, rel=1e-12)
+        # the likelihood-ratio identity gives the h1 mass
+        assert np.exp(test.log_mass0 + test.llr) == pytest.approx(mass1, rel=1e-12)
+        for x, stat in zip(support, test.llr):
+            counts = np.zeros(len(h0.labels), dtype=np.int64)
+            for group, count in zip(test.groups, x):
+                counts[group[0]] = count
+            assert test.statistic(counts) == stat
+
+    def test_discriminate_counts_each_outcomes_own_mass(self):
+        h0, h1 = ORACLE_DESIGNS["excitation-visibility-ulp"]
+        p0 = h0.probabilities
+        n = 10
+        groups = _pooled_cells(n, p0, h1.probabilities)
+        q0 = [p0[g].sum() for g in groups]
+        for x in itertools.product(range(n + 1), repeat=4):
+            if sum(x) != n:
+                continue
+            own = scipy_stats.multinomial.pmf([sum(x[k] for k in g) for g in groups], n, q0)
+            report = discriminate(x, h0, h1, alpha=0.05)
+            assert report.p_value_h0 >= own * (1 - 1e-12), x
+
+    def test_memory_at_the_cap(self):
+        # four distinct weights, so nothing pools
+        params = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=0.7)
+        p0 = build_model("excitation", params, Hypothesis.POS, background=1e-3).probabilities
+        p1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3).probabilities
+        n = 114
+        assert math.comb(n + 3, 3) <= EXACT_SUPPORT_CAP < math.comb(n + 4, 3)
+        assert len(_pooled_cells(n, p0, p1)) == 4
+        tracemalloc.start()
+        try:
+            test = _ExactTest(n, p0, p1)
+            test.p_value(test.llr[0])
+            test.power(0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three float64 values per outcome, 6 MB, are kept; an engine with
+        # an int64 outcome matrix and two pmf passes peaked at 24 MB here
+        assert peak < 16e6
 
     def test_power_is_monotone_in_n(self):
         # the Monte Carlo estimate stepped down 4 times between n = 50 and 73
