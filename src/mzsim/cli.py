@@ -26,12 +26,19 @@ goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
 emitted with 17 significant digits so identical configurations yield
 byte-identical output.
 
-``predict`` and every configuration error are answered without loading
-numpy.  ``simulate``, ``fringes``, ``discriminate``, ``plan`` and
-``sectors-demo`` load it on their first call into the numpy-backed
-layers (:mod:`~mzsim.montecarlo`, :mod:`~mzsim.fringes`,
-:mod:`~mzsim.stats`, :mod:`~mzsim.sectors`), which the package binds
-lazily and this module calls through their module objects.
+``predict``, ``plan``'s zero-cell closed form, and every configuration
+error found while parsing the config or computing a prediction or the
+category probabilities are answered without loading numpy.  ``plan``
+takes the probabilities and the closed form from the pure-Python
+helpers of :mod:`~mzsim.predict`, so it also refuses a missing
+``alpha``, a ``method = closed_form`` without a null-impossible category
+and a ``background`` budget above 1 before numpy loads.  ``simulate``,
+``fringes``, ``discriminate``, ``plan``'s power search and
+``method = simulation``, and ``sectors-demo`` load numpy on their first
+call into the numpy-backed layers (:mod:`~mzsim.montecarlo`,
+:mod:`~mzsim.fringes`, :mod:`~mzsim.stats`, :mod:`~mzsim.sectors`),
+which the package binds lazily and this module calls through their
+module objects.
 """
 
 import argparse
@@ -155,15 +162,15 @@ def _cmd_fringes(cfg: RunConfig) -> str:
     return _csv(("position", "intensity"), zip(profile.positions, profile.intensity))
 
 
-def _stats_models(cfg: RunConfig):
+def _stats_models(cfg: RunConfig, build):
+    """The (h0, h1) pair of ``build``: ``stats.build_model``, or its
+    arithmetic and checks without numpy, ``predict._category_probabilities``."""
     kind, params = _experiment_inputs(cfg)
     opts = cfg.stats
     # visibility stands in for the null hypothesis
     h0 = opts.h0 if opts.visibility is None else None
-    model_h0 = stats.build_model(
-        kind, params, h0, background=opts.background, visibility=opts.visibility
-    )
-    model_h1 = stats.build_model(kind, params, opts.h1, background=opts.background)
+    model_h0 = build(kind, params, h0, background=opts.background, visibility=opts.visibility)
+    model_h1 = build(kind, params, opts.h1, background=opts.background)
     return model_h0, model_h1
 
 
@@ -171,7 +178,8 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "discriminate emits JSON; remove format = csv")
     _require(cfg.stats.counts is not None, "discriminate needs counts in [stats]")
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
-    model_h0, model_h1 = _stats_models(cfg)
+    _stats_models(cfg, predict._category_probabilities)  # refuse bad models before numpy loads
+    model_h0, model_h1 = _stats_models(cfg, stats.build_model)
     report = stats.discriminate(
         cfg.stats.counts,
         model_h0,
@@ -188,23 +196,25 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
 def _cmd_plan(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "plan emits JSON; remove format = csv")
     _require(cfg.stats.power is not None, "plan needs power in [stats]")
-    model_h0, model_h1 = _stats_models(cfg)
-    n = stats.min_sample_size(
-        model_h0,
-        model_h1,
-        cfg.stats.alpha,
-        cfg.stats.power,
-        method=cfg.stats.method,
-        replicates=cfg.stats.replicates or 10_000,
-        seed=cfg.sim.seed,
-    )
+    opts = cfg.stats
+    # stats.min_sample_size's steps up to its power search or its simulation, on
+    # plain floats; the config has checked power, alpha, replicates and method
+    p0, p1 = _stats_models(cfg, predict._category_probabilities)
+    predict._check_distinct(p0, p1)
+    p_hit = predict._zero_cell_hit_probability(p0, p1, opts.alpha, opts.method)
+    if p_hit > 0.0 and opts.method != "simulation":
+        n = predict._zero_cell_min_n(p_hit, opts.power)
+    else:
+        n = stats.min_sample_size(
+            *_stats_models(cfg, stats.build_model),
+            opts.alpha,
+            opts.power,
+            method=opts.method,
+            replicates=opts.replicates or 10_000,
+            seed=cfg.sim.seed,
+        )
     return _json(
-        {
-            "min_n0": n,
-            "power": cfg.stats.power,
-            "alpha": cfg.stats.alpha,
-            "method": cfg.stats.method,
-        }
+        {"min_n0": n, "power": opts.power, "alpha": opts.alpha, "method": opts.method}
     )
 
 

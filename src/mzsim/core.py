@@ -192,6 +192,13 @@ class DecayParams:
                 f"mu must be 1 when lam is 0, got {self.mu}: without decay no "
                 "flight time leaves only a fraction mu of the atoms excited"
             )
+        # the folded record's t1 and total time, which with_purity_folded builds
+        pad = purity_time_offset(self.mu, self.lam)
+        if self.t1 + pad + self.t2 + self.t3 == math.inf:
+            raise DomainError(
+                f"mu = {self.mu!r} at lam = {self.lam!r} pads t1 by -ln(mu)/lam = "
+                f"{pad!r}, which leaves no finite flight time"
+            )
 
     @property
     def total_time(self) -> float:
@@ -202,7 +209,8 @@ class DecayParams:
 
         Returns an equivalent parameter set with ``mu == 1`` and ``t1``
         extended by ``purity_time_offset(mu, lam)``; it never fails,
-        since construction refuses ``mu < 1`` with ``lam == 0``.
+        since construction refuses ``mu < 1`` with ``lam == 0`` and a
+        pad that leaves the folded times infinite.
         """
         if self.mu == 1.0:
             return self

@@ -26,6 +26,11 @@ multinomial, and pooling moves no outcome's statistic by more than
 ``TIE_REL_TOL``.  Cells impossible under both models are dropped, as
 no outcome with mass reaches them.  Whether a support is enumerated
 still depends on its raw category count.
+
+The arithmetic that turns a predicted table into category
+probabilities, the check that two models differ, and the zero-cell
+closed form live in :mod:`mzsim.predict` as pure-Python helpers, which
+this module calls and the CLI calls without loading numpy.
 """
 
 import math
@@ -35,13 +40,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import predict
 from .core import EXPERIMENTS, MAX_REPLICATES, CountTable, Hypothesis
-from .errors import (
-    DegenerateComparisonError,
-    DomainError,
-    ResourceLimitError,
-    StructureError,
+from .errors import DomainError, ResourceLimitError, StructureError
+from .predict import (
+    MAX_SAMPLE_SIZE,
+    _category_probabilities,
+    _check_distinct,
+    _zero_cell_hit_probability,
+    _zero_cell_min_n,
 )
 
 __all__ = [
@@ -53,7 +59,6 @@ __all__ = [
     "min_sample_size",
 ]
 
-MODEL_DISTINCTION_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
 # statistics within this relative distance of each other count as tied
 TIE_REL_TOL = 1e-9
@@ -61,8 +66,6 @@ TIE_REL_TOL = 1e-9
 # categories: n <= 114 with 4 of them, n <= 722 with 3; the engine holds
 # three float64 values per outcome, 6 MB at the cap
 EXACT_SUPPORT_CAP = 2**18
-# largest sample size min_sample_size reports or probes
-MAX_SAMPLE_SIZE = 10**9
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,47 +126,13 @@ def build_model(
     mixture ``v * POS + (1 - v) * CCQI`` (pass one or the other, not
     both).  ``background`` adds per-category dark-count probability,
     with a total budget of at most 1, followed by renormalization.
+    The arithmetic and its checks are :mod:`mzsim.predict`'s
+    ``_category_probabilities``.
     """
-    kind = EXPERIMENTS.get(experiment)
-    if kind is None:
-        raise StructureError(
-            f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}"
-        )
-    if not isinstance(params, kind.params):
-        raise StructureError(
-            f"{experiment} needs {kind.params.__name__}, got {type(params).__name__}"
-        )
-    predictor = getattr(predict, f"predict_{experiment}")
-    if params.n0 < 1:
-        raise DomainError("n0 must be >= 1 to derive category probabilities")
-
-    if visibility is not None:
-        if hypothesis is not None:
-            raise StructureError("pass either hypothesis or visibility, not both")
-        if not 0.0 <= visibility <= 1.0:
-            raise DomainError(f"visibility must be in [0, 1], got {visibility}")
-        pos = np.array(predictor(params, Hypothesis.POS).values()) / params.n0
-        ccqi = np.array(predictor(params, Hypothesis.CCQI).values()) / params.n0
-        probs = visibility * pos + (1.0 - visibility) * ccqi
-    else:
-        if hypothesis is None:
-            raise StructureError("a hypothesis is required when visibility is not given")
-        probs = np.array(predictor(params, hypothesis).values()) / params.n0
-
-    if background is not None:
-        try:
-            b = np.broadcast_to(np.asarray(background, dtype=float), probs.shape)
-        except ValueError:
-            raise StructureError(
-                f"background must be a scalar or {probs.shape[0]} values"
-            ) from None
-        if np.any(b < 0):
-            raise DomainError("background probabilities must be >= 0")
-        if b.sum() > 1.0:
-            raise DomainError("background probabilities must sum to at most 1")
-        probs = (probs + b) / (1.0 + b.sum())
-
-    return CategoryModel(kind.labels, probs)
+    probs = _category_probabilities(
+        experiment, params, hypothesis, background=background, visibility=visibility
+    )
+    return CategoryModel(EXPERIMENTS[experiment].labels, probs)
 
 
 def _count_vector(counts, model: CategoryModel) -> np.ndarray:
@@ -210,11 +179,7 @@ def log_likelihood(counts, model: CategoryModel) -> float:
 def _check_comparable(model_h0: CategoryModel, model_h1: CategoryModel) -> None:
     if model_h0.labels != model_h1.labels:
         raise StructureError("models must share one category layout")
-    gap = np.max(np.abs(model_h0.probabilities - model_h1.probabilities))
-    if gap <= MODEL_DISTINCTION_TOL:
-        raise DegenerateComparisonError(
-            "models are identical within tolerance; nothing to discriminate"
-        )
+    _check_distinct(model_h0.probabilities.tolist(), model_h1.probabilities.tolist())
 
 
 def _llr_weights(p0: np.ndarray, p1: np.ndarray):
@@ -435,11 +400,6 @@ def discriminate(
     return DiscriminationReport(llr, p_value, decision)
 
 
-def _zero_cell_hit_probability(model_h0: CategoryModel, model_h1: CategoryModel) -> float:
-    """Probability under h1 of landing in a category impossible under h0."""
-    return float(model_h1.probabilities[model_h0.probabilities == 0.0].sum())
-
-
 def _geometric_min_n(p_hit: float, power: float, replicates: int, seed: int) -> int:
     """Simulation twin of the closed form.
 
@@ -475,13 +435,11 @@ def _rejection_rate(
 def _min_n_by_power_search(
     model_h0: CategoryModel,
     model_h1: CategoryModel,
-    alpha: float | None,
+    alpha: float,
     power: float,
     replicates: int,
     seed: int,
 ) -> int:
-    if alpha is None:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     lo, hi = 0, 1
     while _rejection_rate(hi, model_h0, model_h1, alpha, replicates, seed) < power:
         lo = hi
@@ -530,6 +488,12 @@ def min_sample_size(
     ``method`` selects ``"auto"`` (closed form when available),
     ``"closed_form"`` (error when unavailable), or ``"simulation"``
     (Monte Carlo even for the zero-cell design, as a cross-check).
+
+    The zero-cell rules (the hit probability, the errors for a design
+    without a null-impossible category, the answer 1 at ``p_hit >= 1``,
+    the closed form and the ``MAX_SAMPLE_SIZE`` cap) are
+    :mod:`mzsim.predict`'s ``_zero_cell_hit_probability`` and
+    ``_zero_cell_min_n``.
     """
     _check_comparable(model_h0, model_h1)
     if not 0.0 < power < 1.0:
@@ -540,21 +504,13 @@ def min_sample_size(
     if method not in ("auto", "closed_form", "simulation"):
         raise DomainError(f"unknown method {method!r}")
 
-    p_hit = _zero_cell_hit_probability(model_h0, model_h1)
+    p_hit = _zero_cell_hit_probability(
+        model_h0.probabilities.tolist(), model_h1.probabilities.tolist(), alpha, method
+    )
     if p_hit == 0.0:
-        if method == "closed_form":
-            raise DomainError(
-                "closed form needs a category that is impossible under h0"
-            )
         return _min_n_by_power_search(model_h0, model_h1, alpha, power, replicates, seed)
-    if p_hit >= 1.0:
-        return 1
     if method == "simulation":
-        n = _geometric_min_n(p_hit, power, replicates, seed)
-    else:
-        n = max(1, math.ceil(math.log1p(-power) / math.log1p(-p_hit)))
-    if n > MAX_SAMPLE_SIZE:
-        raise ResourceLimitError(
-            f"required sample size {n} exceeds the cap of {MAX_SAMPLE_SIZE}"
+        return _zero_cell_min_n(
+            p_hit, power, lambda p: _geometric_min_n(p, power, replicates, seed)
         )
-    return n
+    return _zero_cell_min_n(p_hit, power)

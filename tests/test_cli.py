@@ -320,11 +320,23 @@ HUGE_N0 = EXCITATION.replace("n0 = 10000", "n0 = " + "9" * 400)
 DECAY_MODIFIED_RATE = DECAY_WITHOUT_OFFSET.replace(
     "hypothesis = pos", "hypothesis = modified_rate"
 ).replace("lambda = 0", "lambda = 1")
+# the purity pad -ln(mu)/lambda overflows, although every time is 0
+DECAY_INFINITE_PAD = DECAY_WITHOUT_OFFSET.replace("lambda = 0", "lambda = 5e-324").replace(
+    "t1 = 0.5\nt2 = 0.5\nt3 = 0.5", "t1 = 0\nt2 = 0\nt3 = 0"
+)
+# the background fills counter b, so no category is impossible under h0
+BACKGROUND_PLAN = EXCITATION + "\n[stats]\npower = 0.99\nbackground = 1e-3\n"
 
 # (subcommand, config, key the error must name)
 CONFIG_ERRORS = [
     ("predict", DECAY_WITHOUT_OFFSET, "mu"),
-    ("plan", EXCITATION + "\n[stats]\npower = 0.99\nbackground = 1e-3\n", "alpha"),
+    ("predict", DECAY_INFINITE_PAD, "lambda"),
+    # a design without a null-impossible category needs the power search
+    ("plan", BACKGROUND_PLAN, "alpha"),
+    ("plan", BACKGROUND_PLAN + "method = simulation\n", "alpha"),
+    ("plan", BACKGROUND_PLAN + "alpha = 0.01\nmethod = closed_form\n", "method"),
+    # four categories at 0.3 each
+    ("plan", EXCITATION + "\n[stats]\npower = 0.99\nbackground = 0.3\n", "background"),
     (
         "discriminate",
         EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 9000,1000,0,0\n"
@@ -428,12 +440,14 @@ def test_predict_and_config_errors_do_not_import_numpy():
         for config in (EXCITATION, decay, impure_decay, PHOTON)
         for fmt in ("csv", "json")
     ]
-    # plan learns that it needs alpha only after stats has built both models
-    # and found no null-impossible category, so that case loads numpy
-    errors = [[command, config] for command, config, key in CONFIG_ERRORS
-              if (command, key) != ("plan", "alpha")]
-    report = run_guard(predicts + errors)
-    assert report["codes"] == [0] * len(predicts) + [2] * len(errors)
+    # the zero-cell closed form: without alpha, with it unused, under visibility 1, by name
+    closed_form = [
+        ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]
+        for extra in ("", "alpha = 0.05\n", "visibility = 1\n", "method = closed_form\n")
+    ]
+    errors = [[command, config] for command, config, key in CONFIG_ERRORS]
+    report = run_guard(predicts + closed_form + errors)
+    assert report["codes"] == [0] * len(predicts + closed_form) + [2] * len(errors)
     assert report["numpy"] is False
 
 
@@ -445,7 +459,6 @@ def test_exact_discriminate_and_plan_do_not_import_numpy_random():
         ["discriminate", stats + "counts = 80,15,3,2\nvisibility = 0.9\n"],
         ["discriminate", EXCITATION + "[stats]\nalpha = 0.05\ncounts = 80,15,3,2\n"],
         ["plan", stats + "power = 0.9\n"],
-        ["plan", EXCITATION + "[stats]\npower = 0.9\n"],
     ]
     report = run_guard(exact)
     assert report["codes"] == [0] * len(exact)

@@ -221,6 +221,20 @@ class TestPurityFold:
             0.25 * survival_fraction(2.0, 0.3), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "lam, t1, t2",
+        [(5e-324, 0.0, 0.0), (1e-308, 1.2e308, 0.0), (1e-308, 1e307, 1.5e308)],
+    )
+    def test_refuses_a_pad_that_leaves_no_finite_time(self, lam, t1, t2):
+        # the pad -ln(mu)/lam, t1 plus it, or the folded total time overflows
+        with pytest.raises(DomainError, match=r"^mu = 0\.5 at lam = "):
+            DecayParams(n0=10, lam=lam, t1=t1, t2=t2, t3=0.0, mu=0.5)
+
+    def test_fold_never_fails_at_the_edge_of_the_float_range(self):
+        # -ln(0.5) / 1e-308 is finite, and so is t1 plus it
+        p = DecayParams(n0=10, lam=1e-308, t1=1e308, t2=0.0, t3=0.0, mu=0.5)
+        assert p.with_purity_folded().t1 == 1e308 + math.log(2) / 1e-308
+
     def test_fold_is_identity_for_pure_source(self):
         p = DecayParams(n0=1000, lam=2.0, t1=0.3, t2=0.4, t3=0.2)
         assert p.with_purity_folded() is p

@@ -303,6 +303,13 @@ class TestMinSampleSize:
         with pytest.raises(ResourceLimitError):
             min_sample_size(h0, h1, None, 0.999)
 
+    def test_subnormal_hit_probability_hits_the_cap(self):
+        # ln(1 - power) / ln(1 - p_hit) overflows; no ceil of inf is attempted
+        h0 = CategoryModel(("a", "b", "c"), np.array([0.5, 0.5, 0.0]))
+        h1 = CategoryModel(("a", "b", "c"), np.array([0.4, 0.6, 1e-320]))
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            min_sample_size(h0, h1, None, 0.5)
+
     def test_closed_form_requires_a_zero_cell(self):
         a = pos_model(background=1e-3)
         b = ccqi_model(background=1e-3)
