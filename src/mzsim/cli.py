@@ -32,13 +32,17 @@ category probabilities are answered without loading numpy.  ``plan``
 takes the probabilities and the closed form from the pure-Python
 helpers of :mod:`~mzsim.predict`, so it also refuses a missing
 ``alpha``, a ``method = closed_form`` without a null-impossible category
-and a ``background`` budget above 1 before numpy loads.  ``simulate``,
-``fringes``, ``discriminate``, ``plan``'s power search and
-``method = simulation``, and ``sectors-demo`` load numpy on their first
-call into the numpy-backed layers (:mod:`~mzsim.montecarlo`,
-:mod:`~mzsim.fringes`, :mod:`~mzsim.stats`, :mod:`~mzsim.sectors`),
-which the package binds lazily and this module calls through their
-module objects.
+and a ``background`` budget above 1 before numpy loads.
+``discriminate`` and ``plan``'s power search run the checks of
+:mod:`~mzsim.stats` and every test or power probe whose pooled support
+has at most ``LIGHT_SUPPORT_CAP`` outcomes in pure Python
+(``mzsim._exact``, loaded by those two requests only).  ``simulate``,
+``fringes``, a ``discriminate`` or power search that leaves that tier,
+``plan``'s ``method = simulation``, and ``sectors-demo`` load numpy on
+their first call into the numpy-backed layers
+(:mod:`~mzsim.montecarlo`, :mod:`~mzsim.fringes`, :mod:`~mzsim.stats`,
+:mod:`~mzsim.sectors`), which the package binds lazily and this module
+calls through their module objects.
 """
 
 import argparse
@@ -47,10 +51,11 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from . import fringes, montecarlo, predict, sectors, stats
 from .config import _FIELD_KEYS, RunConfig, parse_config
+from .core import EXPERIMENTS
 from .errors import (
     ConfigError,
     DomainError,
@@ -178,19 +183,26 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "discriminate emits JSON; remove format = csv")
     _require(cfg.stats.counts is not None, "discriminate needs counts in [stats]")
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
-    _stats_models(cfg, predict._category_probabilities)  # refuse bad models before numpy loads
-    model_h0, model_h1 = _stats_models(cfg, stats.build_model)
-    report = stats.discriminate(
-        cfg.stats.counts,
-        model_h0,
-        model_h1,
-        cfg.stats.alpha,
-        replicates=cfg.stats.replicates or 100_000,
-        seed=cfg.sim.seed,
+    from . import _exact
+
+    # stats.discriminate's steps on plain floats, up to a support above the light cap
+    p0, p1 = _stats_models(cfg, predict._category_probabilities)
+    predict._check_distinct(p0, p1)
+    replicates = cfg.stats.replicates or 100_000
+    labels = EXPERIMENTS[cfg.experiment].labels
+    result = _exact.discriminate(cfg.stats.counts, labels, p0, p1, cfg.stats.alpha, replicates)
+    if result is None:
+        result = astuple(stats.discriminate(
+            cfg.stats.counts,
+            *_stats_models(cfg, stats.build_model),
+            cfg.stats.alpha,
+            replicates=replicates,
+            seed=cfg.sim.seed,
+        ))
+    llr, p_value, decision = result
+    return _json(
+        {"log_likelihood_ratio": _finite(llr), "p_value_h0": p_value, "decision": decision}
     )
-    payload = report.as_dict()
-    payload["log_likelihood_ratio"] = _finite(payload["log_likelihood_ratio"])
-    return _json(payload)
 
 
 def _cmd_plan(cfg: RunConfig) -> str:
@@ -202,9 +214,19 @@ def _cmd_plan(cfg: RunConfig) -> str:
     p0, p1 = _stats_models(cfg, predict._category_probabilities)
     predict._check_distinct(p0, p1)
     p_hit = predict._zero_cell_hit_probability(p0, p1, opts.alpha, opts.method)
-    if p_hit > 0.0 and opts.method != "simulation":
+    n = None
+    if p_hit == 0.0:
+        from . import _exact
+
+        def light_rate(n):
+            if _exact.tier(n, p0, p1) == "light":
+                return _exact.power(n, p0, p1, opts.alpha)
+            return None  # stops the search; stats repeats it, its light probes cached
+
+        n = _exact.power_search(light_rate, opts.power)
+    elif opts.method != "simulation":
         n = predict._zero_cell_min_n(p_hit, opts.power)
-    else:
+    if n is None:
         n = stats.min_sample_size(
             *_stats_models(cfg, stats.build_model),
             opts.alpha,

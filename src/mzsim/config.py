@@ -29,7 +29,8 @@ count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
 or per-category comma list), ``visibility``, ``replicates`` (1 to
 ``core.MAX_REPLICATES``) and ``method`` (auto | closed_form |
 simulation).  ``discriminate`` and ``plan`` compute p-values and power
-exactly while the multinomial support is at most
+exactly while the multinomial support, over the categories left after
+pooling those whose likelihood ratios tie, is at most
 ``stats.EXACT_SUPPORT_CAP`` outcomes; only above it do ``replicates``
 Monte Carlo draws and ``seed`` enter.  ``[fringes]`` holds the screen
 geometry plus ``pattern`` (coherent | incoherent).  ``[output]`` holds

@@ -5,7 +5,7 @@ structural zeros (nothing reaches counter b under POS), which puts the
 null hypothesis on the boundary of the parameter space.  Chi-square
 asymptotics are invalid there, so p-values and power come from the
 multinomial itself: exactly, by enumerating every outcome, while the
-support has at most ``EXACT_SUPPORT_CAP`` outcomes (Resin 2023,
+pooled support has at most ``EXACT_SUPPORT_CAP`` outcomes (Resin 2023,
 *J. Comput. Graph. Stat.* 32(2)), and by seeded parametric simulation
 above it.  Sample-size planning for the background-free design reduces
 to a closed form: the first count in a null-impossible category
@@ -24,8 +24,14 @@ with the same impossibility masks whose weights lie within
 the counts only through their sum, a pooled multinomial is again
 multinomial, and pooling moves no outcome's statistic by more than
 ``TIE_REL_TOL``.  Cells impossible under both models are dropped, as
-no outcome with mass reaches them.  Whether a support is enumerated
-still depends on its raw category count.
+no outcome with mass reaches them.
+
+:mod:`mzsim._exact` owns these rules on plain floats: the statistic,
+the tie rule, the pooling, the tier that the pooled support picks for
+each test and power probe, the decision and the power search.  It
+enumerates supports of at most ``LIGHT_SUPPORT_CAP`` outcomes itself,
+in pure Python, with the tables, branching order and float operations
+of this module's engine, which takes the supports above that cap.
 
 The arithmetic that turns a predicted table into category
 probabilities, the check that two models differ, and the zero-cell
@@ -34,16 +40,18 @@ this module calls and the CLI calls without loading numpy.
 """
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import EXPERIMENTS, MAX_REPLICATES, CountTable, Hypothesis
-from .errors import DomainError, ResourceLimitError, StructureError
+from . import _exact
+from ._exact import EXACT_SUPPORT_CAP, TIE_REL_TOL  # the caps and tolerance stay readable here
+from ._exact import llr_weights as _llr_weights
+from ._exact import pooled_cells as _pooled_cells
+from .core import EXPERIMENTS, Hypothesis
+from .errors import DomainError, StructureError
 from .predict import (
-    MAX_SAMPLE_SIZE,
     _category_probabilities,
     _check_distinct,
     _zero_cell_hit_probability,
@@ -60,12 +68,6 @@ __all__ = [
 ]
 
 PROBABILITY_SUM_TOL = 1e-12
-# statistics within this relative distance of each other count as tied
-TIE_REL_TOL = 1e-9
-# largest multinomial support enumerated exactly, counted over the raw
-# categories: n <= 114 with 4 of them, n <= 722 with 3; the engine holds
-# three float64 values per outcome, 6 MB at the cap
-EXACT_SUPPORT_CAP = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,32 +137,6 @@ def build_model(
     return CategoryModel(EXPERIMENTS[experiment].labels, probs)
 
 
-def _count_vector(counts, model: CategoryModel) -> np.ndarray:
-    if isinstance(counts, CountTable):
-        if counts.labels != model.labels:
-            raise StructureError(
-                f"count categories {counts.labels} do not match model {model.labels}"
-            )
-        values = counts.values()
-    else:
-        values = tuple(counts)
-        if len(values) != len(model.labels):
-            raise StructureError(
-                f"expected {len(model.labels)} counts, got {len(values)}"
-            )
-    # checked before the int64 cast, which would wrap larger values
-    if not all(map(_is_count, values)) or sum(map(int, values)) >= 2**63:
-        raise DomainError(
-            f"counts must be non-negative integers summing to less than 2**63, "
-            f"got {values}"
-        )
-    return np.array([int(v) for v in values], dtype=np.int64)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Real) and 0 <= value < 2**63 and value == int(value)
-
-
 def log_likelihood(counts, model: CategoryModel) -> float:
     """Multinomial log likelihood up to the count-only combinatorial constant.
 
@@ -168,12 +144,8 @@ def log_likelihood(counts, model: CategoryModel) -> float:
     likelihood ratios are exact.  Observing a category the model deems
     impossible returns ``-inf``.
     """
-    n = _count_vector(counts, model)
-    p = model.probabilities
-    if np.any((p == 0.0) & (n > 0)):
-        return float("-inf")
-    mask = n > 0
-    return float(np.sum(n[mask] * np.log(p[mask])))
+    values = _exact.count_values(counts, model.labels)
+    return _exact.log_likelihood(values, model.probabilities.tolist())
 
 
 def _check_comparable(model_h0: CategoryModel, model_h1: CategoryModel) -> None:
@@ -182,16 +154,8 @@ def _check_comparable(model_h0: CategoryModel, model_h1: CategoryModel) -> None:
     _check_distinct(model_h0.probabilities.tolist(), model_h1.probabilities.tolist())
 
 
-def _llr_weights(p0: np.ndarray, p1: np.ndarray):
-    """Per-category LLR weights plus masks for the one-sided-impossible cells."""
-    finite = (p0 > 0) & (p1 > 0)
-    w = np.zeros(p0.shape)
-    w[finite] = np.log(p1[finite]) - np.log(p0[finite])
-    return w, (p1 == 0) & (p0 > 0), (p0 == 0) & (p1 > 0)
-
-
 def _llr_values(draws: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    w, h1_zero, h0_zero = _llr_weights(p0, p1)
+    w, h1_zero, h0_zero = (np.array(x) for x in _llr_weights(p0.tolist(), p1.tolist()))
     vals = draws @ w
     if h1_zero.any():
         vals = np.where(draws[:, h1_zero].sum(axis=1) > 0, -np.inf, vals)
@@ -201,7 +165,7 @@ def _llr_values(draws: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray
 
 
 def _tie_floor(llr):
-    """Lowest statistic that ties or beats ``llr``; ``llr`` must not be ``+inf``."""
+    """``_exact.tie_floor`` over an array of statistics."""
     return llr - TIE_REL_TOL * np.maximum(1.0, np.abs(llr))
 
 
@@ -216,39 +180,6 @@ def _sampled_p_values(sorted_null: np.ndarray, llr):
     return (1 + count_ge) / (1 + replicates)
 
 
-def _check_replicates(replicates: int) -> None:
-    if not 1 <= replicates <= MAX_REPLICATES:
-        raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {replicates}")
-
-
-def _is_enumerable(n: int, ncat: int) -> bool:
-    return math.comb(n + ncat - 1, ncat - 1) <= EXACT_SUPPORT_CAP
-
-
-def _pooled_cells(n: int, p0: np.ndarray, p1: np.ndarray) -> list[list[int]]:
-    """Cells whose LLR weights tie within ``TIE_REL_TOL / n``, as groups of indices.
-
-    A group shares one pair of impossibility masks, and its weights span
-    at most ``TIE_REL_TOL / n``, so pooling it moves no statistic of
-    ``n`` draws by more than ``TIE_REL_TOL``, up to rounding.  Cells
-    impossible under both models join no group.
-    """
-    w, h1_zero, h0_zero = _llr_weights(p0, p1)
-    live = [k for k in range(w.shape[0]) if p0[k] > 0 or p1[k] > 0]
-    groups = []
-    for k in sorted(live, key=lambda k: (h1_zero[k], h0_zero[k], w[k])):
-        head = groups[-1][0] if groups else None
-        if (
-            head is not None
-            and (h1_zero[head], h0_zero[head]) == (h1_zero[k], h0_zero[k])
-            and n * abs(w[k] - w[head]) <= TIE_REL_TOL
-        ):
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return sorted(sorted(group) for group in groups)
-
-
 class _ExactTest:
     """Every outcome of ``n`` draws, over pooled cells, with its LLR and null mass.
 
@@ -259,8 +190,8 @@ class _ExactTest:
 
     def __init__(self, n: int, p0: np.ndarray, p1: np.ndarray):
         self.groups = _pooled_cells(n, p0, p1)
-        q0 = np.array([p0[g].sum() for g in self.groups])
-        q1 = np.array([p1[g].sum() for g in self.groups])
+        q0 = _exact.pooled(p0.tolist(), self.groups)
+        q1 = _exact.pooled(p1.tolist(), self.groups)
         w, h1_zero, h0_zero = _llr_weights(q0, q1)
         count = np.arange(n + 1)
         log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
@@ -355,49 +286,31 @@ def discriminate(
     the counts hit a category that is impossible under the null, the
     null is rejected outright with a p-value of exactly 0.  Otherwise
     the p-value is the null probability of a statistic at least as
-    extreme, ties within ``TIE_REL_TOL`` included.  While the support
-    has at most ``EXACT_SUPPORT_CAP`` outcomes that probability is
-    summed over all of them, and ``replicates`` and ``seed`` go unused;
-    above the cap it is the fraction of ``replicates`` seeded
+    extreme, ties within ``TIE_REL_TOL`` included.  While the pooled
+    support has at most ``EXACT_SUPPORT_CAP`` outcomes that probability
+    is summed over all of them, and ``replicates`` and ``seed`` go
+    unused; above the cap it is the fraction of ``replicates`` seeded
     multinomial draws under the null, with the usual add-one
     correction, so it cannot fall below ``1 / (replicates + 1)``.
     """
     _check_comparable(model_h0, model_h1)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    _check_replicates(replicates)
-    n = _count_vector(counts, model_h0)
-    ll0 = log_likelihood(n, model_h0)
-    ll1 = log_likelihood(n, model_h1)
-
-    if math.isinf(ll0) and math.isinf(ll1):
-        raise DomainError("observed counts are impossible under both models")
-    if math.isinf(ll0):
-        return DiscriminationReport(float("inf"), 0.0, "favor_H1")
-    if math.isinf(ll1):
-        return DiscriminationReport(float("-inf"), 1.0, "favor_H0")
-
-    llr = ll1 - ll0
     p0, p1 = model_h0.probabilities, model_h1.probabilities
-    # the null statistics' arithmetic can differ from ll1 - ll0 in the last
-    # bits, so the observed statistic goes through it too before ties are counted
-    total = int(n.sum())
-    if _is_enumerable(total, n.shape[0]):
-        exact = _ExactTest(total, p0, p1)
-        p_value = exact.p_value(exact.statistic(n))
-    else:
+
+    def heavy(values, engine):
+        n = np.array(values, dtype=np.int64)
+        total = int(n.sum())
+        if engine == "exact":
+            exact = _ExactTest(total, p0, p1)
+            return exact.p_value(exact.statistic(n))
         observed = float(_llr_values(n[np.newaxis, :], p0, p1)[0])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         null_llr = np.sort(_llr_values(rng.multinomial(total, p0, size=replicates), p0, p1))
-        p_value = float(_sampled_p_values(null_llr, observed))
+        return float(_sampled_p_values(null_llr, observed))
 
-    if p_value <= alpha:
-        decision = "favor_H1"
-    elif llr <= 0:
-        decision = "favor_H0"
-    else:
-        decision = "inconclusive"
-    return DiscriminationReport(llr, p_value, decision)
+    result = _exact.discriminate(
+        counts, model_h0.labels, p0.tolist(), p1.tolist(), alpha, replicates, heavy
+    )
+    return DiscriminationReport(*result)
 
 
 def _geometric_min_n(p_hit: float, power: float, replicates: int, seed: int) -> int:
@@ -421,40 +334,18 @@ def _rejection_rate(
     replicates: int,
     seed: int,
 ) -> float:
-    """Power at sample size ``n``: exact below the support cap, else a
+    """Power at sample size ``n``: exact up to the support cap, else a
     Monte Carlo estimate via a shared null reference sample."""
     p0, p1 = model_h0.probabilities, model_h1.probabilities
-    if _is_enumerable(n, p0.shape[0]):
+    engine = _exact.tier(n, p0.tolist(), p1.tolist())
+    if engine == "light":
+        return _exact.power(n, p0.tolist(), p1.tolist(), alpha)
+    if engine == "exact":
         return _ExactTest(n, p0, p1).power(alpha)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
     null_llr = np.sort(_llr_values(rng.multinomial(n, p0, size=replicates), p0, p1))
     alt_llr = _llr_values(rng.multinomial(n, p1, size=replicates), p0, p1)
     return float(np.mean(_sampled_p_values(null_llr, alt_llr) <= alpha))
-
-
-def _min_n_by_power_search(
-    model_h0: CategoryModel,
-    model_h1: CategoryModel,
-    alpha: float,
-    power: float,
-    replicates: int,
-    seed: int,
-) -> int:
-    lo, hi = 0, 1
-    while _rejection_rate(hi, model_h0, model_h1, alpha, replicates, seed) < power:
-        lo = hi
-        hi *= 2
-        if hi > MAX_SAMPLE_SIZE:
-            raise ResourceLimitError(
-                f"no sample size up to the cap of {MAX_SAMPLE_SIZE} reaches power {power}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _rejection_rate(mid, model_h0, model_h1, alpha, replicates, seed) >= power:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def min_sample_size(
@@ -477,7 +368,7 @@ def min_sample_size(
     stated ``alpha`` and returns an ``n0`` whose power reaches ``power``
     while that of ``n0 - 1`` falls short.  Exact power saw-tooths in
     ``n0``, so this crossing need not be the first: a smaller ``n0``
-    may reach ``power`` too.  A probe whose support has at most
+    may reach ``power`` too.  A probe whose pooled support has at most
     ``EXACT_SUPPORT_CAP`` outcomes computes the power exactly, with no
     dependence on ``replicates`` or ``seed``.  Above the cap a probe
     estimates it from ``replicates`` seeded draws per hypothesis; the
@@ -500,7 +391,7 @@ def min_sample_size(
         raise DomainError(f"power must be in (0, 1), got {power}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    _check_replicates(replicates)
+    _exact.check_replicates(replicates)
     if method not in ("auto", "closed_form", "simulation"):
         raise DomainError(f"unknown method {method!r}")
 
@@ -508,7 +399,9 @@ def min_sample_size(
         model_h0.probabilities.tolist(), model_h1.probabilities.tolist(), alpha, method
     )
     if p_hit == 0.0:
-        return _min_n_by_power_search(model_h0, model_h1, alpha, power, replicates, seed)
+        return _exact.power_search(
+            lambda n: _rejection_rate(n, model_h0, model_h1, alpha, replicates, seed), power
+        )
     if method == "simulation":
         return _zero_cell_min_n(
             p_hit, power, lambda p: _geometric_min_n(p, power, replicates, seed)

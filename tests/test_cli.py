@@ -400,8 +400,8 @@ class TestConfigInducedErrors:
 
 
 # runs in a fresh interpreter: import the package and the CLI, answer every
-# request given on stdin, then report the exit codes and whether numpy and
-# numpy.random loaded
+# request given on stdin, then report the exit codes and whether numpy,
+# numpy.random and the pure-Python exact engine loaded
 GUARD_SCRIPT = """
 import contextlib, io, json, os, sys, tempfile
 import mzsim, mzsim.cli
@@ -415,7 +415,8 @@ with tempfile.TemporaryDirectory() as tmp:
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append(mzsim.cli.main([command, "--config", path, *flags]))
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "numpy_random": "numpy.random" in sys.modules}))
+                  "numpy_random": "numpy.random" in sys.modules,
+                  "light_engine": "mzsim._exact" in sys.modules}))
 """
 
 
@@ -445,27 +446,40 @@ def test_predict_and_config_errors_do_not_import_numpy():
         ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]
         for extra in ("", "alpha = 0.05\n", "visibility = 1\n", "method = closed_form\n")
     ]
-    errors = [[command, config] for command, config, key in CONFIG_ERRORS]
-    report = run_guard(predicts + closed_form + errors)
-    assert report["codes"] == [0] * len(predicts + closed_form) + [2] * len(errors)
-    assert report["numpy"] is False
-
-
-def test_exact_discriminate_and_plan_do_not_import_numpy_random():
-    # numpy.random takes ~14 ms to import, and only the Monte Carlo paths use it
+    # exact tests and power searches whose pooled supports stay on the light tier
     stats = EXCITATION + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
-    exact = [
+    light = [
         ["discriminate", stats + "counts = 80,15,3,2\n"],
         ["discriminate", stats + "counts = 80,15,3,2\nvisibility = 0.9\n"],
         ["discriminate", EXCITATION + "[stats]\nalpha = 0.05\ncounts = 80,15,3,2\n"],
         ["plan", stats + "power = 0.9\n"],
     ]
+    errors = [[command, config] for command, config, key in CONFIG_ERRORS]
+    report = run_guard(predicts + closed_form + light + errors)
+    assert report["codes"] == [0] * len(predicts + closed_form + light) + [2] * len(errors)
+    assert report["numpy"] is False and report["light_engine"] is True
+
+
+def test_importing_the_cli_does_not_load_the_light_engine():
+    assert run_guard([]) == {
+        "codes": [], "numpy": False, "numpy_random": False, "light_engine": False
+    }
+
+
+def test_exact_discriminate_and_plan_do_not_import_numpy_random():
+    # numpy.random takes ~14 ms to import, and only the Monte Carlo paths use it;
+    # at t = 0.7 nb1 and nb2 do not tie, so 80 draws fill 91,881 outcomes,
+    # above the light tier's cap, and numpy enumerates them
+    stats = EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
+    exact = [["discriminate", stats + "counts = 62,12,3,3\n"]]
     report = run_guard(exact)
     assert report["codes"] == [0] * len(exact)
     assert report["numpy"] is True and report["numpy_random"] is False
     # above the exact cap discriminate draws, and the guard sees it
     sampled = run_guard([["discriminate", stats + "counts = 160,30,6,4\nreplicates = 10\n"]])
-    assert sampled == {"codes": [0], "numpy": True, "numpy_random": True}
+    assert sampled == {
+        "codes": [0], "numpy": True, "numpy_random": True, "light_engine": True
+    }
 
 
 HYPOTHESES = st.sampled_from(["pos", "ccqi", "modified_rate"])

@@ -3,7 +3,8 @@
 Each case runs one ``mzsim`` request in process and compares the sha256
 of its stdout and its exit code with the recorded ones.  The cases
 cover every subcommand and both formats, decay with an impure source,
-``discriminate`` below and above the exact cap, and ``plan`` by closed
+``discriminate`` on each tier (pure Python, numpy enumeration, Monte
+Carlo) and with pooled cells, and ``plan`` by closed
 form, by ``method = simulation``, by exact search and by Monte Carlo
 search.  A change that keeps every byte of output keeps them passing;
 a failing case prints its actual digest, so an intended change can be
@@ -26,9 +27,9 @@ def _ini(**sections) -> str:
     )
 
 
-def _excitation(hypothesis="pos", n0=10000, epsilon=0.2):
+def _excitation(hypothesis="pos", n0=10000, epsilon=0.2, t=LN2):
     return {"experiment": "excitation", "hypothesis": hypothesis, "n0": n0,
-            "epsilon": epsilon, "lambda": 1.0, "t": LN2}
+            "epsilon": epsilon, "lambda": 1.0, "t": t}
 
 
 def _decay(hypothesis):
@@ -93,8 +94,20 @@ REQUESTS = {
         "discriminate", _ini(experiment=_excitation(),
                              stats={"alpha": 0.05, "counts": "80,15,3,2",
                                     "visibility": 0.9, "background": BACKGROUND}), []),
-    "discriminate-monte-carlo": (
+    # 200 draws over three pooled cells (nb1 and nb2 tie at t = ln 2): 20,301 outcomes
+    "discriminate-exact-pooled": (
         "discriminate", _ini(experiment=_excitation(),
+                             stats={"alpha": 0.01, "counts": "160,30,6,4",
+                                    "background": BACKGROUND, "replicates": 20000}),
+        ["--seed", "5"]),
+    # at t = 0.7 the four cells stay apart: 80 draws, 91,881 outcomes, above the light cap
+    "discriminate-exact-four-cells": (
+        "discriminate", _ini(experiment=_excitation(t=0.7),
+                             stats={"alpha": 0.01, "counts": "62,12,3,3",
+                                    "background": BACKGROUND}), []),
+    # 200 draws over four cells: 1,373,701 outcomes, above the exact cap
+    "discriminate-monte-carlo": (
+        "discriminate", _ini(experiment=_excitation(t=0.7),
                              stats={"alpha": 0.01, "counts": "160,30,6,4",
                                     "background": BACKGROUND, "replicates": 20000}),
         ["--seed", "5"]),
@@ -134,10 +147,12 @@ GOLDEN = {
     "fringes-incoherent-json": ("1f96e883a94151ef407efd82287117a26683c6870947d1aa42e1ca2c5515c403", 0),
     "sectors-demo": ("bc605d2fb7b1bc59126fbec507970591b050fdbda8cb0eaae8dbfb6064f60dcc", 0),
     "discriminate-exact-zero-cells": ("458f2c40f95ff8740f4f91392deb2de52234be54daac8786657ceeca1eda10ca", 0),
-    "discriminate-exact-background": ("2bf17dbddc410f10ded7be9a86ca4f4f38681da706f5215b430d0b65bfc35908", 0),
-    "discriminate-exact-background-each": ("2bf17dbddc410f10ded7be9a86ca4f4f38681da706f5215b430d0b65bfc35908", 0),
-    "discriminate-exact-visibility": ("4cecd2d793ed08b1becfe86589828826c6966babe91704d4054daa07cd7f514a", 0),
-    "discriminate-monte-carlo": ("eafdda10ecbfef3f15c408d15ea935d88b36bdd7f3b5fc69f62cb291670b75c1", 0),
+    "discriminate-exact-background": ("9b8872432965aa1f8274e3754b9b5967152e80953493fbdc1695bf07b5388dde", 0),
+    "discriminate-exact-background-each": ("9b8872432965aa1f8274e3754b9b5967152e80953493fbdc1695bf07b5388dde", 0),
+    "discriminate-exact-visibility": ("6a01a4258ab1f5380c649a0a07a57222e0b270b1e66bbb6267d1ec3b05190802", 0),
+    "discriminate-exact-pooled": ("9d9184468dc350ac75e9740eed2459ba9cac0be6e60b612d0ff617f342899aa9", 0),
+    "discriminate-exact-four-cells": ("b4ad4ef9921f60391a9af15034574ba32a702b46c194ffd722a408fc94201589", 0),
+    "discriminate-monte-carlo": ("7bf6f7f7e65c37f1fd7a0a2c4d1b2b1d3f7915a125134ea8ff117d5bd9015294", 0),
     "plan-closed-form": ("6fce2fc43e1f922687fe8ba340de0268c102289a2f789cd69b55276277c35162", 0),
     "plan-simulation": ("1369457ab97f5dfb7a1e20e15d9a5f3fcc72eebb20236e54a8637eb312143706", 0),
     "plan-exact-background": ("4bb13803cd4a7cfc6cc117ef49644e3597638804d31ae57437f7f30bbc397a49", 0),

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from mzsim import stats
+from mzsim import _exact, stats
 from mzsim.core import (
     ATOM_LABELS,
     MAX_REPLICATES,
@@ -38,10 +40,17 @@ from mzsim.stats import (
 
 LN2 = math.log(2.0)
 COUNT_LABELS = ATOM_LABELS
+# at t = 0.7 nb1 and nb2 do not tie, so a background design keeps four pooled cells
+FOUR_CELLS = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=0.7)
 
 
 def excitation_params(n0=10_000, epsilon=0.2):
     return ExcitationParams(n0=n0, epsilon=epsilon, lam=1.0, t=LN2)
+
+
+def four_cell_models():
+    return (build_model("excitation", FOUR_CELLS, Hypothesis.POS, background=1e-3),
+            build_model("excitation", FOUR_CELLS, Hypothesis.CCQI, background=1e-3))
 
 
 def pos_model(**kwargs):
@@ -257,7 +266,7 @@ class TestDiscriminate:
         assert report.p_value_h0 > 0.11
 
     def test_replicates_are_capped_before_sampling(self):
-        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
+        h0, h1 = four_cell_models()
         # above the exact cap, 10**13 replicates would ask for a 291 TiB sample
         for replicates in (0, MAX_REPLICATES + 1, 10**13):
             with pytest.raises(DomainError, match="replicates"):
@@ -402,24 +411,40 @@ POOLED_DESIGNS = {
 }
 
 
+def check_against_brute_force(design):
+    h0, h1 = ORACLE_DESIGNS[design]
+    n = 12
+    support, llr, p_values, mass1 = brute_force_test(h0.probabilities, h1.probabilities, n)
+    if design == "decay-modified_rate":
+        # the two shared structural-zero cells carry no mass under either model
+        assert np.all(h0.probabilities[2:] == 0) and np.all(h1.probabilities[2:] == 0)
+    for x, stat, p in zip(support, llr, p_values):
+        if np.isfinite(stat):
+            report = discriminate(x, h0, h1, alpha=0.05, seed=5)
+            assert report.p_value_h0 == pytest.approx(p, abs=1e-12)
+    for alpha in (0.01, 0.05, 0.3):
+        power = mass1[p_values <= alpha].sum()
+        assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
+
+
+def refuse(*args):
+    raise AssertionError("this engine belongs to another tier")
+
+
 class TestExactEngine:
     """Below EXACT_SUPPORT_CAP p-values and power are exact sums over the support."""
 
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_p_values_and_power_match_a_brute_force_sum(self, design):
-        h0, h1 = ORACLE_DESIGNS[design]
-        n = 12
-        support, llr, p_values, mass1 = brute_force_test(h0.probabilities, h1.probabilities, n)
-        if design == "decay-modified_rate":
-            # the two shared structural-zero cells carry no mass under either model
-            assert np.all(h0.probabilities[2:] == 0) and np.all(h1.probabilities[2:] == 0)
-        for x, stat, p in zip(support, llr, p_values):
-            if np.isfinite(stat):
-                report = discriminate(x, h0, h1, alpha=0.05, seed=5)
-                assert report.p_value_h0 == pytest.approx(p, abs=1e-12)
-        for alpha in (0.01, 0.05, 0.3):
-            power = mass1[p_values <= alpha].sum()
-            assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
+    def test_p_values_and_power_match_a_brute_force_sum(self, design, monkeypatch):
+        # 12 draws lie on the pure-Python tier
+        monkeypatch.setattr(stats, "_ExactTest", refuse)
+        check_against_brute_force(design)
+
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_the_numpy_tier_matches_a_brute_force_sum(self, design, monkeypatch):
+        monkeypatch.setattr(_exact, "LIGHT_SUPPORT_CAP", 0)
+        monkeypatch.setattr(_exact, "ExactTest", refuse)
+        check_against_brute_force(design)
 
     @pytest.mark.parametrize("design", sorted(POOLED_DESIGNS))
     def test_tied_cells_pool(self, design):
@@ -496,9 +521,7 @@ class TestExactEngine:
 
     def test_memory_at_the_cap(self):
         # four distinct weights, so nothing pools
-        params = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=0.7)
-        p0 = build_model("excitation", params, Hypothesis.POS, background=1e-3).probabilities
-        p1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3).probabilities
+        p0, p1 = (model.probabilities for model in four_cell_models())
         n = 114
         assert math.comb(n + 3, 3) <= EXACT_SUPPORT_CAP < math.comb(n + 4, 3)
         assert len(_pooled_cells(n, p0, p1)) == 4
@@ -564,8 +587,9 @@ class TestExactEngine:
             assert power == np.mean(p_values <= alpha), alpha
 
     def test_above_the_cap_the_seeded_simulation_runs(self):
-        h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
-        counts = (100, 13, 1, 1)  # 115 draws: C(118, 3) outcomes
+        h0, h1 = four_cell_models()
+        counts = (100, 13, 1, 1)  # 115 draws over four pooled cells: C(118, 3) outcomes
+        assert len(_pooled_cells(115, h0.probabilities, h1.probabilities)) == 4
         assert math.comb(118, 3) > EXACT_SUPPORT_CAP >= math.comb(117, 3)
         p_values = {
             discriminate(counts, h0, h1, alpha=0.01, replicates=999, seed=seed).p_value_h0
@@ -573,3 +597,75 @@ class TestExactEngine:
         }
         assert len(p_values) == 2
         assert all((1000 * p) == pytest.approx(round(1000 * p), abs=1e-9) for p in p_values)
+
+    def test_the_light_tier_ends_at_its_cap(self, monkeypatch):
+        # two cells: n draws have n + 1 outcomes
+        h0 = CategoryModel(("a", "b"), np.array([0.5, 0.5]))
+        h1 = CategoryModel(("a", "b"), np.array([0.45, 0.55]))
+        p0, p1 = h0.probabilities.tolist(), h1.probabilities.tolist()
+        cap = _exact.LIGHT_SUPPORT_CAP
+        assert cap == 2**15
+        assert _exact.tier(cap - 1, p0, p1) == "light"
+        assert _exact.tier(cap, p0, p1) == "exact"
+        light = (_rejection_rate(cap - 1, h0, h1, 0.05, 10, 0),
+                 discriminate((cap // 2, cap // 2 - 1), h0, h1, alpha=0.05))
+        heavy = (_rejection_rate(cap, h0, h1, 0.05, 10, 0),
+                 discriminate((cap // 2, cap // 2), h0, h1, alpha=0.05))
+
+        monkeypatch.setattr(stats, "_ExactTest", refuse)
+        assert (_rejection_rate(cap - 1, h0, h1, 0.05, 10, 0),
+                discriminate((cap // 2, cap // 2 - 1), h0, h1, alpha=0.05)) == light
+        monkeypatch.undo()
+        monkeypatch.setattr(_exact, "ExactTest", refuse)
+        monkeypatch.setattr(_exact, "_power", refuse)
+        assert (_rejection_rate(cap, h0, h1, 0.05, 10, 0),
+                discriminate((cap // 2, cap // 2), h0, h1, alpha=0.05)) == heavy
+
+
+@st.composite
+def engine_designs(draw):
+    """(n, p0, p1) on the light tier: three or four cells, two of them tied or
+    not, one cell impossible under h0, h1, both or neither."""
+    k = draw(st.sampled_from([3, 4]))
+    p0 = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    w = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        w[1] = w[0]
+    p1 = [a * math.exp(x) for a, x in zip(p0, w)]
+    zero = draw(st.sampled_from(["none", "h0", "h1", "both"]))
+    if zero in ("h0", "both"):
+        p0[-1] = 0.0
+    if zero in ("h1", "both"):
+        p1[-1] = 0.0
+    p0, p1 = ([x / sum(p) for x in p] for p in (p0, p1))
+    cells = len(_exact.pooled_cells(1, p0, p1))
+    n_max = 0
+    while n_max < 2**10 and math.comb(n_max + cells, cells - 1) <= _exact.LIGHT_SUPPORT_CAP:
+        n_max += 1
+    n = draw(st.integers(0, n_max))
+    assume(_exact.tier(n, p0, p1) == "light")
+    return n, p0, p1
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=engine_designs())
+def test_the_light_engine_matches_the_numpy_engine(design):
+    n, p0, p1 = design
+    light = _exact.ExactTest(n, p0, p1)
+    heavy = _ExactTest(n, np.array(p0), np.array(p1))
+    assert light.groups == heavy.groups
+    # the same per-cell tables summed in the same order: identical statistics, so
+    # every outcome ties with the same others on both engines
+    assert np.array_equal(light.llr, heavy.llr, equal_nan=True)
+    assert light.mass0 == pytest.approx(heavy.mass0.tolist(), rel=1e-12, abs=1e-300)
+    # every outcome's p-value on small supports, a spread of them on large ones;
+    # discriminate asks for none at +inf, which it answers without the engines
+    finite = [s for s in light.llr if math.isfinite(s)]
+    stride = max(1, len(finite) // 50)
+    for observed in [*finite[::stride], max(finite)]:
+        assert light.p_value(observed) == pytest.approx(
+            heavy.p_value(observed), rel=1e-12, abs=1e-300
+        )
+    if not any(a == 0.0 < b for a, b in zip(p0, p1)):
+        for alpha in (0.01, 0.05, 0.3):
+            assert light.power(alpha) == pytest.approx(heavy.power(alpha), rel=1e-12, abs=1e-300)
