@@ -21,10 +21,11 @@ look like, and how many particles does it take to notice?
 ``import mzsim`` loads only the standard-library layers (:mod:`~mzsim.core`,
 :mod:`~mzsim.errors`, :mod:`~mzsim.predict`, :mod:`~mzsim.config`), so
 closed-form predictions and configuration checks never import numpy.
-The numpy-backed modules (``montecarlo``, ``stats``, ``fringes`` and
-``sectors``) are bound lazily: each one runs, and imports numpy, on
-the first access to one of its attributes, including the names this
-package re-exports from it.
+The other modules are bound lazily: each one runs on the first access
+to one of its attributes, including the names this package re-exports
+from it.  ``montecarlo``, ``fringes`` and ``sectors`` import numpy
+then; ``stats`` does not, and loads it only for a
+``CategoryModel.probabilities`` array and for its seeded simulations.
 """
 
 import importlib.util

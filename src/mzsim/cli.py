@@ -27,22 +27,22 @@ emitted with 17 significant digits so identical configurations yield
 byte-identical output.
 
 ``predict``, ``plan``'s zero-cell closed form, and every configuration
-error found while parsing the config or computing a prediction or the
-category probabilities are answered without loading numpy.  ``plan``
-takes the probabilities and the closed form from the pure-Python
-helpers of :mod:`~mzsim.predict`, so it also refuses a missing
-``alpha``, a ``method = closed_form`` without a null-impossible category
-and a ``background`` budget above 1 before numpy loads.
-``discriminate`` and ``plan``'s power search run the checks of
-:mod:`~mzsim.stats` and every test or power probe whose pooled support
-has at most ``LIGHT_SUPPORT_CAP`` outcomes in pure Python
-(``mzsim._exact``, loaded by those two requests only).  ``simulate``,
-``fringes``, a ``discriminate`` or power search that leaves that tier,
-``plan``'s ``method = simulation``, and ``sectors-demo`` load numpy on
-their first call into the numpy-backed layers
-(:mod:`~mzsim.montecarlo`, :mod:`~mzsim.fringes`, :mod:`~mzsim.stats`,
-:mod:`~mzsim.sectors`), which the package binds lazily and this module
-calls through their module objects.
+error found while parsing the config, computing a prediction or, for
+``plan``, the category probabilities are answered before
+:mod:`~mzsim.stats` loads.  ``plan`` takes the probabilities and the
+closed form from the pure-Python helpers of :mod:`~mzsim.predict`, so
+it also refuses a missing ``alpha``, a ``method = closed_form``
+without a null-impossible category and a ``background`` budget above
+1 first.
+``discriminate`` and ``plan``'s power search call
+:mod:`~mzsim.stats`, whose exact engine (``mzsim._exact``, loaded by
+those requests only) is pure Python: they load numpy only above its
+``ROW_CAP``, and ``plan`` also for ``method = simulation``.
+``simulate``, ``fringes`` and ``sectors-demo`` load numpy on their
+first call into the numpy-backed layers (:mod:`~mzsim.montecarlo`,
+:mod:`~mzsim.fringes`, :mod:`~mzsim.sectors`).  The package binds
+those layers and :mod:`~mzsim.stats` lazily, and this module calls
+them through their module objects.
 """
 
 import argparse
@@ -51,11 +51,10 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 from . import fringes, montecarlo, predict, sectors, stats
 from .config import _FIELD_KEYS, RunConfig, parse_config
-from .core import EXPERIMENTS
 from .errors import (
     ConfigError,
     DomainError,
@@ -168,8 +167,8 @@ def _cmd_fringes(cfg: RunConfig) -> str:
 
 
 def _stats_models(cfg: RunConfig, build):
-    """The (h0, h1) pair of ``build``: ``stats.build_model``, or its
-    arithmetic and checks without numpy, ``predict._category_probabilities``."""
+    """The (h0, h1) pair of ``build``: ``stats.build_model``, or its arithmetic
+    and checks before ``stats`` loads, ``predict._category_probabilities``."""
     kind, params = _experiment_inputs(cfg)
     opts = cfg.stats
     # visibility stands in for the null hypothesis
@@ -183,25 +182,19 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "discriminate emits JSON; remove format = csv")
     _require(cfg.stats.counts is not None, "discriminate needs counts in [stats]")
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
-    from . import _exact
-
-    # stats.discriminate's steps on plain floats, up to a support above the light cap
-    p0, p1 = _stats_models(cfg, predict._category_probabilities)
-    predict._check_distinct(p0, p1)
-    replicates = cfg.stats.replicates or 100_000
-    labels = EXPERIMENTS[cfg.experiment].labels
-    result = _exact.discriminate(cfg.stats.counts, labels, p0, p1, cfg.stats.alpha, replicates)
-    if result is None:
-        result = astuple(stats.discriminate(
-            cfg.stats.counts,
-            *_stats_models(cfg, stats.build_model),
-            cfg.stats.alpha,
-            replicates=replicates,
-            seed=cfg.sim.seed,
-        ))
-    llr, p_value, decision = result
+    report = stats.discriminate(
+        cfg.stats.counts,
+        *_stats_models(cfg, stats.build_model),
+        cfg.stats.alpha,
+        replicates=cfg.stats.replicates or 100_000,
+        seed=cfg.sim.seed,
+    )
     return _json(
-        {"log_likelihood_ratio": _finite(llr), "p_value_h0": p_value, "decision": decision}
+        {
+            "log_likelihood_ratio": _finite(report.log_likelihood_ratio),
+            "p_value_h0": report.p_value_h0,
+            "decision": report.decision,
+        }
     )
 
 
@@ -209,24 +202,14 @@ def _cmd_plan(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "plan emits JSON; remove format = csv")
     _require(cfg.stats.power is not None, "plan needs power in [stats]")
     opts = cfg.stats
-    # stats.min_sample_size's steps up to its power search or its simulation, on
-    # plain floats; the config has checked power, alpha, replicates and method
+    # stats.min_sample_size's checks and its closed form, on plain floats; the
+    # config has checked power, alpha, replicates and method
     p0, p1 = _stats_models(cfg, predict._category_probabilities)
     predict._check_distinct(p0, p1)
     p_hit = predict._zero_cell_hit_probability(p0, p1, opts.alpha, opts.method)
-    n = None
-    if p_hit == 0.0:
-        from . import _exact
-
-        def light_rate(n):
-            if _exact.tier(n, p0, p1) == "light":
-                return _exact.power(n, p0, p1, opts.alpha)
-            return None  # stops the search; stats repeats it, its light probes cached
-
-        n = _exact.power_search(light_rate, opts.power)
-    elif opts.method != "simulation":
+    if p_hit > 0.0 and opts.method != "simulation":
         n = predict._zero_cell_min_n(p_hit, opts.power)
-    if n is None:
+    else:
         n = stats.min_sample_size(
             *_stats_models(cfg, stats.build_model),
             opts.alpha,

@@ -360,10 +360,10 @@ CONFIG_ERRORS = [
     ("fringes", FRINGES.replace("n_points = 5", "n_points = 100000000000000"),
      "n_points"),
     ("plan", DECAY_WITHOUT_OFFSET + "\n[stats]\nalpha = 0.01\npower = 0.9\n", "mu"),
-    # above the exact cap the null sample would need 291 TiB
+    # above ROW_CAP the null sample would need 291 TiB
     (
         "discriminate",
-        EXCITATION + "\n[stats]\nalpha = 0.01\ncounts = 100,13,1,1\n"
+        EXCITATION.replace(LN2, "0.7") + "\n[stats]\nalpha = 0.01\ncounts = 300,40,2,2\n"
         "background = 1e-3\nreplicates = 10000000000000\n",
         "replicates",
     ),
@@ -399,12 +399,13 @@ class TestConfigInducedErrors:
         assert code == 2 and echoed in err
 
 
-# runs in a fresh interpreter: import the package and the CLI, answer every
-# request given on stdin, then report the exit codes and whether numpy,
-# numpy.random and the pure-Python exact engine loaded
+# runs in a fresh interpreter: import the package and the CLI (or the modules
+# named in argv), answer every request given on stdin, then report the exit
+# codes and whether numpy, numpy.random and the exact engine loaded
 GUARD_SCRIPT = """
-import contextlib, io, json, os, sys, tempfile
-import mzsim, mzsim.cli
+import contextlib, importlib, io, json, os, sys, tempfile
+for name in sys.argv[1:] or ["mzsim", "mzsim.cli"]:
+    getattr(importlib.import_module(name), "__all__")  # runs a lazily bound module
 codes = []
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "run.cfg")
@@ -413,17 +414,17 @@ with tempfile.TemporaryDirectory() as tmp:
             fh.write(config)
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
-            codes.append(mzsim.cli.main([command, "--config", path, *flags]))
+            codes.append(sys.modules["mzsim.cli"].main([command, "--config", path, *flags]))
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
                   "numpy_random": "numpy.random" in sys.modules,
-                  "light_engine": "mzsim._exact" in sys.modules}))
+                  "exact_engine": "mzsim._exact" in sys.modules}))
 """
 
 
-def run_guard(requests) -> dict:
+def run_guard(requests, *modules) -> dict:
     src = os.path.dirname(os.path.dirname(mzsim.__file__))
     result = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT],
+        [sys.executable, "-c", GUARD_SCRIPT, *modules],
         input=json.dumps(requests),
         capture_output=True,
         text=True,
@@ -431,6 +432,10 @@ def run_guard(requests) -> dict:
         check=True,
     )
     return json.loads(result.stdout)
+
+
+# at t = 0.7 nb1 and nb2 do not tie, so a background design keeps four pooled cells
+FOUR_CELLS = EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
 
 
 def test_predict_and_config_errors_do_not_import_numpy():
@@ -446,39 +451,40 @@ def test_predict_and_config_errors_do_not_import_numpy():
         ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]
         for extra in ("", "alpha = 0.05\n", "visibility = 1\n", "method = closed_form\n")
     ]
-    # exact tests and power searches whose pooled supports stay on the light tier
+    # exact tests and power searches: three pooled cells, and four, where 80
+    # draws have 91,881 outcomes but 3,321 rows
     stats = EXCITATION + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
-    light = [
+    exact = [
         ["discriminate", stats + "counts = 80,15,3,2\n"],
         ["discriminate", stats + "counts = 80,15,3,2\nvisibility = 0.9\n"],
         ["discriminate", EXCITATION + "[stats]\nalpha = 0.05\ncounts = 80,15,3,2\n"],
         ["plan", stats + "power = 0.9\n"],
+        ["discriminate", FOUR_CELLS + "counts = 62,12,3,3\n"],
+        ["plan", FOUR_CELLS + "power = 0.9\n"],
     ]
     errors = [[command, config] for command, config, key in CONFIG_ERRORS]
-    report = run_guard(predicts + closed_form + light + errors)
-    assert report["codes"] == [0] * len(predicts + closed_form + light) + [2] * len(errors)
-    assert report["numpy"] is False and report["light_engine"] is True
+    report = run_guard(predicts + closed_form + exact + errors)
+    assert report["codes"] == [0] * len(predicts + closed_form + exact) + [2] * len(errors)
+    assert report["numpy"] is False and report["exact_engine"] is True
 
 
-def test_importing_the_cli_does_not_load_the_light_engine():
+def test_importing_the_cli_does_not_load_the_exact_engine():
     assert run_guard([]) == {
-        "codes": [], "numpy": False, "numpy_random": False, "light_engine": False
+        "codes": [], "numpy": False, "numpy_random": False, "exact_engine": False
     }
 
 
-def test_exact_discriminate_and_plan_do_not_import_numpy_random():
+def test_importing_stats_does_not_import_numpy():
+    report = run_guard([], "mzsim.stats", "mzsim.cli")
+    assert report["numpy"] is False and report["exact_engine"] is True
+
+
+def test_only_the_simulation_above_the_cap_imports_numpy_random():
     # numpy.random takes ~14 ms to import, and only the Monte Carlo paths use it;
-    # at t = 0.7 nb1 and nb2 do not tie, so 80 draws fill 91,881 outcomes,
-    # above the light tier's cap, and numpy enumerates them
-    stats = EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
-    exact = [["discriminate", stats + "counts = 62,12,3,3\n"]]
-    report = run_guard(exact)
-    assert report["codes"] == [0] * len(exact)
-    assert report["numpy"] is True and report["numpy_random"] is False
-    # above the exact cap discriminate draws, and the guard sees it
-    sampled = run_guard([["discriminate", stats + "counts = 160,30,6,4\nreplicates = 10\n"]])
+    # 344 draws over four pooled cells lie above ROW_CAP, so discriminate draws
+    sampled = run_guard([["discriminate", FOUR_CELLS + "counts = 300,40,2,2\nreplicates = 10\n"]])
     assert sampled == {
-        "codes": [0], "numpy": True, "numpy_random": True, "light_engine": True
+        "codes": [0], "numpy": True, "numpy_random": True, "exact_engine": True
     }
 
 

@@ -3,10 +3,9 @@
 Each case runs one ``mzsim`` request in process and compares the sha256
 of its stdout and its exit code with the recorded ones.  The cases
 cover every subcommand and both formats, decay with an impure source,
-``discriminate`` on each tier (pure Python, numpy enumeration, Monte
-Carlo) and with pooled cells, and ``plan`` by closed
-form, by ``method = simulation``, by exact search and by Monte Carlo
-search.  A change that keeps every byte of output keeps them passing;
+``discriminate`` exact over three and four pooled cells and by Monte
+Carlo above ``ROW_CAP``, and ``plan`` by closed form, by
+``method = simulation`` and by exact search.  A change that keeps every byte of output keeps them passing;
 a failing case prints its actual digest, so an intended change can be
 recorded.
 """
@@ -100,15 +99,21 @@ REQUESTS = {
                              stats={"alpha": 0.01, "counts": "160,30,6,4",
                                     "background": BACKGROUND, "replicates": 20000}),
         ["--seed", "5"]),
-    # at t = 0.7 the four cells stay apart: 80 draws, 91,881 outcomes, above the light cap
+    # at t = 0.7 the four cells stay apart: 80 draws, 91,881 outcomes, 3,321 rows
     "discriminate-exact-four-cells": (
         "discriminate", _ini(experiment=_excitation(t=0.7),
                              stats={"alpha": 0.01, "counts": "62,12,3,3",
                                     "background": BACKGROUND}), []),
-    # 200 draws over four cells: 1,373,701 outcomes, above the exact cap
-    "discriminate-monte-carlo": (
+    # 200 draws over four cells: 1,373,701 outcomes, 20,301 rows
+    "discriminate-exact-four-cells-200": (
         "discriminate", _ini(experiment=_excitation(t=0.7),
                              stats={"alpha": 0.01, "counts": "160,30,6,4",
+                                    "background": BACKGROUND, "replicates": 20000}),
+        ["--seed", "5"]),
+    # 344 draws over four cells lie above ROW_CAP
+    "discriminate-monte-carlo": (
+        "discriminate", _ini(experiment=_excitation(t=0.7),
+                             stats={"alpha": 0.01, "counts": "300,40,2,2",
                                     "background": BACKGROUND, "replicates": 20000}),
         ["--seed", "5"]),
     "plan-closed-form": (
@@ -123,7 +128,8 @@ REQUESTS = {
     "plan-exact-background-each": (
         "plan", _ini(experiment=_excitation(),
                      stats={**PLAN_EXACT, "background": BACKGROUND_EACH}), []),
-    "plan-monte-carlo": (
+    # three cells, 3,301 draws: sampled (3357 at this seed) before the rows
+    "plan-exact-photon": (
         "plan", _ini(experiment=_photon("pos", n0=1000, d=0.1),
                      stats={"alpha": 0.01, "power": 0.95, "replicates": 2000}), []),
     "config-error-lambda": (
@@ -147,17 +153,18 @@ GOLDEN = {
     "fringes-incoherent-json": ("1f96e883a94151ef407efd82287117a26683c6870947d1aa42e1ca2c5515c403", 0),
     "sectors-demo": ("bc605d2fb7b1bc59126fbec507970591b050fdbda8cb0eaae8dbfb6064f60dcc", 0),
     "discriminate-exact-zero-cells": ("458f2c40f95ff8740f4f91392deb2de52234be54daac8786657ceeca1eda10ca", 0),
-    "discriminate-exact-background": ("9b8872432965aa1f8274e3754b9b5967152e80953493fbdc1695bf07b5388dde", 0),
-    "discriminate-exact-background-each": ("9b8872432965aa1f8274e3754b9b5967152e80953493fbdc1695bf07b5388dde", 0),
-    "discriminate-exact-visibility": ("6a01a4258ab1f5380c649a0a07a57222e0b270b1e66bbb6267d1ec3b05190802", 0),
-    "discriminate-exact-pooled": ("9d9184468dc350ac75e9740eed2459ba9cac0be6e60b612d0ff617f342899aa9", 0),
-    "discriminate-exact-four-cells": ("b4ad4ef9921f60391a9af15034574ba32a702b46c194ffd722a408fc94201589", 0),
-    "discriminate-monte-carlo": ("7bf6f7f7e65c37f1fd7a0a2c4d1b2b1d3f7915a125134ea8ff117d5bd9015294", 0),
+    "discriminate-exact-background": ("1d596d7725f21873aeca13ba5303537ec8a52947c803d7df02399918cefac6e5", 0),
+    "discriminate-exact-background-each": ("1d596d7725f21873aeca13ba5303537ec8a52947c803d7df02399918cefac6e5", 0),
+    "discriminate-exact-visibility": ("c8d1d9178a29aca2f06e6b03951f69702b8680264793c2d83ebd7e37a9b5961f", 0),
+    "discriminate-exact-pooled": ("305b0d10584d81b64a5ccfee84fd1e6c3e89f858b9148b0a97a44aa86a75a0c0", 0),
+    "discriminate-exact-four-cells": ("61f742fcad50967b40bb3b6ef3f44c3a9734938a0a009c7605bf50c4808b13e2", 0),
+    "discriminate-exact-four-cells-200": ("c855d79821d9c1e9e104170d774169a6ee8305cc4ce280425ba452fa72fb6583", 0),
+    "discriminate-monte-carlo": ("b40e5d2ec6a66224a3d74301c652445441454f14fd3e45236f205c364ffe0b44", 0),
     "plan-closed-form": ("6fce2fc43e1f922687fe8ba340de0268c102289a2f789cd69b55276277c35162", 0),
     "plan-simulation": ("1369457ab97f5dfb7a1e20e15d9a5f3fcc72eebb20236e54a8637eb312143706", 0),
     "plan-exact-background": ("4bb13803cd4a7cfc6cc117ef49644e3597638804d31ae57437f7f30bbc397a49", 0),
     "plan-exact-background-each": ("4bb13803cd4a7cfc6cc117ef49644e3597638804d31ae57437f7f30bbc397a49", 0),
-    "plan-monte-carlo": ("19168b9bd5bc9b875a7eb0fdaee8827f1c9d8ba59eedd23e462027b202ab0b13", 0),
+    "plan-exact-photon": ("9b70e835f5b579d85f1eba4ac4ef67f9150d6292f6fd0ac2b2dacb57f436df0f", 0),
     "config-error-lambda": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
 }
 

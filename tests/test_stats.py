@@ -1,10 +1,12 @@
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -26,11 +28,9 @@ from mzsim.errors import (
 )
 from mzsim.montecarlo import SimConfig, simulate_excitation
 from mzsim.stats import (
-    EXACT_SUPPORT_CAP,
+    ROW_CAP,
     CategoryModel,
     DiscriminationReport,
-    _ExactTest,
-    _pooled_cells,
     _rejection_rate,
     build_model,
     discriminate,
@@ -42,6 +42,8 @@ LN2 = math.log(2.0)
 COUNT_LABELS = ATOM_LABELS
 # at t = 0.7 nb1 and nb2 do not tie, so a background design keeps four pooled cells
 FOUR_CELLS = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=0.7)
+# 344 draws over FOUR_CELLS' four pooled cells: above ROW_CAP, so sampled
+ABOVE_THE_CAP = (300, 40, 2, 2)
 
 
 def excitation_params(n0=10_000, epsilon=0.2):
@@ -81,6 +83,17 @@ class TestCategoryModel:
             CategoryModel(("a", "b"), np.array([1.1, -0.1]))
         with pytest.raises(StructureError):
             CategoryModel(("a", "b", "c"), np.array([0.5, 0.5]))
+
+    def test_probabilities_are_a_read_only_float64_array(self):
+        model = CategoryModel(("a", "b"), [0.25, 0.75])
+        p = model.probabilities
+        assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.ndim == 1
+        assert p.tolist() == [0.25, 0.75] and not p.flags.writeable
+        assert model.probabilities is p
+        with pytest.raises(ValueError):
+            p[0] = 0.5
+        with pytest.raises(FrozenInstanceError):
+            model.labels = ("c", "d")
 
 
 class TestBuildModel:
@@ -267,10 +280,10 @@ class TestDiscriminate:
 
     def test_replicates_are_capped_before_sampling(self):
         h0, h1 = four_cell_models()
-        # above the exact cap, 10**13 replicates would ask for a 291 TiB sample
+        # above ROW_CAP, 10**13 replicates would ask for a 291 TiB sample
         for replicates in (0, MAX_REPLICATES + 1, 10**13):
             with pytest.raises(DomainError, match="replicates"):
-                discriminate((100, 13, 1, 1), h0, h1, alpha=0.01, replicates=replicates)
+                discriminate(ABOVE_THE_CAP, h0, h1, alpha=0.01, replicates=replicates)
             with pytest.raises(DomainError, match="replicates"):
                 min_sample_size(h0, h1, 0.01, 0.95, replicates=replicates)
 
@@ -401,6 +414,9 @@ ORACLE_DESIGNS = {
         build_model("decay", DECAY, Hypothesis.POS, background=1e-3),
         build_model("decay", DECAY, Hypothesis.CCQI, background=1e-3),
     ),
+    # the b cells are impossible under POS, as h0 and then as h1
+    "excitation-zero-under-h0": (pos_model(), ccqi_model()),
+    "excitation-zero-under-h1": (ccqi_model(), pos_model()),
 }
 POOLED_DESIGNS = {
     "excitation-visibility-background": [[0], [1], [2, 3]],
@@ -422,37 +438,70 @@ def check_against_brute_force(design):
         if np.isfinite(stat):
             report = discriminate(x, h0, h1, alpha=0.05, seed=5)
             assert report.p_value_h0 == pytest.approx(p, abs=1e-12)
-    for alpha in (0.01, 0.05, 0.3):
-        power = mass1[p_values <= alpha].sum()
-        assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
+    # power is searched only where no cell impossible under h0 is open to h1
+    if not np.any((h0.probabilities == 0) & (h1.probabilities > 0)):
+        for alpha in (0.01, 0.05, 0.3):
+            power = mass1[p_values <= alpha].sum()
+            assert _rejection_rate(n, h0, h1, alpha, 10, 0) == pytest.approx(power, abs=1e-12)
 
 
-def refuse(*args):
-    raise AssertionError("this engine belongs to another tier")
+class Enumeration:
+    """Every outcome of ``n`` draws over the pooled cells of ``test``, a
+    ``RowTest``: its statistic, summed left to right in the test's cell
+    order, and its null and h1 masses.  The brute-force oracle of the rows."""
+
+    def __init__(self, test, p0, p1):
+        n, groups = test.n, test.groups
+        q0, q1 = _exact.pooled(p0, groups), _exact.pooled(p1, groups)
+        w = _exact.llr_weights(q0, q1)[0]
+        self.stat, self.mass0, self.mass1 = [], [], []
+        for x in itertools.product(range(n + 1), repeat=len(groups)):
+            if sum(x) != n:
+                continue
+            if any(c and (a == 0 or b == 0) for c, a, b in zip(x, q0, q1)):
+                # an impossible count under h1 (-inf), under h0 (+inf) or both
+                under = [any(c and q == 0 for c, q in zip(x, q)) for q in (q1, q0)]
+                self.stat.append(math.nan if all(under) else -math.inf if under[0] else math.inf)
+            else:
+                total = 0.0
+                for k in test.order:
+                    total += x[k] * w[k]
+                self.stat.append(total)
+            for q, masses in ((q0, self.mass0), (q1, self.mass1)):
+                log_mass = math.lgamma(n + 1)
+                for c, qk in zip(x, q):
+                    if c:
+                        log_mass += c * math.log(qk) - math.lgamma(c + 1) if qk else -math.inf
+                masses.append(math.exp(log_mass))
+
+    def p_value(self, observed):
+        floor = _exact.tie_floor(observed)
+        return math.fsum(m for s, m in zip(self.stat, self.mass0) if s >= floor)
+
+    def power(self, alpha):
+        finite = sorted((s, m0, m1) for s, m0, m1 in zip(self.stat, self.mass0, self.mass1)
+                        if not math.isnan(s) and s < math.inf)
+        stats_ = [s for s, _, _ in finite]
+        upper = [*itertools.accumulate((m0 for _, m0, _ in reversed(finite)), initial=0.0)][::-1]
+        rejected = [m1 for s, _, m1 in finite
+                    if s > -math.inf and upper[bisect_left(stats_, _exact.tie_floor(s))] <= alpha]
+        return math.fsum(rejected)
 
 
 class TestExactEngine:
-    """Below EXACT_SUPPORT_CAP p-values and power are exact sums over the support."""
+    """Up to ROW_CAP, p-values and power are exact sums over the support."""
 
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_p_values_and_power_match_a_brute_force_sum(self, design, monkeypatch):
-        # 12 draws lie on the pure-Python tier
-        monkeypatch.setattr(stats, "_ExactTest", refuse)
-        check_against_brute_force(design)
-
-    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_the_numpy_tier_matches_a_brute_force_sum(self, design, monkeypatch):
-        monkeypatch.setattr(_exact, "LIGHT_SUPPORT_CAP", 0)
-        monkeypatch.setattr(_exact, "ExactTest", refuse)
+    def test_p_values_and_power_match_a_brute_force_sum(self, design):
         check_against_brute_force(design)
 
     @pytest.mark.parametrize("design", sorted(POOLED_DESIGNS))
     def test_tied_cells_pool(self, design):
         h0, h1 = ORACLE_DESIGNS[design]
         p0, p1 = h0.probabilities, h1.probabilities
-        assert _pooled_cells(12, p0, p1) == POOLED_DESIGNS[design]
+        assert _exact.pooled_cells(12, p0, p1) == POOLED_DESIGNS[design]
         if design == "excitation-visibility-ulp":
-            w = stats._llr_weights(p0, p1)[0]
+            w = _exact.llr_weights(p0, p1)[0]
             assert 0 < 12 * abs(w[2] - w[3]) <= stats.TIE_REL_TOL
 
     def test_pooling_matches_the_unpooled_engine(self, monkeypatch):
@@ -470,47 +519,50 @@ class TestExactEngine:
             elif extra == 2:
                 p0[3] = p1[3] = 0.0  # impossible under both
             order = rng.permutation(k)
-            p0, p1 = p0[order] / p0.sum(), p1[order] / p1.sum()
+            p0, p1 = (p0[order] / p0.sum()).tolist(), (p1[order] / p1.sum()).tolist()
             designs.append((int(rng.integers(1, 61)), p0, p1))
-        pooled = [_ExactTest(n, p0, p1) for n, p0, p1 in designs]
+        pooled = [_exact.RowTest(n, p0, p1) for n, p0, p1 in designs]
         monkeypatch.setattr(
-            stats, "_pooled_cells", lambda n, p0, p1: [[k] for k in range(p0.shape[0])]
+            _exact, "pooled_cells", lambda n, p0, p1: [[k] for k in range(len(p0)) if p0[k] or p1[k]]
         )
         for (n, p0, p1), test in zip(designs, pooled):
-            assert len(test.groups) < p0.shape[0]
-            raw = _ExactTest(n, p0, p1)
+            assert len(test.groups) < len(p0)
+            raw = _exact.RowTest(n, p0, p1)
             for alpha in (0.01, 0.05, 0.2):
                 assert test.power(alpha) == pytest.approx(raw.power(alpha), abs=1e-12)
             for x in np.concatenate([rng.multinomial(n, p, size=4) for p in (p0, p1)]):
-                assert test.p_value(test.statistic(x)) == pytest.approx(
-                    raw.p_value(raw.statistic(x)), abs=1e-12
-                )
+                if all(c == 0 or (a > 0 and b > 0) for c, a, b in zip(x, p0, p1)):
+                    assert test.p_value(test.statistic(x)) == pytest.approx(
+                        raw.p_value(raw.statistic(x)), abs=1e-12
+                    )
 
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_masses_match_direct_pmfs_in_enumeration_order(self, design):
+    def test_row_masses_match_direct_pmfs(self, design):
         h0, h1 = ORACLE_DESIGNS[design]
         n = 12
-        test = _ExactTest(n, h0.probabilities, h1.probabilities)
+        test = _exact.RowTest(n, h0.probabilities.tolist(), h1.probabilities.tolist())
         q0, q1 = ([p[g].sum() for g in test.groups] for p in (h0.probabilities,
                                                              h1.probabilities))
-        # prefix branching lists the outcomes of the pooled cells in lexicographic order
-        support = [x for x in itertools.product(range(n + 1), repeat=len(q0)) if sum(x) == n]
-        mass0 = [scipy_stats.multinomial.pmf(x, n, q0) for x in support]
-        mass1 = [scipy_stats.multinomial.pmf(x, n, q1) for x in support]
-        assert test.mass0 == pytest.approx(mass0, rel=1e-12)
-        # the likelihood-ratio identity gives the h1 mass
-        assert np.exp(test.log_mass0 + test.llr) == pytest.approx(mass1, rel=1e-12)
-        for x, stat in zip(support, test.llr):
-            counts = np.zeros(len(h0.labels), dtype=np.int64)
-            for group, count in zip(test.groups, x):
-                counts[group[0]] = count
-            assert test.statistic(counts) == stat
+        # a row fixes the counts of the cells before the last two of the
+        # order; the pair shares the rest, as one cell of the pair's mass
+        outer, pair = test.order[:-2], test.order[-2:]
+        rows = [x for x in itertools.product(range(n + 1), repeat=len(outer)) if sum(x) <= n]
+        assert len(rows) == len(test._m) == math.comb(n + len(outer), len(outer))
+        for q, masses in ((q0, test._mass0), (q1, [math.exp(x + a + m * test._log_ratio)
+                                                   for x, a, m in zip(test._log_mass, test._a,
+                                                                      test._m)])):
+            # the cells impossible under either model stay empty
+            cells = [q[k] for k in outer] + [sum(q[k] for k in pair)]
+            cells.append(1.0 - sum(cells))
+            want = sorted(scipy_stats.multinomial.pmf([*x, n - sum(x), 0], n, cells)
+                          for x in rows)
+            assert sorted(masses) == pytest.approx(want, rel=1e-12)
 
     def test_discriminate_counts_each_outcomes_own_mass(self):
         h0, h1 = ORACLE_DESIGNS["excitation-visibility-ulp"]
         p0 = h0.probabilities
         n = 10
-        groups = _pooled_cells(n, p0, h1.probabilities)
+        groups = _exact.pooled_cells(n, p0, h1.probabilities)
         q0 = [p0[g].sum() for g in groups]
         for x in itertools.product(range(n + 1), repeat=4):
             if sum(x) != n:
@@ -519,23 +571,21 @@ class TestExactEngine:
             report = discriminate(x, h0, h1, alpha=0.05)
             assert report.p_value_h0 >= own * (1 - 1e-12), x
 
-    def test_memory_at_the_cap(self):
-        # four distinct weights, so nothing pools
-        p0, p1 = (model.probabilities for model in four_cell_models())
-        n = 114
-        assert math.comb(n + 3, 3) <= EXACT_SUPPORT_CAP < math.comb(n + 4, 3)
-        assert len(_pooled_cells(n, p0, p1)) == 4
+    def test_memory_at_the_row_cap(self):
+        # four distinct weights, so nothing pools; 330 draws lie just under the cap
+        p0, p1 = (model._p for model in four_cell_models())
+        n = 330
+        assert _exact.size(n, p0, p1) <= ROW_CAP < _exact.size(n + 1, p0, p1)
         tracemalloc.start()
         try:
-            test = _ExactTest(n, p0, p1)
-            test.p_value(test.llr[0])
+            test = _exact.RowTest(n, p0, p1)
+            test.p_value(test.statistic((250, 60, 10, 10)))
             test.power(0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three float64 values per outcome, 6 MB, are kept; an engine with
-        # an int64 outcome matrix and two pmf passes peaked at 24 MB here
-        assert peak < 16e6
+        # 55,611 rows; the rows and binomial tables of the search took 10 MB here
+        assert peak < 32e6
 
     def test_power_is_monotone_in_n(self):
         # the Monte Carlo estimate stepped down 4 times between n = 50 and 73
@@ -552,6 +602,25 @@ class TestExactEngine:
         }
         assert sizes == {62}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("replicates", [500, 10_000])
+    def test_plans_above_the_old_enumeration_are_exact(self, seed, replicates):
+        # 768 draws over three pooled cells; seeds 0-3 sampled 771, 782, 769 and 779
+        params = ExcitationParams(n0=1000, epsilon=0.02, lam=1.0, t=LN2)
+        h0 = build_model("excitation", params, Hypothesis.POS, background=1e-3)
+        h1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3)
+        n = min_sample_size(h0, h1, 0.01, 0.95, replicates=replicates, seed=seed)
+        assert n == 768
+
+    def test_the_photon_plan_is_exact(self):
+        # three cells; seeds 0-3 sampled 3362, 3457, 3349 and 3319 with 1e4 replicates
+        params = PhotonParams(n0=1000, d=0.1, u=0.5)
+        h0 = build_model("photon", params, Hypothesis.POS)
+        h1 = build_model("photon", params, Hypothesis.CCQI)
+        assert min_sample_size(h0, h1, 0.01, 0.95) == 3301
+        power = [_rejection_rate(n, h0, h1, 0.01, 10, 0) for n in (3300, 3301)]
+        assert power[0] < 0.95 <= power[1]
+
     def test_minimum_llr_outcome_has_p_value_at_most_one(self):
         h0, h1 = pos_model(background=1e-3), ccqi_model(background=1e-3)
         weights = np.log(h1.probabilities) - np.log(h0.probabilities)
@@ -565,12 +634,12 @@ class TestExactEngine:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_power_counts_ties_like_discriminate(self, seed):
         # above the cap; float noise in the LLR sums splits many tied statistics
-        n, replicates = 770, 1000
+        n, replicates = 20_000, 1000
         params = ExcitationParams(n0=n, epsilon=0.02, lam=1.0, t=LN2)
         h0 = build_model("excitation", params, Hypothesis.POS, background=1e-3)
         h1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3)
         p0, p1 = h0.probabilities, h1.probabilities
-        assert math.comb(n + 3, 3) > EXACT_SUPPORT_CAP
+        assert _exact.size(n, h0._p, h1._p) > ROW_CAP
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
 
         def statistics(p):
@@ -588,44 +657,50 @@ class TestExactEngine:
 
     def test_above_the_cap_the_seeded_simulation_runs(self):
         h0, h1 = four_cell_models()
-        counts = (100, 13, 1, 1)  # 115 draws over four pooled cells: C(118, 3) outcomes
-        assert len(_pooled_cells(115, h0.probabilities, h1.probabilities)) == 4
-        assert math.comb(118, 3) > EXACT_SUPPORT_CAP >= math.comb(117, 3)
+        n = sum(ABOVE_THE_CAP)
+        assert len(_exact.pooled_cells(n, h0._p, h1._p)) == 4
+        assert _exact.size(n, h0._p, h1._p) > ROW_CAP
         p_values = {
-            discriminate(counts, h0, h1, alpha=0.01, replicates=999, seed=seed).p_value_h0
+            discriminate(ABOVE_THE_CAP, h0, h1, alpha=0.01, replicates=999, seed=seed).p_value_h0
             for seed in (0, 1)
         }
         assert len(p_values) == 2
         assert all((1000 * p) == pytest.approx(round(1000 * p), abs=1e-9) for p in p_values)
 
-    def test_the_light_tier_ends_at_its_cap(self, monkeypatch):
-        # two cells: n draws have n + 1 outcomes
-        h0 = CategoryModel(("a", "b"), np.array([0.5, 0.5]))
-        h1 = CategoryModel(("a", "b"), np.array([0.45, 0.55]))
-        p0, p1 = h0.probabilities.tolist(), h1.probabilities.tolist()
-        cap = _exact.LIGHT_SUPPORT_CAP
-        assert cap == 2**15
-        assert _exact.tier(cap - 1, p0, p1) == "light"
-        assert _exact.tier(cap, p0, p1) == "exact"
-        light = (_rejection_rate(cap - 1, h0, h1, 0.05, 10, 0),
-                 discriminate((cap // 2, cap // 2 - 1), h0, h1, alpha=0.05))
-        heavy = (_rejection_rate(cap, h0, h1, 0.05, 10, 0),
-                 discriminate((cap // 2, cap // 2), h0, h1, alpha=0.05))
+    def test_the_exact_engine_ends_at_the_row_cap(self, monkeypatch):
+        h0, h1 = four_cell_models()
+        counts = (20, 5, 3, 2)
+        size = _exact.size(sum(counts), h0._p, h1._p)
 
-        monkeypatch.setattr(stats, "_ExactTest", refuse)
-        assert (_rejection_rate(cap - 1, h0, h1, 0.05, 10, 0),
-                discriminate((cap // 2, cap // 2 - 1), h0, h1, alpha=0.05)) == light
-        monkeypatch.undo()
-        monkeypatch.setattr(_exact, "ExactTest", refuse)
-        monkeypatch.setattr(_exact, "_power", refuse)
-        assert (_rejection_rate(cap, h0, h1, 0.05, 10, 0),
-                discriminate((cap // 2, cap // 2), h0, h1, alpha=0.05)) == heavy
+        def answers():
+            return (discriminate(counts, h0, h1, alpha=0.05, replicates=99, seed=1),
+                    _rejection_rate(sum(counts), h0, h1, 0.05, 99, 1))
+
+        monkeypatch.setattr(_exact, "ROW_CAP", size + 1)
+        monkeypatch.setattr(stats, "ROW_CAP", size + 1)
+        exact = answers()
+        for cap, sampled in ((size, False), (size - 1, True)):
+            # at the cap the rows answer; one cell above it the simulation does
+            monkeypatch.setattr(stats, "ROW_CAP", cap)
+            assert (answers() != exact) is sampled
+        assert 100 * answers()[0].p_value_h0 == pytest.approx(
+            round(100 * answers()[0].p_value_h0), abs=1e-9)
+
+    def test_the_cap_covers_every_support_the_enumeration_answered(self):
+        # the old enumeration answered pooled supports of up to 2**18 outcomes
+        for cells in range(2, 60):
+            p = [1.0 / cells] * cells
+            q = [(k + 1) / (cells * (cells + 1) / 2) for k in range(cells)]
+            n = 0
+            while math.comb(n + cells, cells - 1) <= 2**18:
+                n += 1
+            assert _exact.size(n, p, q) <= ROW_CAP, (cells, n)
 
 
 @st.composite
 def engine_designs(draw):
-    """(n, p0, p1) on the light tier: three or four cells, two of them tied or
-    not, one cell impossible under h0, h1, both or neither."""
+    """(n, p0, p1): three or four cells, two of them tied or not, one cell
+    impossible under h0, h1, both or neither."""
     k = draw(st.sampled_from([3, 4]))
     p0 = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     w = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
@@ -639,33 +714,24 @@ def engine_designs(draw):
         p1[-1] = 0.0
     p0, p1 = ([x / sum(p) for x in p] for p in (p0, p1))
     cells = len(_exact.pooled_cells(1, p0, p1))
-    n_max = 0
-    while n_max < 2**10 and math.comb(n_max + cells, cells - 1) <= _exact.LIGHT_SUPPORT_CAP:
-        n_max += 1
-    n = draw(st.integers(0, n_max))
-    assume(_exact.tier(n, p0, p1) == "light")
+    n = draw(st.integers(0, {1: 400, 2: 400, 3: 120}.get(cells, 36)))
     return n, p0, p1
 
 
 @settings(max_examples=40, deadline=None)
 @given(design=engine_designs())
-def test_the_light_engine_matches_the_numpy_engine(design):
+def test_the_row_engine_matches_the_enumeration(design):
     n, p0, p1 = design
-    light = _exact.ExactTest(n, p0, p1)
-    heavy = _ExactTest(n, np.array(p0), np.array(p1))
-    assert light.groups == heavy.groups
-    # the same per-cell tables summed in the same order: identical statistics, so
-    # every outcome ties with the same others on both engines
-    assert np.array_equal(light.llr, heavy.llr, equal_nan=True)
-    assert light.mass0 == pytest.approx(heavy.mass0.tolist(), rel=1e-12, abs=1e-300)
+    test = _exact.RowTest(n, p0, p1)
+    oracle = Enumeration(test, p0, p1)
     # every outcome's p-value on small supports, a spread of them on large ones;
-    # discriminate asks for none at +inf, which it answers without the engines
-    finite = [s for s in light.llr if math.isfinite(s)]
-    stride = max(1, len(finite) // 50)
-    for observed in [*finite[::stride], max(finite)]:
-        assert light.p_value(observed) == pytest.approx(
-            heavy.p_value(observed), rel=1e-12, abs=1e-300
+    # discriminate asks for none at an infinite statistic, which it answers itself
+    finite = sorted({s for s in oracle.stat if math.isfinite(s)})
+    stride = max(1, len(finite) // 60)
+    for observed in [*finite[::stride], finite[-1]] if finite else []:
+        assert test.p_value(observed) == pytest.approx(
+            oracle.p_value(observed), rel=1e-12, abs=1e-300
         )
     if not any(a == 0.0 < b for a, b in zip(p0, p1)):
         for alpha in (0.01, 0.05, 0.3):
-            assert light.power(alpha) == pytest.approx(heavy.power(alpha), rel=1e-12, abs=1e-300)
+            assert test.power(alpha) == pytest.approx(oracle.power(alpha), rel=1e-12, abs=1e-300)
