@@ -23,9 +23,11 @@ look like, and how many particles does it take to notice?
 closed-form predictions and configuration checks never import numpy.
 The other modules are bound lazily: each one runs on the first access
 to one of its attributes, including the names this package re-exports
-from it.  ``montecarlo``, ``fringes`` and ``sectors`` import numpy
-then; ``stats`` does not, and loads it only for a
-``CategoryModel.probabilities`` array and for its seeded simulations.
+from it.  ``fringes`` and ``sectors`` import numpy then.  ``montecarlo``
+and ``stats`` do not: ``montecarlo`` samples in pure Python and loads
+numpy only in ``chunk_rng``, which returns a numpy generator, and
+``stats`` loads it only for a ``CategoryModel.probabilities`` array and
+for its seeded simulations.
 """
 
 import importlib.util

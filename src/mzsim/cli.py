@@ -38,11 +38,13 @@ without a null-impossible category and a ``background`` budget above
 :mod:`~mzsim.stats`, whose exact engine (``mzsim._exact``, loaded by
 those requests only) is pure Python: they load numpy only above its
 ``ROW_CAP``, and ``plan`` also for ``method = simulation``.
-``simulate``, ``fringes`` and ``sectors-demo`` load numpy on their
-first call into the numpy-backed layers (:mod:`~mzsim.montecarlo`,
-:mod:`~mzsim.fringes`, :mod:`~mzsim.sectors`).  The package binds
-those layers and :mod:`~mzsim.stats` lazily, and this module calls
-them through their module objects.
+``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
+binomial sampler are pure Python, so it never loads numpy.
+``fringes`` and ``sectors-demo`` load numpy on their first call into
+the numpy-backed layers (:mod:`~mzsim.fringes`, :mod:`~mzsim.sectors`).
+The package binds those layers, :mod:`~mzsim.montecarlo` and
+:mod:`~mzsim.stats` lazily, and this module calls them through their
+module objects.
 """
 
 import argparse
@@ -129,7 +131,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "simulate needs a hypothesis")
     predicted = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
-    cfg.sim.chunk_count(params.n0)  # refuse an oversized run before numpy loads
+    cfg.sim.chunk_count(params.n0)  # refuse an oversized run before the sampler loads
     sampled = getattr(montecarlo, f"simulate_{kind}")(params, cfg.hypothesis, cfg.sim)
     probs = [float(v) / params.n0 if params.n0 else float(v) for v in predicted.values()]
     z = [

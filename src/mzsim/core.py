@@ -322,11 +322,15 @@ EXPERIMENTS = {
 
 
 _MAX_SEED = 2**64
-# the largest number of trials numpy's binomial sampler accepts
+# numpy's binomial sampler takes an int64 trial count; mzsim.montecarlo
+# ports it, int64 overflows included, and matches it up to this n
 _MAX_CHUNK = 2**63 - 1
-# chunks run one after another in Python at 6-10 us each (substream
-# set-up and binomial draws: 2**20 chunks of 4 took 6-10 s per experiment
-# on a 2-core host); a run needing more must use larger chunks
+# chunks run one after another in pure Python (substream set-up and
+# binomial draws).  CPU time per chunk of 4, over the seven experiment and
+# hypothesis pairs on a shared 2-core host: 10-17 us at 2**12 chunks,
+# 10-13 us at 2**16 and 12-16 us at 2**20 (12-16 s a run; numpy's sampler
+# took 5-10 us); chunks of 4096 take 13-32 us (BTPE draws).  A run needing
+# more must use larger chunks
 _MAX_CHUNKS = 2**20
 
 

@@ -13,18 +13,23 @@ stay an independent statistical oracle for these samplers.
 Particles are partitioned into fixed-size chunks and every chunk gets
 its own RNG substream: the PCG64 state that
 ``np.random.SeedSequence(entropy=seed, spawn_key=(chunk index,))``
-gives.  The seed's part of that derivation is numpy's own
-``SeedSequence(seed).pool``, read once per run; the chunk indices' part
-is derived in bulk, a block of indices per numpy pass, and the states
-are loaded one after another into a single reused generator, so a
-chunk costs a state assignment rather than a ``SeedSequence`` and a
-new generator.  Chunk tallies are summed, so the
-result is a pure function of ``(seed, chunk_size, parameters)``.
-:class:`SimConfig` lives in :mod:`mzsim.core` so that parsing a
-configuration never loads numpy; it is re-exported here.
+gives.  This module imports no numpy.  It ports the three numpy
+algorithms the stream rests on, on Python ints and floats: the
+``SeedSequence`` hashes that give the seed's entropy pool and each
+chunk's state, PCG64 (O'Neill 2014, HMC-CS-2014-0905), and numpy's
+``random_binomial``, inversion or BTPE (Kachitvichyanukul & Schmeiser
+1988, *Comm. ACM* 31(2):216).  Every draw is bit for bit the one
+``numpy.random.Generator.binomial`` makes from the same state, and the
+stream does not depend on the installed numpy.  The chunk states are
+loaded one after another into a single :class:`_Sampler`, and chunk
+tallies are summed, so the result is a pure function of
+``(seed, chunk_size, parameters)``.  :class:`SimConfig` lives in
+:mod:`mzsim.core` so that parsing a configuration needs no sampler; it
+is re-exported here.
 """
 
-import numpy as np
+from functools import lru_cache
+from math import exp, floor, log, log1p, sqrt
 
 from .core import (
     EXPERIMENTS,
@@ -47,32 +52,50 @@ __all__ = [
 ]
 
 # np.random.SeedSequence's constants (numpy/random/bit_generator.pyx); the
-# tests compare the derived states with numpy's own
+# tests compare the pool and the derived states with numpy's own
 _M32 = 0xFFFF_FFFF
 _MIX_L = 0xCA01F9DD
 _MIX_R = -0x4973F715 & _M32  # the mix subtracts; add its negation mod 2**32
-# the hash constant steps once per hash: numpy's pool takes steps 0-15 of
-# the _HASH_A walk (4 entropy words, 12 cross-mixes), the 4 spawn-word mixes
-# steps 16-20, listed here; the 8 state words walk _HASH_B
-_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(16, 21)]
+# the hash constant steps once per hash: the pool takes steps 0-15 of the
+# _HASH_A walk (4 entropy words, 12 cross-mixes), the 4 spawn-word mixes
+# steps 16-20; the 8 state words walk _HASH_B
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(21)]
 _HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(9)]
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M53 = 2**53 - 1
+_M64 = 2**64 - 1
 _M128 = 2**128 - 1
-# chunk indices whose states are derived in one numpy pass; memory is
-# O(1) in the chunk count
-_STATE_BLOCK = 4096
+_INT64 = 2**63
 
 
-def _hash(value, xor: int, mult: int):
-    """SeedSequence's 32-bit hash, on a uint64 array."""
+def _hash(value: int, xor: int, mult: int) -> int:
+    """SeedSequence's 32-bit hash of one word."""
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
 
-def _mix(x, y):
-    """SeedSequence's 32-bit mix of two words, on Python ints or uint64 arrays."""
-    value = ((_MIX_L * x & _M32) + (_MIX_R * y & _M32)) & _M32
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's 32-bit mix of two words."""
+    value = (_MIX_L * x + _MIX_R * y) & _M32
     return value ^ value >> 16
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).pool``, for ``0 <= seed < 2**64``.
+
+    The seed's little-endian 32-bit words fill the four-word pool, the
+    missing words hashed as zeros, and every word is then mixed into
+    every other.
+    """
+    seed = int(seed)
+    pool = [_hash(seed >> 32 * k & _M32, _HASH_A[k], _HASH_A[k + 1]) for k in range(4)]
+    step = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[step], _HASH_A[step + 1]))
+                step += 1
+    return pool
 
 
 def _pcg64_states(seed: int, start: int, stop: int):
@@ -80,57 +103,217 @@ def _pcg64_states(seed: int, start: int, stop: int):
 
     Each equals ``np.random.PCG64(np.random.SeedSequence(entropy=seed,
     spawn_key=(index,))).state``, for ``seed < 2**64`` and
-    ``index < 2**32`` (one spawn word).  The seed's part of the pool is
-    numpy's ``SeedSequence(seed).pool``, read once; the rest is derived
-    :data:`_STATE_BLOCK` indices at a time.
+    ``index < 2**32`` (one spawn word): the spawn word is mixed into
+    each word of the seed's pool, and eight state words are hashed from
+    the result.
     """
-    pool = np.random.SeedSequence(int(seed)).pool.tolist()
-    for first in range(start, stop, _STATE_BLOCK):
-        yield from _block_states(pool, first, min(first + _STATE_BLOCK, stop))
-
-
-def _block_states(pool: list[int], start: int, stop: int):
-    """The spawn word's four mixes and the eight state words, vectorised over indices."""
-    spawn = np.arange(start, stop, dtype=np.uint64)
-    mixed = [_mix(p, _hash(spawn, _HASH_A[k], _HASH_A[k + 1]))
-             for k, p in enumerate(pool)]
-    words = [_hash(mixed[k % 4], _HASH_B[k], _HASH_B[k + 1]) for k in range(8)]
-    # PCG64 reads the words as four little-endian uint64s: state hi, lo, inc hi, lo
-    halves = [(words[k] | words[k + 1] << 32).tolist() for k in range(0, 8, 2)]
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+    pool = _seed_pool(seed)
+    # _hash and _mix inlined, as this loop runs once per chunk; _MIX_L * pool
+    # word is taken once per run
+    spawn = [(_MIX_L * p, _HASH_A[16 + k], _HASH_A[17 + k]) for k, p in enumerate(pool)]
+    state_words = [(k % 4, _HASH_B[k], _HASH_B[k + 1]) for k in range(8)]
+    for index in range(start, stop):
+        mixed = []
+        for left, xor, mult in spawn:
+            h = (index ^ xor) * mult & _M32
+            x = (left + _MIX_R * (h ^ h >> 16)) & _M32
+            mixed.append(x ^ x >> 16)
+        w = []
+        for k, xor, mult in state_words:
+            h = (mixed[k] ^ xor) * mult & _M32
+            w.append(h ^ h >> 16)
+        # PCG64 reads the words as four little-endian uint64s: state hi, lo, inc hi, lo
+        state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
         # pcg64 srandom: two LCG steps from state 0, the seed added between them
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc
+        yield ((inc + state) * _PCG_MULT + inc) & _M128, inc
 
 
-def _substreams(seed: int, start: int, stop: int):
-    """Yield one generator per chunk index in ``range(start, stop)``.
+def _wrap64(x: int) -> int:
+    """``x`` as C's int64 arithmetic leaves it: reduced mod 2**64 into [-2**63, 2**63)."""
+    return (x + _INT64 & _M64) - _INT64
 
-    The same :class:`numpy.random.Generator` is yielded every time, its
-    PCG64 state set to that chunk's substream, so each generator is only
-    valid until the next one is drawn.
+
+@lru_cache(maxsize=64)
+def _inversion_setup(n: int, p: float):
+    """numpy's per-(n, p) inversion constants: q, q**n and the search bound."""
+    q = 1.0 - p
+    np_ = n * p
+    bound = np_ + 10.0 * sqrt(np_ * q + 1)
+    # C's MIN(n, bound) compares and returns doubles before the cast
+    return q, exp(n * log1p(-p)), n if n < bound else int(bound)
+
+
+@lru_cache(maxsize=64)
+def _btpe_setup(n: int, p: float):
+    """numpy's per-(n, p) BTPE constants, including ``s`` and ``a = s * (n + 1)``.
+
+    ``p <= 0.5``, so numpy's ``r = min(p, 1 - p)`` is ``p``.
     """
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
-    state = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    for state["state"], state["inc"] in _pcg64_states(seed, start, stop):
-        bitgen.state = full
-        yield rng
+    r = p
+    q = 1.0 - r
+    fm = n * r + r
+    m = floor(fm)
+    p1 = floor(2.195 * sqrt(n * r * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl = xm - p1
+    xr = xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    s = r / q
+    # int64 n + 1 wraps at n = 2**63 - 1
+    return (r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, n * r * q, s,
+            s * _wrap64(n + 1))
 
 
-def chunk_rng(seed: int, index: int) -> np.random.Generator:
+class _Sampler:
+    """A PCG64 generator whose ``binomial`` is numpy's, draw for draw.
+
+    ``state`` and ``inc`` are the 128-bit PCG64 state and increment, as
+    ``np.random.PCG64().state["state"]`` holds them.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, state: int = 0, inc: int = 1):
+        self.state = state
+        self.inc = inc
+
+    def next_double(self) -> float:
+        """One LCG step, the XSL-RR output, and its top 53 bits as a double in [0, 1)."""
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        # rotate right by the top 6 bits, then keep the top 53 of the 64
+        return ((x | x << 64) >> (state >> 122) + 11 & _M53) * 2.0**-53
+
+    def binomial(self, n: int, p: float) -> int:
+        """numpy's ``random_binomial(n, p)``: reflect p > 0.5, then inversion or BTPE."""
+        if n == 0 or p == 0.0:
+            return 0
+        if p <= 0.5:
+            return self._inversion(n, p) if p * n <= 30.0 else self._btpe(n, p)
+        q = 1.0 - p
+        return n - (self._inversion(n, q) if q * n <= 30.0 else self._btpe(n, q))
+
+    def _inversion(self, n: int, p: float) -> int:
+        q, qn, bound = _inversion_setup(n, p)
+        x = 0
+        px = qn
+        u = self.next_double()
+        while u > px:
+            x += 1
+            if x > bound:
+                x = 0
+                px = qn
+                u = self.next_double()
+            else:
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    def _btpe(self, n: int, p: float) -> int:
+        """BTPE as numpy's C code runs it, int64 wraps included; p <= 0.5."""
+        r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, nrq, s, a = _btpe_setup(n, p)
+        next_double = self.next_double
+        while True:
+            u = next_double() * p4
+            v = next_double()
+            if u <= p1:
+                return floor(xm - p1 * v + u)
+            if u <= p2:
+                x = xl + (u - p1) / c
+                v = v * c + 1.0 - abs(m - x + 0.5) / p1
+                if v > 1.0:
+                    continue
+                y = floor(x)
+            elif u <= p3:
+                if v == 0.0:
+                    continue
+                y = floor(xl + log(v) / laml)
+                if y < 0:
+                    continue
+                v = v * (u - p2) * laml
+            else:
+                if v == 0.0:
+                    continue
+                y = floor(xr - log(v) / lamr)
+                if y > n:
+                    continue
+                v = v * (u - p3) * lamr
+            k = abs(y - m)
+            if not (k > 20 and k < nrq / 2.0 - 1):
+                f = 1.0
+                if m < y:
+                    for i in range(m + 1, y + 1):
+                        f *= a / i - s
+                elif m > y:
+                    for i in range(y + 1, m + 1):
+                        f /= a / i - s
+                if v > f:
+                    continue
+                return y
+            # C takes log(v) of v <= 0 as -inf or NaN, and both accept
+            if v <= 0.0:
+                return y
+            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+            # int64 -k*k wraps for k above 2**31.5
+            t = _wrap64(-k * k) / (2 * nrq)
+            big_a = log(v)
+            if big_a < t - rho:
+                return y
+            if big_a > t + rho:
+                continue
+            # numpy adds these in doubles, n + 1 included
+            x1 = y + 1.0
+            f1 = m + 1.0
+            z = float(n) + 1.0 - m
+            w = float(n) - y + 1.0
+            x2 = x1 * x1
+            f2 = f1 * f1
+            z2 = z * z
+            w2 = w * w
+            if big_a > (
+                xm * log(f1 / x1)
+                + (n - m + 0.5) * log(z / w)
+                + (y - m) * log(w * r / (x1 * q))
+                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / f2) / f2) / f2) / f2) / f1 / 166320.0
+                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / z2) / z2) / z2) / z2) / z / 166320.0
+                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x1 / 166320.0
+                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / w2) / w2) / w2) / w2) / w / 166320.0
+            ):
+                continue
+            return y
+
+
+def chunk_rng(seed: int, index: int):
     """Independent substream for one chunk, a pure function of (seed, index).
 
-    It is the generator ``np.random.default_rng(np.random.SeedSequence(
-    entropy=seed, spawn_key=(index,)))`` would give, derived as the
-    simulator derives the substreams of a whole run.
+    It is the :class:`numpy.random.Generator` that
+    ``np.random.default_rng(np.random.SeedSequence(entropy=seed,
+    spawn_key=(index,)))`` would give, its state derived as the
+    simulator derives the substreams of a whole run.  The simulator
+    itself draws from :class:`_Sampler` and needs no numpy; this is the
+    numpy handle on a chunk's substream, kept so that tests and callers
+    can check the pure-Python draws against numpy's own, and it imports
+    numpy on its first call.
     """
     if not (0 <= seed < 2**64 and 0 <= index < 2**32):
         raise DomainError(
             f"chunk_rng needs 0 <= seed < 2**64 and 0 <= index < 2**32, got {seed}, {index}"
         )
-    return next(_substreams(seed, index, index + 1))
+    import numpy as np
+
+    state, inc = next(_pcg64_states(seed, index, index + 1))
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
 
 
 def _run_chunked(name: str, n0: int, cfg: SimConfig, kernel) -> CountTable:
@@ -141,8 +324,9 @@ def _run_chunked(name: str, n0: int, cfg: SimConfig, kernel) -> CountTable:
     """
     labels = EXPERIMENTS[name].labels
     total = [0] * len(labels)
-    chunks = _substreams(cfg.seed, 0, cfg.chunk_count(n0))
-    for index, rng in enumerate(chunks):
+    rng = _Sampler()
+    states = _pcg64_states(cfg.seed, 0, cfg.chunk_count(n0))
+    for index, (rng.state, rng.inc) in enumerate(states):
         size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
         tally = kernel(rng, size)
         total = [a + b for a, b in zip(total, tally)]

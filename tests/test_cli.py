@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -468,6 +469,25 @@ def test_predict_and_config_errors_do_not_import_numpy():
     assert report["numpy"] is False and report["exact_engine"] is True
 
 
+def test_simulate_does_not_import_numpy():
+    decay = DECAY_WITHOUT_OFFSET.replace("lambda = 0", "lambda = 1") + "lambda_prime = 2\n"
+    experiments = {"excitation": EXCITATION, "decay": decay, "photon": PHOTON}
+    pairs = [("excitation", "pos"), ("excitation", "ccqi"), ("decay", "pos"),
+             ("decay", "ccqi"), ("decay", "modified_rate"), ("photon", "pos"),
+             ("photon", "ccqi")]
+    # n0 = 10000, 1000 and 16000 in chunks of 300 each end on a chunk of 100
+    sim = "[simulation]\nseed = 11\nchunk_size = 300\n"
+    requests = [
+        ["simulate", re.sub("hypothesis = .*", f"hypothesis = {h}", experiments[e]) + sim,
+         "--format", fmt]
+        for e, h in pairs
+        for fmt in ("csv", "json")
+    ]
+    report = run_guard(requests)
+    assert report["codes"] == [0] * len(requests)
+    assert report["numpy"] is False and report["numpy_random"] is False
+
+
 def test_importing_the_cli_does_not_load_the_exact_engine():
     assert run_guard([]) == {
         "codes": [], "numpy": False, "numpy_random": False, "exact_engine": False
@@ -480,8 +500,9 @@ def test_importing_stats_does_not_import_numpy():
 
 
 def test_only_the_simulation_above_the_cap_imports_numpy_random():
-    # numpy.random takes ~14 ms to import, and only the Monte Carlo paths use it;
-    # 344 draws over four pooled cells lie above ROW_CAP, so discriminate draws
+    # numpy.random takes ~14 ms to import, and only the seeded tests above the
+    # row cap use it; 344 draws over four pooled cells lie above ROW_CAP, so
+    # discriminate draws
     sampled = run_guard([["discriminate", FOUR_CELLS + "counts = 300,40,2,2\nreplicates = 10\n"]])
     assert sampled == {
         "codes": [0], "numpy": True, "numpy_random": True, "exact_engine": True

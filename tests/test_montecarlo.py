@@ -5,14 +5,17 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
 from mzsim.errors import DomainError, UnsupportedHypothesisError
 from mzsim.montecarlo import (
-    _STATE_BLOCK,
     SimConfig,
     _pcg64_states,
+    _Sampler,
+    _seed_pool,
     chunk_rng,
     simulate_decay,
     simulate_excitation,
@@ -185,10 +188,10 @@ class TestReproducibility:
 
 
 class TestSubstreams:
-    """Bulk-derived chunk states equal numpy's per-chunk SeedSequence ones."""
+    """Chunk states derived in pure Python equal numpy's per-chunk SeedSequence ones."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(12345)]
-    INDICES = [0, 1, _STATE_BLOCK - 1, _STATE_BLOCK, 2**20 - 1]
+    INDICES = [0, 1, 4095, 4096, 2**20 - 1]
 
     @staticmethod
     def numpy_state(seed, index):
@@ -199,8 +202,8 @@ class TestSubstreams:
     def test_matches_seed_sequence(self, seed):
         for index in self.INDICES:
             assert next(_pcg64_states(seed, index, index + 1)) == self.numpy_state(seed, index)
-        # a range across a block boundary, in one pass
-        start = _STATE_BLOCK - 3
+        # a range, in one pass
+        start = 4093
         expected = [self.numpy_state(seed, i) for i in range(start, start + 6)]
         assert list(_pcg64_states(seed, start, start + 6)) == expected
 
@@ -229,9 +232,107 @@ class TestSubstreams:
             finally:
                 tracemalloc.stop()
 
-        # 16 blocks against one; tracemalloc makes 2**18 chunks take ~8 s
+        # 2**16 chunks against 2**12; tracemalloc traces every int the per-chunk
+        # derivation makes, so these two take ~15 s
         small, large = peak(2**12), peak(2**16)
         assert large < 1.1 * small
+
+
+def _numpy_generator(state: int, inc: int) -> np.random.Generator:
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+_INT64_MAX = 2**63 - 1
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _near_30(draw):
+    """n * p a few ulps either side of 30, where inversion hands over to BTPE."""
+    n = draw(st.integers(31, _INT64_MAX))
+    p = 30.0 / n
+    toward = 1.0 if draw(st.booleans()) else 0.0
+    for _ in range(draw(st.integers(0, 4))):
+        p = math.nextafter(p, toward)
+    return n, (1.0 - p if draw(st.booleans()) else p)
+
+
+@st.composite
+def _tiny_p(draw):
+    """p of order 1/n at huge n: inversion's q**n = exp(n * log1p(-p)) and small-nrq BTPE."""
+    n = draw(st.sampled_from([_INT64_MAX]) | st.integers(2**60, _INT64_MAX))
+    p = draw(st.floats(min_value=0.0, max_value=200.0)) / n
+    return n, (1.0 - p if draw(st.booleans()) else p)
+
+
+_BINOMIAL_STRATA = {
+    "any": st.tuples(st.integers(0, _INT64_MAX), _UNIT),
+    "moderate": st.tuples(st.integers(0, 10**6), _UNIT),
+    "near_30": _near_30(),
+    "edges": st.tuples(st.sampled_from([0, 1, 30, 4096, _INT64_MAX]) | st.integers(0, 10**4),
+                       st.sampled_from([0.0, 1.0, 0.5])),
+    "tiny_p": _tiny_p(),
+    "huge_n": st.tuples(st.integers(2**54, _INT64_MAX), _UNIT),
+    # BTPE's -k*k overflows int64 once k exceeds 2**31.5, 2 sigma at n = 2**63 and
+    # p = 1/2, which every tail proposal beyond p1 = 2.195 sigma passes
+    "k_squared_wraps": st.tuples(st.integers(0, 2**61).map(lambda d: _INT64_MAX - d),
+                                 st.floats(min_value=0.3, max_value=0.7)),
+    # s * (n + 1) with n + 1 wrapping to -2**63; BTPE's product loop needs a small nrq
+    "n_plus_1_wraps": st.tuples(st.just(_INT64_MAX),
+                                st.floats(min_value=30.0, max_value=120.0).map(
+                                    lambda c: c / _INT64_MAX)),
+}
+
+
+class TestSampler:
+    """The pure-Python sampler reproduces numpy's seed pool and binomial stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1])
+    def test_seed_pool_is_numpy_s(self, seed):
+        # one 32-bit entropy word below 2**32, two from there on
+        assert _seed_pool(seed) == np.random.SeedSequence(seed).pool.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_seed_pool_property(self, seed):
+        assert _seed_pool(seed) == np.random.SeedSequence(seed).pool.tolist()
+
+    @pytest.mark.parametrize("stratum", list(_BINOMIAL_STRATA))
+    def test_binomial_is_numpy_s(self, stratum):
+        @settings(max_examples=300, deadline=None)
+        @given(case=_BINOMIAL_STRATA[stratum], state=st.integers(0, 2**128 - 1),
+               inc=st.integers(0, 2**127 - 1))
+        def check(case, state, inc):
+            n, p = case
+            inc = inc << 1 | 1
+            ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
+            # repeats reuse the cached per-(n, p) set-up
+            draws = [(ours.binomial(n, p), ref.binomial(n, p)) for _ in range(4)]
+            assert all(a == b for a, b in draws), (n, p, draws)
+            assert ours.state == ref.bit_generator.state["state"]["state"]
+
+        check()
+
+    # BTPE's squeeze adds n + 1 - m and n - y + 1 in doubles, which an int64
+    # sum rounds differently above 2**53: draws found by a random search
+    @pytest.mark.parametrize(
+        "n, p, state, inc",
+        [
+            (2083998951854759902, 5.879001057170876e-17,
+             31320925525299500909320479113710429093, 275037770604168528908420806219055152703),
+            (1672733925935940557, 4.744917094915894e-17,
+             316696621388555081066406161709531336377, 211266363313077231038058851494491403391),
+        ],
+    )
+    def test_binomial_squeeze_rounds_as_numpy(self, n, p, state, inc):
+        assert _Sampler(state, inc).binomial(n, p) == _numpy_generator(state, inc).binomial(n, p)
+
+    def test_next_double_is_numpy_s(self):
+        ours, ref = _Sampler(2**127 + 5, 2**90 + 1), _numpy_generator(2**127 + 5, 2**90 + 1)
+        assert [ours.next_double() for _ in range(1000)] == ref.random(1000).tolist()
 
 
 _N0 = 10**6 + 7  # leaves a remainder chunk at both chunk sizes
