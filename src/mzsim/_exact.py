@@ -40,9 +40,8 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate, compress
 
-from .core import MAX_REPLICATES, CountTable
+from .core import MAX_REPLICATES, CountTable, SimConfig, _check_integer
 from .errors import DomainError, ResourceLimitError, StructureError
-from .predict import MAX_SAMPLE_SIZE
 
 # statistics within this relative distance of each other count as tied
 TIE_REL_TOL = 1e-9
@@ -52,6 +51,8 @@ TIE_REL_TOL = 1e-9
 # support of at most 2**18 outcomes, the old enumeration's cap, and keeps
 # three pooled cells exact up to n = 10,279 and four up to n = 330
 ROW_CAP = 2**20
+# largest sample size the power search probes or min_sample_size reports
+MAX_SAMPLE_SIZE = 10**9
 # a binomial table spans the counts whose pmf is at least 2**-64 of the mode's
 _WINDOW_LOG = 64 * math.log(2.0)
 
@@ -81,9 +82,12 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Real) and 0 <= value < 2**63 and value == int(value)
 
 
-def check_replicates(replicates: int) -> None:
+def check_sampling(replicates: int, seed: int) -> None:
+    """Refuse what the seeded simulation above ``ROW_CAP`` could not take, at any n."""
+    _check_integer("replicates", replicates)
     if not 1 <= replicates <= MAX_REPLICATES:
         raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {replicates}")
+    SimConfig(seed=seed)  # a Monte Carlo run's seed range, [0, 2**64)
 
 
 def log_likelihood(values, p) -> float:

@@ -26,18 +26,14 @@ goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
 emitted with 17 significant digits so identical configurations yield
 byte-identical output.
 
-``predict``, ``plan``'s zero-cell closed form, and every configuration
-error found while parsing the config, computing a prediction or, for
-``plan``, the category probabilities are answered before
-:mod:`~mzsim.stats` loads.  ``plan`` takes the probabilities and the
-closed form from the pure-Python helpers of :mod:`~mzsim.predict`, so
-it also refuses a missing ``alpha``, a ``method = closed_form``
-without a null-impossible category and a ``background`` budget above
-1 first.
-``discriminate`` and ``plan``'s power search call
-:mod:`~mzsim.stats`, whose exact engine (``mzsim._exact``, loaded by
-those requests only) is pure Python: they load numpy only above its
-``ROW_CAP``, and ``plan`` also for ``method = simulation``.
+Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`: they
+build their models with ``stats.build_model`` and call
+``stats.discriminate`` and ``stats.min_sample_size``, after the
+config has been parsed and checked.  :mod:`~mzsim.stats` imports no
+numpy, and its exact engine (``mzsim._exact``, loaded by those
+requests only) is pure Python: they load numpy only above its
+``ROW_CAP``, and ``plan`` also for ``method = simulation``; ``plan``'s
+zero-cell closed form never does.
 ``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
 binomial sampler are pure Python, so it never loads numpy.
 ``fringes`` and ``sectors-demo`` load numpy on their first call into
@@ -168,15 +164,16 @@ def _cmd_fringes(cfg: RunConfig) -> str:
     return _csv(("position", "intensity"), zip(profile.positions, profile.intensity))
 
 
-def _stats_models(cfg: RunConfig, build):
-    """The (h0, h1) pair of ``build``: ``stats.build_model``, or its arithmetic
-    and checks before ``stats`` loads, ``predict._category_probabilities``."""
+def _stats_models(cfg: RunConfig):
+    """The (h0, h1) pair of ``stats.build_model``."""
     kind, params = _experiment_inputs(cfg)
     opts = cfg.stats
     # visibility stands in for the null hypothesis
     h0 = opts.h0 if opts.visibility is None else None
-    model_h0 = build(kind, params, h0, background=opts.background, visibility=opts.visibility)
-    model_h1 = build(kind, params, opts.h1, background=opts.background)
+    model_h0 = stats.build_model(
+        kind, params, h0, background=opts.background, visibility=opts.visibility
+    )
+    model_h1 = stats.build_model(kind, params, opts.h1, background=opts.background)
     return model_h0, model_h1
 
 
@@ -186,7 +183,7 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
     report = stats.discriminate(
         cfg.stats.counts,
-        *_stats_models(cfg, stats.build_model),
+        *_stats_models(cfg),
         cfg.stats.alpha,
         replicates=cfg.stats.replicates or 100_000,
         seed=cfg.sim.seed,
@@ -204,22 +201,14 @@ def _cmd_plan(cfg: RunConfig) -> str:
     _require(cfg.output_format != "csv", "plan emits JSON; remove format = csv")
     _require(cfg.stats.power is not None, "plan needs power in [stats]")
     opts = cfg.stats
-    # stats.min_sample_size's checks and its closed form, on plain floats; the
-    # config has checked power, alpha, replicates and method
-    p0, p1 = _stats_models(cfg, predict._category_probabilities)
-    predict._check_distinct(p0, p1)
-    p_hit = predict._zero_cell_hit_probability(p0, p1, opts.alpha, opts.method)
-    if p_hit > 0.0 and opts.method != "simulation":
-        n = predict._zero_cell_min_n(p_hit, opts.power)
-    else:
-        n = stats.min_sample_size(
-            *_stats_models(cfg, stats.build_model),
-            opts.alpha,
-            opts.power,
-            method=opts.method,
-            replicates=opts.replicates or 10_000,
-            seed=cfg.sim.seed,
-        )
+    n = stats.min_sample_size(
+        *_stats_models(cfg),
+        opts.alpha,
+        opts.power,
+        method=opts.method,
+        replicates=opts.replicates or 10_000,
+        seed=cfg.sim.seed,
+    )
     return _json(
         {"min_n0": n, "power": opts.power, "alpha": opts.alpha, "method": opts.method}
     )

@@ -27,27 +27,28 @@ gives the details.
 This module imports no numpy.  :class:`CategoryModel` keeps plain
 floats, and numpy loads only on the first read of its
 ``probabilities`` array and in the seeded simulations: a test or probe
-above ``ROW_CAP``, and ``method = "simulation"``.  The arithmetic
-that turns a predicted table into category probabilities, the check
-that two models differ, and the zero-cell closed form live in
-:mod:`mzsim.predict`, which the CLI also calls before this module
-loads.
+above ``ROW_CAP``, and ``method = "simulation"``.  The category
+probabilities and the zero-cell closed form are computed on those
+floats; their results are bitwise the ones numpy's elementwise
+arithmetic gives, and their sums are left folds, the order in which
+numpy sums vectors of fewer than eight values.
 """
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from . import _exact
-from ._exact import ROW_CAP, TIE_REL_TOL  # the cap and tolerance stay readable here
+from . import _exact, predict
+# the caps and tolerance stay readable here
+from ._exact import MAX_SAMPLE_SIZE, ROW_CAP, TIE_REL_TOL
 from .core import EXPERIMENTS, Hypothesis
-from .errors import DomainError, StructureError
-from .predict import (
-    _category_probabilities,
-    _check_distinct,
-    _zero_cell_hit_probability,
-    _zero_cell_min_n,
+from .errors import (
+    DegenerateComparisonError,
+    DomainError,
+    ResourceLimitError,
+    StructureError,
 )
 
 __all__ = [
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 PROBABILITY_SUM_TOL = 1e-12
+# two models whose probabilities all lie within this distance are identical
+MODEL_DISTINCTION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -133,15 +136,71 @@ def build_model(
 
     ``visibility`` replaces ``hypothesis`` with the imperfect-contrast
     mixture ``v * POS + (1 - v) * CCQI`` (pass one or the other, not
-    both).  ``background`` adds per-category dark-count probability,
-    with a total budget of at most 1, followed by renormalization.
-    The arithmetic and its checks are :mod:`mzsim.predict`'s
-    ``_category_probabilities``.
+    both).  ``background`` adds per-category dark-count probability, a
+    finite scalar or one value per category, with a total budget of at
+    most 1, followed by renormalization.
     """
-    probs = _category_probabilities(
-        experiment, params, hypothesis, background=background, visibility=visibility
-    )
-    return CategoryModel(EXPERIMENTS[experiment].labels, probs)
+    kind = EXPERIMENTS.get(experiment)
+    if kind is None:
+        raise StructureError(
+            f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}"
+        )
+    if not isinstance(params, kind.params):
+        raise StructureError(
+            f"{experiment} needs {kind.params.__name__}, got {type(params).__name__}"
+        )
+    predictor = getattr(predict, f"predict_{experiment}")
+    n0 = params.n0
+    if n0 < 1:
+        raise DomainError("n0 must be >= 1 to derive category probabilities")
+
+    if visibility is not None:
+        if hypothesis is not None:
+            raise StructureError("pass either hypothesis or visibility, not both")
+        if not 0.0 <= visibility <= 1.0:
+            raise DomainError(f"visibility must be in [0, 1], got {visibility}")
+        pos = predictor(params, Hypothesis.POS).values()
+        ccqi = predictor(params, Hypothesis.CCQI).values()
+        probs = [
+            visibility * (a / n0) + (1.0 - visibility) * (b / n0)
+            for a, b in zip(pos, ccqi)
+        ]
+    else:
+        if hypothesis is None:
+            raise StructureError("a hypothesis is required when visibility is not given")
+        probs = [v / n0 for v in predictor(params, hypothesis).values()]
+
+    if background is not None:
+        b = _background(background, len(probs))
+        if any(x < 0 for x in b):
+            raise DomainError("background probabilities must be >= 0")
+        budget = 0.0
+        for x in b:
+            budget += x
+        if budget > 1.0:
+            raise DomainError("background probabilities must sum to at most 1")
+        scale = 1.0 + budget
+        probs = [(p + x) / scale for p, x in zip(probs, b)]
+    return CategoryModel(kind.labels, probs)
+
+
+def _background(background, ncat: int) -> list[float]:
+    """``background`` as ``ncat`` finite floats: a scalar, or 1 or ``ncat`` values."""
+    given = [background] if isinstance(background, numbers.Real) else background
+    try:
+        given = list(given)
+        values = [float(x) for x in given]
+    except (TypeError, ValueError):
+        values = []
+    if len(values) == 1:
+        values *= ncat
+    if len(values) != ncat:
+        raise StructureError(f"background must be a scalar or {ncat} values")
+    if any(isinstance(x, bool) for x in given) or not all(
+        -math.inf < x < math.inf for x in values
+    ):
+        raise DomainError(f"background must be finite numbers, got {background!r}")
+    return values
 
 
 def log_likelihood(counts, model: CategoryModel) -> float:
@@ -157,7 +216,10 @@ def log_likelihood(counts, model: CategoryModel) -> float:
 def _check_comparable(model_h0: CategoryModel, model_h1: CategoryModel) -> None:
     if model_h0.labels != model_h1.labels:
         raise StructureError("models must share one category layout")
-    _check_distinct(model_h0._p, model_h1._p)
+    if max(abs(a - b) for a, b in zip(model_h0._p, model_h1._p)) <= MODEL_DISTINCTION_TOL:
+        raise DegenerateComparisonError(
+            "models are identical within tolerance; nothing to discriminate"
+        )
 
 
 def _sampled_statistics(draws, p0, p1):
@@ -208,12 +270,14 @@ def discriminate(
     ``replicates`` and ``seed`` go unused; above the cap it is the
     fraction of ``replicates`` seeded multinomial draws under the null,
     with the usual add-one correction, so it cannot fall below
-    ``1 / (replicates + 1)``.
+    ``1 / (replicates + 1)``.  ``replicates`` must be an integer in
+    ``[1, MAX_REPLICATES]`` and ``seed`` one in ``[0, 2**64)`` at any
+    sample size.
     """
     _check_comparable(model_h0, model_h1)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    _exact.check_replicates(replicates)
+    _exact.check_sampling(replicates, seed)
     p0, p1 = model_h0._p, model_h1._p
     values = _exact.count_values(counts, model_h0.labels)
     ll0, ll1 = _exact.log_likelihood(values, p0), _exact.log_likelihood(values, p1)
@@ -308,24 +372,35 @@ def min_sample_size(
     ``method`` selects ``"auto"`` (closed form when available),
     ``"closed_form"`` (error when unavailable), or ``"simulation"``
     (Monte Carlo even for the zero-cell design, as a cross-check).
-
-    The zero-cell rules (the hit probability, the errors for a design
-    without a null-impossible category, the answer 1 at ``p_hit >= 1``,
-    the closed form and the ``MAX_SAMPLE_SIZE`` cap) are
-    :mod:`mzsim.predict`'s ``_zero_cell_hit_probability`` and
-    ``_zero_cell_min_n``.
+    ``replicates`` and ``seed`` are checked as in :func:`discriminate`,
+    whichever path answers.
     """
     _check_comparable(model_h0, model_h1)
     if not 0.0 < power < 1.0:
         raise DomainError(f"power must be in (0, 1), got {power}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    _exact.check_replicates(replicates)
+    _exact.check_sampling(replicates, seed)
     if method not in ("auto", "closed_form", "simulation"):
         raise DomainError(f"unknown method {method!r}")
 
-    p_hit = _zero_cell_hit_probability(model_h0._p, model_h1._p, alpha, method)
+    # the probability under h1 of a category impossible under h0
+    p_hit = 0.0
+    for a, b in zip(model_h0._p, model_h1._p):
+        if a == 0.0:
+            p_hit += b
     if p_hit == 0.0:
+        if method == "closed_form":
+            raise DomainError(
+                "method = closed_form needs a category that is impossible under h0, "
+                "and this design has none"
+            )
+        if alpha is None:
+            raise DomainError(
+                "alpha is required: this design has no category that is impossible "
+                "under h0, so the sample size comes from a power search at "
+                "significance alpha"
+            )
         # the probes share their binomial tables
         binomials = {}
         return _exact.power_search(
@@ -334,8 +409,16 @@ def min_sample_size(
             ),
             power,
         )
+    if p_hit >= 1.0:
+        return 1
     if method == "simulation":
-        return _zero_cell_min_n(
-            p_hit, power, lambda p: _geometric_min_n(p, power, replicates, seed)
+        n = _geometric_min_n(p_hit, power, replicates, seed)
+    else:
+        ratio = math.log1p(-power) / math.log1p(-p_hit)
+        # a subnormal p_hit gives an infinite ratio, which no integer holds
+        n = max(1, math.ceil(ratio)) if ratio < math.inf else ratio
+    if n > MAX_SAMPLE_SIZE:
+        raise ResourceLimitError(
+            f"required sample size {n} exceeds the cap of {MAX_SAMPLE_SIZE}"
         )
-    return _zero_cell_min_n(p_hit, power)
+    return n

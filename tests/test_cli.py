@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import mzsim
 from mzsim.cli import _z_score, main
+from mzsim.config import parse_config
+from mzsim.errors import MzsimError
 
 LN2 = "0.6931471805599453"
 
@@ -400,11 +402,50 @@ class TestConfigInducedErrors:
         assert code == 2 and echoed in err
 
 
+# (config, exit code, stderr) of plan requests refused before any sample size
+PLAN_REFUSALS = [
+    (
+        BACKGROUND_PLAN,
+        2,
+        "mzsim: config error: alpha is required: this design has no category that is "
+        "impossible under h0, so the sample size comes from a power search at "
+        "significance alpha\n",
+    ),
+    (
+        BACKGROUND_PLAN + "alpha = 0.01\nmethod = closed_form\n",
+        2,
+        "mzsim: config error: method = closed_form needs a category that is impossible "
+        "under h0, and this design has none\n",
+    ),
+    (
+        EXCITATION + "\n[stats]\npower = 0.99\nbackground = 0.3\n",
+        2,
+        "mzsim: config error: background probabilities must sum to at most 1\n",
+    ),
+    (
+        EXCITATION + "\n[stats]\npower = 0.9\nh1 = modified_rate\n",
+        2,
+        "mzsim: config error: excitation run supports POS and CCQI, not MODIFIED_RATE\n",
+    ),
+    (
+        EXCITATION + "\n[stats]\npower = 0.9\nh0 = ccqi\nh1 = ccqi\n",
+        3,
+        "mzsim: error: models are identical within tolerance; nothing to discriminate\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, code, message", PLAN_REFUSALS)
+def test_plan_refusals_keep_their_bytes(write_config, capsys, config, code, message):
+    assert run_cli(capsys, "plan", "--config", write_config(config)) == (code, "", message)
+
+
 # runs in a fresh interpreter: import the package and the CLI (or the modules
 # named in argv), answer every request given on stdin, then report the exit
-# codes and whether numpy, numpy.random and the exact engine loaded
+# codes, whether numpy and numpy.random loaded, and which mzsim submodules
+# ran; a lazily bound module counts once its code has executed, not when bound
 GUARD_SCRIPT = """
-import contextlib, importlib, io, json, os, sys, tempfile
+import contextlib, importlib, importlib.util, io, json, os, sys, tempfile
 for name in sys.argv[1:] or ["mzsim", "mzsim.cli"]:
     getattr(importlib.import_module(name), "__all__")  # runs a lazily bound module
 codes = []
@@ -416,11 +457,14 @@ with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append(sys.modules["mzsim.cli"].main([command, "--config", path, *flags]))
+# type() reads no attribute, so it leaves a module that has not run unloaded
+executed = sorted(
+    name for name, module in list(sys.modules.items())
+    if name.startswith("mzsim.") and type(module) is not importlib.util._LazyModule
+)
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "numpy_random": "numpy.random" in sys.modules,
-                  "exact_engine": "mzsim._exact" in sys.modules}))
+                  "numpy_random": "numpy.random" in sys.modules, "executed": executed}))
 """
-
 
 def run_guard(requests, *modules) -> dict:
     src = os.path.dirname(os.path.dirname(mzsim.__file__))
@@ -439,6 +483,23 @@ def run_guard(requests, *modules) -> dict:
 FOUR_CELLS = EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
 
 
+# the layers only discriminate and plan run
+STATS_LAYERS = {"mzsim.stats", "mzsim._exact"}
+# the zero-cell closed form: without alpha, with it unused, under visibility 1, by name
+CLOSED_FORM_PLANS = [
+    ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]
+    for extra in ("", "alpha = 0.05\n", "visibility = 1\n", "method = closed_form\n")
+]
+
+
+def parses(config: str) -> bool:
+    try:
+        parse_config(config)
+    except MzsimError:
+        return False
+    return True
+
+
 def test_predict_and_config_errors_do_not_import_numpy():
     decay = DECAY_WITHOUT_OFFSET.replace("mu = 0.5", "mu = 1")
     impure_decay = DECAY_WITHOUT_OFFSET.replace("lambda = 0", "lambda = 1")
@@ -447,11 +508,26 @@ def test_predict_and_config_errors_do_not_import_numpy():
         for config in (EXCITATION, decay, impure_decay, PHOTON)
         for fmt in ("csv", "json")
     ]
-    # the zero-cell closed form: without alpha, with it unused, under visibility 1, by name
-    closed_form = [
-        ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]
-        for extra in ("", "alpha = 0.05\n", "visibility = 1\n", "method = closed_form\n")
+    # refused while parsing, or by a subcommand that runs no stats
+    errors = [
+        [command, config]
+        for command, config, key in CONFIG_ERRORS
+        if command not in ("discriminate", "plan") or not parses(config)
     ]
+    report = run_guard(predicts + errors)
+    assert report["codes"] == [0] * len(predicts) + [2] * len(errors)
+    assert report["numpy"] is False
+    assert STATS_LAYERS.isdisjoint(report["executed"])
+
+
+def test_a_closed_form_plan_runs_stats_without_numpy():
+    report = run_guard(CLOSED_FORM_PLANS)
+    assert report["codes"] == [0] * len(CLOSED_FORM_PLANS)
+    assert report["numpy"] is False
+    assert STATS_LAYERS <= set(report["executed"])
+
+
+def test_stats_requests_below_the_cap_do_not_import_numpy():
     # exact tests and power searches: three pooled cells, and four, where 80
     # draws have 91,881 outcomes but 3,321 rows
     stats = EXCITATION + "[stats]\nalpha = 0.05\nbackground = 1e-3\n"
@@ -463,10 +539,15 @@ def test_predict_and_config_errors_do_not_import_numpy():
         ["discriminate", FOUR_CELLS + "counts = 62,12,3,3\n"],
         ["plan", FOUR_CELLS + "power = 0.9\n"],
     ]
-    errors = [[command, config] for command, config, key in CONFIG_ERRORS]
-    report = run_guard(predicts + closed_form + exact + errors)
-    assert report["codes"] == [0] * len(predicts + closed_form + exact) + [2] * len(errors)
-    assert report["numpy"] is False and report["exact_engine"] is True
+    # refused by the rules of stats, after the config has parsed
+    errors = [
+        [command, config]
+        for command, config, key in CONFIG_ERRORS
+        if command in ("discriminate", "plan") and parses(config)
+    ]
+    report = run_guard(CLOSED_FORM_PLANS + exact + errors)
+    assert report["codes"] == [0] * len(CLOSED_FORM_PLANS + exact) + [2] * len(errors)
+    assert report["numpy"] is False
 
 
 def test_simulate_does_not_import_numpy():
@@ -486,17 +567,20 @@ def test_simulate_does_not_import_numpy():
     report = run_guard(requests)
     assert report["codes"] == [0] * len(requests)
     assert report["numpy"] is False and report["numpy_random"] is False
+    assert STATS_LAYERS.isdisjoint(report["executed"])
 
 
 def test_importing_the_cli_does_not_load_the_exact_engine():
     assert run_guard([]) == {
-        "codes": [], "numpy": False, "numpy_random": False, "exact_engine": False
+        "codes": [], "numpy": False, "numpy_random": False,
+        "executed": ["mzsim.cli", "mzsim.config", "mzsim.core", "mzsim.errors",
+                     "mzsim.predict"],
     }
 
 
 def test_importing_stats_does_not_import_numpy():
     report = run_guard([], "mzsim.stats", "mzsim.cli")
-    assert report["numpy"] is False and report["exact_engine"] is True
+    assert report["numpy"] is False and STATS_LAYERS <= set(report["executed"])
 
 
 def test_only_the_simulation_above_the_cap_imports_numpy_random():
@@ -504,9 +588,9 @@ def test_only_the_simulation_above_the_cap_imports_numpy_random():
     # row cap use it; 344 draws over four pooled cells lie above ROW_CAP, so
     # discriminate draws
     sampled = run_guard([["discriminate", FOUR_CELLS + "counts = 300,40,2,2\nreplicates = 10\n"]])
-    assert sampled == {
-        "codes": [0], "numpy": True, "numpy_random": True, "exact_engine": True
-    }
+    assert sampled["codes"] == [0]
+    assert sampled["numpy"] is True and sampled["numpy_random"] is True
+    assert STATS_LAYERS <= set(sampled["executed"])
 
 
 HYPOTHESES = st.sampled_from(["pos", "ccqi", "modified_rate"])

@@ -1,29 +1,11 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from mzsim import predict
-from mzsim.core import (
-    EXPERIMENTS,
-    DecayParams,
-    ExcitationParams,
-    Hypothesis,
-    PhotonParams,
-)
-from mzsim.errors import DomainError, ResourceLimitError, UnsupportedHypothesisError
-from mzsim.predict import (
-    MAX_SAMPLE_SIZE,
-    _category_probabilities,
-    _zero_cell_hit_probability,
-    _zero_cell_min_n,
-    predict_decay,
-    predict_excitation,
-    predict_photon,
-)
+from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
+from mzsim.errors import DomainError, UnsupportedHypothesisError
+from mzsim.predict import predict_decay, predict_excitation, predict_photon
 
 LN2 = math.log(2.0)
 
@@ -186,91 +168,3 @@ class TestConservation:
             for h in Hypothesis:
                 assert predict_decay(p_dec, h).total == pytest.approx(n0, rel=1e-9)
 
-
-def numpy_probabilities(experiment, params, hypothesis, background, visibility):
-    """The numpy expressions the pure-Python category probabilities replace."""
-    predictor = getattr(predict, f"predict_{experiment}")
-    if visibility is not None:
-        pos = np.array(predictor(params, Hypothesis.POS).values()) / params.n0
-        ccqi = np.array(predictor(params, Hypothesis.CCQI).values()) / params.n0
-        probs = visibility * pos + (1.0 - visibility) * ccqi
-    else:
-        probs = np.array(predictor(params, hypothesis).values()) / params.n0
-    if background is not None:
-        b = np.broadcast_to(np.asarray(background, dtype=float), probs.shape)
-        probs = (probs + b) / (1.0 + b.sum())
-    return probs
-
-
-def numpy_min_n(p0: np.ndarray, p1: np.ndarray, power: float):
-    """The zero-cell closed form as computed from numpy probabilities; None without one."""
-    p_hit = float(p1[p0 == 0.0].sum())
-    if p_hit == 0.0:
-        return None
-    if p_hit >= 1.0:
-        return 1
-    return max(1, math.ceil(math.log1p(-power) / math.log1p(-p_hit)))
-
-
-FRACTION = st.floats(0.0, 1.0)
-RATE = st.floats(0.0, 5.0)
-N0 = st.one_of(
-    st.integers(1, 10**7), st.integers(1, 2**70), st.just(int(sys.float_info.max))
-)
-BACKGROUND = st.floats(0.0, 0.25)
-
-
-@st.composite
-def designs(draw):
-    """(experiment, params, h0, h1, background, visibility); h0 is None under visibility."""
-    experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
-    n0 = draw(N0)
-    if experiment == "excitation":
-        params = ExcitationParams(n0, draw(FRACTION), draw(RATE), draw(RATE))
-    elif experiment == "decay":
-        lam = draw(RATE)
-        # a tiny rate would leave no finite pad for mu < 1
-        mu = draw(st.floats(0.05, 1.0)) if lam > 1e-3 else 1.0
-        params = DecayParams(n0, lam, draw(RATE), draw(RATE), draw(RATE), draw(RATE), mu)
-    else:
-        params = PhotonParams(n0, draw(FRACTION), draw(FRACTION))
-    kind = EXPERIMENTS[experiment]
-    ncat = len(kind.labels)
-    background = draw(st.one_of(
-        st.none(),
-        BACKGROUND,
-        st.lists(BACKGROUND, min_size=1, max_size=1),
-        st.lists(BACKGROUND, min_size=ncat, max_size=ncat),
-    ))
-    visibility = draw(st.none() | FRACTION)
-    h0 = None if visibility is not None else draw(st.sampled_from(kind.hypotheses))
-    return experiment, params, h0, draw(st.sampled_from(kind.hypotheses)), background, visibility
-
-
-@settings(max_examples=500, deadline=None)
-@given(design=designs(), power=st.floats(1e-6, 1 - 1e-9))
-def test_light_probabilities_and_closed_form_are_bitwise_numpys(design, power):
-    experiment, params, h0, h1, background, visibility = design
-    p0 = _category_probabilities(
-        experiment, params, h0, background=background, visibility=visibility
-    )
-    p1 = _category_probabilities(experiment, params, h1, background=background)
-    want0 = numpy_probabilities(experiment, params, h0, background, visibility)
-    want1 = numpy_probabilities(experiment, params, h1, background, None)
-    assert np.array(p0).tobytes() == want0.tobytes()
-    assert np.array(p1).tobytes() == want1.tobytes()
-
-    try:
-        want_n = numpy_min_n(want0, want1, power)
-    except OverflowError:  # ceil(inf): a subnormal p_hit, beyond every cap
-        want_n = math.inf
-    p_hit = _zero_cell_hit_probability(p0, p1, 0.05, "auto")
-    assert (p_hit > 0.0) == (want_n is not None)
-    if want_n is None:
-        return
-    assert p_hit == float(want1[want0 == 0.0].sum())
-    if want_n > MAX_SAMPLE_SIZE:
-        with pytest.raises(ResourceLimitError):
-            _zero_cell_min_n(p_hit, power)
-    else:
-        assert _zero_cell_min_n(p_hit, power) == want_n

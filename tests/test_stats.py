@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from mzsim import _exact, stats
+from mzsim import _exact, predict, stats
 from mzsim.core import (
     ATOM_LABELS,
+    EXPERIMENTS,
     MAX_REPLICATES,
     CountTable,
     DecayParams,
@@ -28,6 +30,8 @@ from mzsim.errors import (
 )
 from mzsim.montecarlo import SimConfig, simulate_excitation
 from mzsim.stats import (
+    MAX_SAMPLE_SIZE,
+    MODEL_DISTINCTION_TOL,
     ROW_CAP,
     CategoryModel,
     DiscriminationReport,
@@ -44,6 +48,18 @@ COUNT_LABELS = ATOM_LABELS
 FOUR_CELLS = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=0.7)
 # 344 draws over FOUR_CELLS' four pooled cells: above ROW_CAP, so sampled
 ABOVE_THE_CAP = (300, 40, 2, 2)
+
+
+# (keyword arguments, the argument the refusal names)
+BAD_SAMPLING_ARGUMENTS = [
+    ({"replicates": 2.5}, "replicates"),
+    ({"replicates": True}, "replicates"),
+    ({"replicates": 10.0}, "replicates"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": 2**64}, "seed"),
+    ({"seed": False}, "seed"),
+]
 
 
 def excitation_params(n0=10_000, epsilon=0.2):
@@ -137,6 +153,15 @@ class TestBuildModel:
     def test_background_arity_checked(self):
         with pytest.raises(StructureError):
             pos_model(background=[1e-4, 1e-4])
+
+    @pytest.mark.parametrize(
+        "background",
+        [True, [True], [0.0, False, 0.0, 0.0], math.nan, [1e-3, math.inf, 0.0, 0.0],
+         -math.inf],
+    )
+    def test_background_refuses_bools_and_non_finite_values(self, background):
+        with pytest.raises(DomainError, match="^background must be finite numbers"):
+            pos_model(background=background)
 
     def test_probabilities_valid_for_random_inputs(self):
         rng = np.random.default_rng(51)
@@ -287,6 +312,21 @@ class TestDiscriminate:
             with pytest.raises(DomainError, match="replicates"):
                 min_sample_size(h0, h1, 0.01, 0.95, replicates=replicates)
 
+    @pytest.mark.parametrize("counts, above", [((20, 5, 3, 2), False), (ABOVE_THE_CAP, True)])
+    @pytest.mark.parametrize("kwargs, name", BAD_SAMPLING_ARGUMENTS)
+    def test_sampling_arguments_are_checked_at_any_n(self, counts, above, kwargs, name):
+        h0, h1 = four_cell_models()
+        assert (_exact.size(sum(counts), h0._p, h1._p) > ROW_CAP) is above
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            discriminate(counts, h0, h1, alpha=0.01, **kwargs)
+
+    def test_numpy_integers_and_the_largest_seed_are_accepted(self):
+        h0, h1 = four_cell_models()
+        report = discriminate(
+            ABOVE_THE_CAP, h0, h1, alpha=0.01, replicates=np.int64(9), seed=2**64 - 1
+        )
+        assert report.p_value_h0 in {k / 10 for k in range(1, 11)}
+
     def test_report_validation(self):
         with pytest.raises(DomainError):
             DiscriminationReport(0.0, 0.5, "maybe")
@@ -356,6 +396,19 @@ class TestMinSampleSize:
         with pytest.raises(DegenerateComparisonError):
             min_sample_size(pos_model(), pos_model(), 0.01, 0.9)
 
+    @pytest.mark.parametrize("row_cap", [ROW_CAP, 0])
+    @pytest.mark.parametrize("method", ["auto", "simulation"])
+    @pytest.mark.parametrize("kwargs, name", BAD_SAMPLING_ARGUMENTS)
+    def test_sampling_arguments_are_checked_for_every_design(
+        self, monkeypatch, row_cap, method, kwargs, name
+    ):
+        # at a cap of 0 every probe of the power search would sample
+        monkeypatch.setattr(stats, "ROW_CAP", row_cap)
+        # the zero-cell closed form, and a power search
+        for h0, h1 in ((pos_model(), ccqi_model()), four_cell_models()):
+            with pytest.raises(DomainError, match=f"^{name} must be"):
+                min_sample_size(h0, h1, 0.01, 0.9, method=method, **kwargs)
+
     def test_rejection_rate_ladder(self):
         # detection event for the zero-cell design: any particle in a
         # category that the null forbids
@@ -371,6 +424,97 @@ class TestMinSampleSize:
         assert all(a <= b + 0.02 for a, b in zip(rates, rates[1:]))
         assert rates[1] == pytest.approx(0.999, abs=0.02)
         assert rates[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+def numpy_probabilities(experiment, params, hypothesis, background, visibility):
+    """The numpy expressions that build_model's float arithmetic replaces."""
+    predictor = getattr(predict, f"predict_{experiment}")
+    if visibility is not None:
+        pos = np.array(predictor(params, Hypothesis.POS).values()) / params.n0
+        ccqi = np.array(predictor(params, Hypothesis.CCQI).values()) / params.n0
+        probs = visibility * pos + (1.0 - visibility) * ccqi
+    else:
+        probs = np.array(predictor(params, hypothesis).values()) / params.n0
+    if background is not None:
+        b = np.broadcast_to(np.asarray(background, dtype=float), probs.shape)
+        probs = (probs + b) / (1.0 + b.sum())
+    return probs
+
+
+def numpy_min_n(p0: np.ndarray, p1: np.ndarray, power: float):
+    """The zero-cell closed form as computed from numpy probabilities; None without one."""
+    p_hit = float(p1[p0 == 0.0].sum())
+    if p_hit == 0.0:
+        return None
+    if p_hit >= 1.0:
+        return 1
+    return max(1, math.ceil(math.log1p(-power) / math.log1p(-p_hit)))
+
+
+FRACTION = st.floats(0.0, 1.0)
+RATE = st.floats(0.0, 5.0)
+N0 = st.one_of(
+    st.integers(1, 10**7), st.integers(1, 2**70), st.just(int(sys.float_info.max))
+)
+BACKGROUND = st.floats(0.0, 0.25)
+
+
+@st.composite
+def designs(draw):
+    """(experiment, params, h0, h1, background, visibility); h0 is None under visibility."""
+    experiment = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    n0 = draw(N0)
+    if experiment == "excitation":
+        params = ExcitationParams(n0, draw(FRACTION), draw(RATE), draw(RATE))
+    elif experiment == "decay":
+        lam = draw(RATE)
+        # a tiny rate would leave no finite pad for mu < 1
+        mu = draw(st.floats(0.05, 1.0)) if lam > 1e-3 else 1.0
+        params = DecayParams(n0, lam, draw(RATE), draw(RATE), draw(RATE), draw(RATE), mu)
+    else:
+        params = PhotonParams(n0, draw(FRACTION), draw(FRACTION))
+    kind = EXPERIMENTS[experiment]
+    ncat = len(kind.labels)
+    background = draw(st.one_of(
+        st.none(),
+        BACKGROUND,
+        st.lists(BACKGROUND, min_size=1, max_size=1),
+        st.lists(BACKGROUND, min_size=ncat, max_size=ncat),
+    ))
+    visibility = draw(st.none() | FRACTION)
+    h0 = None if visibility is not None else draw(st.sampled_from(kind.hypotheses))
+    return experiment, params, h0, draw(st.sampled_from(kind.hypotheses)), background, visibility
+
+
+
+@settings(max_examples=500, deadline=None)
+@given(design=designs(), power=st.floats(1e-6, 1 - 1e-9))
+def test_probabilities_and_closed_form_are_bitwise_numpys(design, power):
+    experiment, params, h0, h1, background, visibility = design
+    model_h0 = build_model(
+        experiment, params, h0, background=background, visibility=visibility
+    )
+    model_h1 = build_model(experiment, params, h1, background=background)
+    want0 = numpy_probabilities(experiment, params, h0, background, visibility)
+    want1 = numpy_probabilities(experiment, params, h1, background, None)
+    assert np.array(model_h0._p).tobytes() == want0.tobytes()
+    assert np.array(model_h1._p).tobytes() == want1.tobytes()
+
+    try:
+        want_n = numpy_min_n(want0, want1, power)
+    except OverflowError:  # ceil(inf): a subnormal p_hit, beyond every cap
+        want_n = math.inf
+    if np.max(np.abs(want0 - want1)) <= MODEL_DISTINCTION_TOL:
+        with pytest.raises(DegenerateComparisonError):
+            min_sample_size(model_h0, model_h1, None, power)
+    elif want_n is None:
+        with pytest.raises(DomainError, match="closed_form needs a category"):
+            min_sample_size(model_h0, model_h1, None, power, method="closed_form")
+    elif want_n > MAX_SAMPLE_SIZE:
+        with pytest.raises(ResourceLimitError):
+            min_sample_size(model_h0, model_h1, None, power)
+    else:
+        assert min_sample_size(model_h0, model_h1, None, power) == want_n
 
 
 DECAY = DecayParams(n0=100, lam=1.0, t1=0.1, t2=0.8, t3=0.2, lam_prime=0.3)
