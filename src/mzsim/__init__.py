@@ -15,7 +15,8 @@ look like, and how many particles does it take to notice?
 * :mod:`mzsim.sectors` implements the superselection-sector algebra
   that makes "forbidden superposition" precise.
 * :mod:`mzsim.stats` turns count data into decisions: exact
-  likelihood-ratio tests and minimum-sample-size planning.
+  likelihood-ratio tests and minimum-sample-size planning.  It holds
+  every rule of the test and its exact engine.
 * :mod:`mzsim.cli` wires everything to config files and CSV/JSON.
 
 ``import mzsim`` loads only the standard-library layers (:mod:`~mzsim.core`,

@@ -29,9 +29,9 @@ byte-identical output.
 Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`: they
 build their models with ``stats.build_model`` and call
 ``stats.discriminate`` and ``stats.min_sample_size``, after the
-config has been parsed and checked.  :mod:`~mzsim.stats` imports no
-numpy, and its exact engine (``mzsim._exact``, loaded by those
-requests only) is pure Python: they load numpy only above its
+config has been parsed and checked.  :mod:`~mzsim.stats`, which
+those requests alone load, holds every rule of the test, and it and
+its exact engine are pure Python: they load numpy only above its
 ``ROW_CAP``, and ``plan`` also for ``method = simulation``; ``plan``'s
 zero-cell closed form never does.
 ``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
@@ -280,7 +280,7 @@ def _load_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = parse_config(text)
     if getattr(args, "format", None) is not None:

@@ -28,13 +28,14 @@ count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` (1 to
 ``core.MAX_REPLICATES``) and ``method`` (auto | closed_form |
-simulation).  ``discriminate`` and ``plan`` compute p-values and power
-exactly while a test's size, over the categories left after pooling
-those whose likelihood ratios tie, is at most ``stats.ROW_CAP``;
-``replicates`` Monte Carlo draws and ``seed`` enter only above it and
-for ``method = simulation``.  ``[fringes]`` holds the screen
-geometry plus ``pattern`` (coherent | incoherent).  ``[output]`` holds
-``format`` (csv | json) and ``path``.
+simulation).  This module checks each key's type and range; the rules
+of the test belong to :mod:`~mzsim.stats`.  ``discriminate`` and
+``plan`` compute p-values and power exactly while a test's size, over
+the categories left after pooling those whose likelihood ratios tie,
+is at most ``stats.ROW_CAP``; ``replicates`` Monte Carlo draws and
+``seed`` enter only above it and for ``method = simulation``.
+``[fringes]`` holds the screen geometry plus ``pattern`` (coherent |
+incoherent).  ``[output]`` holds ``format`` (csv | json) and ``path``.
 """
 
 import dataclasses

@@ -274,9 +274,14 @@ class TestSectorsDemo:
 
 
 class TestPlumbing:
-    def test_missing_config_file(self, capsys):
+    def test_missing_config_file(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "predict", "--config", "/nonexistent.cfg")
         assert code == 2 and out == "" and "cannot read config" in err
+        not_utf8 = tmp_path / "bad.ini"
+        not_utf8.write_bytes(b"[experiment]\nexperiment = excitation\xff\n")
+        code, out, err = run_cli(capsys, "predict", "--config", str(not_utf8))
+        assert code == 2 and out == ""
+        assert err.startswith("mzsim: config error: cannot read config: ")
 
     def test_out_flag_writes_file_and_keeps_stdout_clean(
         self, write_config, tmp_path, capsys
@@ -484,7 +489,7 @@ FOUR_CELLS = EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\nbackground
 
 
 # the layers only discriminate and plan run
-STATS_LAYERS = {"mzsim.stats", "mzsim._exact"}
+STATS_LAYERS = {"mzsim.stats"}
 # the zero-cell closed form: without alpha, with it unused, under visibility 1, by name
 CLOSED_FORM_PLANS = [
     ["plan", EXCITATION + "[stats]\npower = 0.9\n" + extra]

@@ -12,6 +12,27 @@ def test_star_import_resolves_every_public_name():
     assert namespace["simulate_photon"] is montecarlo.simulate_photon
 
 
+def test_all_is_pinned():
+    assert mzsim.__all__ == [
+        "Hypothesis", "ExcitationParams", "DecayParams", "PhotonParams", "CountTable",
+        "ATOM_LABELS", "PHOTON_LABELS", "Experiment", "EXPERIMENTS", "SimConfig",
+        "FringeGeometry", "survival_fraction", "purity_time_offset",
+        "MzsimError", "DomainError", "UnsupportedHypothesisError", "StructureError",
+        "ContractError", "GeometryError", "DegenerateComparisonError",
+        "ResourceLimitError", "ConfigError",
+        "predict_excitation", "predict_decay", "predict_photon",
+        "RunConfig", "parse_config",
+        "FringeProfile", "coherent_intensity", "coherent_pattern", "incoherent_pattern",
+        "calibration_patterns",
+        "chunk_rng", "simulate_excitation", "simulate_decay", "simulate_photon",
+        "SectorSpace", "SectorObservable", "StateVector", "DensityMatrix",
+        "is_valid_observable", "sector_matrix_element", "superselect", "purity",
+        "CategoryModel", "DiscriminationReport", "build_model", "log_likelihood",
+        "discriminate", "min_sample_size",
+        "__version__",
+    ]
+
+
 def test_dir_covers_all():
     assert set(mzsim.__all__) <= set(dir(mzsim))
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from mzsim import _exact, predict, stats
+from mzsim import predict, stats
 from mzsim.core import (
     ATOM_LABELS,
     EXPERIMENTS,
@@ -91,6 +91,12 @@ def direct_log_likelihood(counts, probs):
     return total
 
 
+def test_the_public_surface_and_caps_are_pinned():
+    assert stats.__all__ == ["CategoryModel", "DiscriminationReport", "build_model",
+                             "log_likelihood", "discriminate", "min_sample_size"]
+    assert (stats.ROW_CAP, stats.TIE_REL_TOL, stats.MAX_SAMPLE_SIZE) == (2**20, 1e-9, 10**9)
+
+
 class TestCategoryModel:
     def test_rejects_bad_probability_vectors(self):
         with pytest.raises(DomainError):
@@ -162,6 +168,26 @@ class TestBuildModel:
     def test_background_refuses_bools_and_non_finite_values(self, background):
         with pytest.raises(DomainError, match="^background must be finite numbers"):
             pos_model(background=background)
+
+    @pytest.mark.parametrize(
+        "visibility, message",
+        [(True, "a finite number, got True"), (False, "a finite number, got False"),
+         (-0.5, "a number >= 0"), (1.5, r"in \[0, 1\], got 1.5$"), (math.nan, "a finite number"),
+         (math.inf, "a finite number")],
+    )
+    def test_visibility_refuses_bools_and_values_outside_the_unit_interval(
+        self, visibility, message
+    ):
+        with pytest.raises(DomainError, match="^visibility must be " + message):
+            build_model("excitation", excitation_params(), visibility=visibility)
+
+    @pytest.mark.parametrize("counts", [[True, 0, 0, 0], (90, 10, False, 0)])
+    def test_counts_refuse_bools(self, counts):
+        message = "^counts must be non-negative integers summing to less than 2\\*\\*63"
+        with pytest.raises(DomainError, match=message):
+            discriminate(counts, pos_model(), ccqi_model(), 0.05)
+        with pytest.raises(DomainError, match=message):
+            log_likelihood(counts, pos_model())
 
     def test_probabilities_valid_for_random_inputs(self):
         rng = np.random.default_rng(51)
@@ -316,7 +342,7 @@ class TestDiscriminate:
     @pytest.mark.parametrize("kwargs, name", BAD_SAMPLING_ARGUMENTS)
     def test_sampling_arguments_are_checked_at_any_n(self, counts, above, kwargs, name):
         h0, h1 = four_cell_models()
-        assert (_exact.size(sum(counts), h0._p, h1._p) > ROW_CAP) is above
+        assert (stats._size(sum(counts), h0._p, h1._p) > ROW_CAP) is above
         with pytest.raises(DomainError, match=f"^{name} must be"):
             discriminate(counts, h0, h1, alpha=0.01, **kwargs)
 
@@ -596,8 +622,8 @@ class Enumeration:
 
     def __init__(self, test, p0, p1):
         n, groups = test.n, test.groups
-        q0, q1 = _exact.pooled(p0, groups), _exact.pooled(p1, groups)
-        w = _exact.llr_weights(q0, q1)[0]
+        q0, q1 = stats._pooled(p0, groups), stats._pooled(p1, groups)
+        w = stats._llr_weights(q0, q1)[0]
         self.stat, self.mass0, self.mass1 = [], [], []
         for x in itertools.product(range(n + 1), repeat=len(groups)):
             if sum(x) != n:
@@ -619,7 +645,7 @@ class Enumeration:
                 masses.append(math.exp(log_mass))
 
     def p_value(self, observed):
-        floor = _exact.tie_floor(observed)
+        floor = stats._tie_floor(observed)
         return math.fsum(m for s, m in zip(self.stat, self.mass0) if s >= floor)
 
     def power(self, alpha):
@@ -628,7 +654,7 @@ class Enumeration:
         stats_ = [s for s, _, _ in finite]
         upper = [*itertools.accumulate((m0 for _, m0, _ in reversed(finite)), initial=0.0)][::-1]
         rejected = [m1 for s, _, m1 in finite
-                    if s > -math.inf and upper[bisect_left(stats_, _exact.tie_floor(s))] <= alpha]
+                    if s > -math.inf and upper[bisect_left(stats_, stats._tie_floor(s))] <= alpha]
         return math.fsum(rejected)
 
 
@@ -643,9 +669,9 @@ class TestExactEngine:
     def test_tied_cells_pool(self, design):
         h0, h1 = ORACLE_DESIGNS[design]
         p0, p1 = h0.probabilities, h1.probabilities
-        assert _exact.pooled_cells(12, p0, p1) == POOLED_DESIGNS[design]
+        assert stats._pooled_cells(12, p0, p1) == POOLED_DESIGNS[design]
         if design == "excitation-visibility-ulp":
-            w = _exact.llr_weights(p0, p1)[0]
+            w = stats._llr_weights(p0, p1)[0]
             assert 0 < 12 * abs(w[2] - w[3]) <= stats.TIE_REL_TOL
 
     def test_pooling_matches_the_unpooled_engine(self, monkeypatch):
@@ -665,13 +691,13 @@ class TestExactEngine:
             order = rng.permutation(k)
             p0, p1 = (p0[order] / p0.sum()).tolist(), (p1[order] / p1.sum()).tolist()
             designs.append((int(rng.integers(1, 61)), p0, p1))
-        pooled = [_exact.RowTest(n, p0, p1) for n, p0, p1 in designs]
+        pooled = [stats.RowTest(n, p0, p1) for n, p0, p1 in designs]
         monkeypatch.setattr(
-            _exact, "pooled_cells", lambda n, p0, p1: [[k] for k in range(len(p0)) if p0[k] or p1[k]]
+            stats, "_pooled_cells", lambda n, p0, p1: [[k] for k in range(len(p0)) if p0[k] or p1[k]]
         )
         for (n, p0, p1), test in zip(designs, pooled):
             assert len(test.groups) < len(p0)
-            raw = _exact.RowTest(n, p0, p1)
+            raw = stats.RowTest(n, p0, p1)
             for alpha in (0.01, 0.05, 0.2):
                 assert test.power(alpha) == pytest.approx(raw.power(alpha), abs=1e-12)
             for x in np.concatenate([rng.multinomial(n, p, size=4) for p in (p0, p1)]):
@@ -684,7 +710,7 @@ class TestExactEngine:
     def test_row_masses_match_direct_pmfs(self, design):
         h0, h1 = ORACLE_DESIGNS[design]
         n = 12
-        test = _exact.RowTest(n, h0.probabilities.tolist(), h1.probabilities.tolist())
+        test = stats.RowTest(n, h0.probabilities.tolist(), h1.probabilities.tolist())
         q0, q1 = ([p[g].sum() for g in test.groups] for p in (h0.probabilities,
                                                              h1.probabilities))
         # a row fixes the counts of the cells before the last two of the
@@ -706,7 +732,7 @@ class TestExactEngine:
         h0, h1 = ORACLE_DESIGNS["excitation-visibility-ulp"]
         p0 = h0.probabilities
         n = 10
-        groups = _exact.pooled_cells(n, p0, h1.probabilities)
+        groups = stats._pooled_cells(n, p0, h1.probabilities)
         q0 = [p0[g].sum() for g in groups]
         for x in itertools.product(range(n + 1), repeat=4):
             if sum(x) != n:
@@ -719,10 +745,10 @@ class TestExactEngine:
         # four distinct weights, so nothing pools; 330 draws lie just under the cap
         p0, p1 = (model._p for model in four_cell_models())
         n = 330
-        assert _exact.size(n, p0, p1) <= ROW_CAP < _exact.size(n + 1, p0, p1)
+        assert stats._size(n, p0, p1) <= ROW_CAP < stats._size(n + 1, p0, p1)
         tracemalloc.start()
         try:
-            test = _exact.RowTest(n, p0, p1)
+            test = stats.RowTest(n, p0, p1)
             test.p_value(test.statistic((250, 60, 10, 10)))
             test.power(0.01)
             peak = tracemalloc.get_traced_memory()[1]
@@ -783,7 +809,7 @@ class TestExactEngine:
         h0 = build_model("excitation", params, Hypothesis.POS, background=1e-3)
         h1 = build_model("excitation", params, Hypothesis.CCQI, background=1e-3)
         p0, p1 = h0.probabilities, h1.probabilities
-        assert _exact.size(n, h0._p, h1._p) > ROW_CAP
+        assert stats._size(n, h0._p, h1._p) > ROW_CAP
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
 
         def statistics(p):
@@ -802,8 +828,8 @@ class TestExactEngine:
     def test_above_the_cap_the_seeded_simulation_runs(self):
         h0, h1 = four_cell_models()
         n = sum(ABOVE_THE_CAP)
-        assert len(_exact.pooled_cells(n, h0._p, h1._p)) == 4
-        assert _exact.size(n, h0._p, h1._p) > ROW_CAP
+        assert len(stats._pooled_cells(n, h0._p, h1._p)) == 4
+        assert stats._size(n, h0._p, h1._p) > ROW_CAP
         p_values = {
             discriminate(ABOVE_THE_CAP, h0, h1, alpha=0.01, replicates=999, seed=seed).p_value_h0
             for seed in (0, 1)
@@ -814,13 +840,12 @@ class TestExactEngine:
     def test_the_exact_engine_ends_at_the_row_cap(self, monkeypatch):
         h0, h1 = four_cell_models()
         counts = (20, 5, 3, 2)
-        size = _exact.size(sum(counts), h0._p, h1._p)
+        size = stats._size(sum(counts), h0._p, h1._p)
 
         def answers():
             return (discriminate(counts, h0, h1, alpha=0.05, replicates=99, seed=1),
                     _rejection_rate(sum(counts), h0, h1, 0.05, 99, 1))
 
-        monkeypatch.setattr(_exact, "ROW_CAP", size + 1)
         monkeypatch.setattr(stats, "ROW_CAP", size + 1)
         exact = answers()
         for cap, sampled in ((size, False), (size - 1, True)):
@@ -838,7 +863,7 @@ class TestExactEngine:
             n = 0
             while math.comb(n + cells, cells - 1) <= 2**18:
                 n += 1
-            assert _exact.size(n, p, q) <= ROW_CAP, (cells, n)
+            assert stats._size(n, p, q) <= ROW_CAP, (cells, n)
 
 
 @st.composite
@@ -857,7 +882,7 @@ def engine_designs(draw):
     if zero in ("h1", "both"):
         p1[-1] = 0.0
     p0, p1 = ([x / sum(p) for x in p] for p in (p0, p1))
-    cells = len(_exact.pooled_cells(1, p0, p1))
+    cells = len(stats._pooled_cells(1, p0, p1))
     n = draw(st.integers(0, {1: 400, 2: 400, 3: 120}.get(cells, 36)))
     return n, p0, p1
 
@@ -866,7 +891,7 @@ def engine_designs(draw):
 @given(design=engine_designs())
 def test_the_row_engine_matches_the_enumeration(design):
     n, p0, p1 = design
-    test = _exact.RowTest(n, p0, p1)
+    test = stats.RowTest(n, p0, p1)
     oracle = Enumeration(test, p0, p1)
     # every outcome's p-value on small supports, a spread of them on large ones;
     # discriminate asks for none at an infinite statistic, which it answers itself
