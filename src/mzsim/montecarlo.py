@@ -21,13 +21,19 @@ chunk's state, PCG64 (O'Neill 2014, HMC-CS-2014-0905), and numpy's
 1988, *Comm. ACM* 31(2):216).  Every draw is bit for bit the one
 ``numpy.random.Generator.binomial`` makes from the same state, and the
 stream does not depend on the installed numpy.  The chunk states are
-loaded one after another into a single :class:`_Sampler`, and chunk
-tallies are summed, so the result is a pure function of
-``(seed, chunk_size, parameters)``.  :class:`SimConfig` lives in
+derived a block of chunks at a time: each ``SeedSequence`` hash and mix
+runs once over a block, on one Python int that holds a chunk per 64-bit
+lane.  They are loaded one after another into a single
+:class:`_Sampler`, and chunk tallies are summed, so the result is a
+pure function of ``(seed, chunk_size, parameters)``.  The per-``(n,
+p)`` binomial set-ups are cached across chunks; the cache holds the
+window of ``n`` that a run's nested draws visit, so each set-up is
+computed about once per run.  :class:`SimConfig` lives in
 :mod:`mzsim.core` so that parsing a configuration needs no sampler; it
 is re-exported here.
 """
 
+import struct
 from functools import lru_cache
 from math import exp, floor, log, log1p, sqrt
 
@@ -66,6 +72,11 @@ _M53 = 2**53 - 1
 _M64 = 2**64 - 1
 _M128 = 2**128 - 1
 _INT64 = 2**63
+# chunk states are derived this many chunks at a time, one 64-bit lane each
+_STATE_BLOCK = 512
+# per-(n, p) binomial set-ups kept: a run's nested draws take n from a window
+# of a few hundred values around each branch's mean
+_SETUP_CACHE = 1024
 
 
 def _hash(value: int, xor: int, mult: int) -> int:
@@ -98,6 +109,16 @@ def _seed_pool(seed: int) -> list[int]:
     return pool
 
 
+def _lanes(values) -> int:
+    """``values`` as the 64-bit lanes of one int, the first lane lowest."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unlanes(packed: int, count: int) -> tuple[int, ...]:
+    """The ``count`` 64-bit lanes of ``packed``, the inverse of :func:`_lanes`."""
+    return struct.unpack(f"<{count}Q", packed.to_bytes(8 * count, "little"))
+
+
 def _pcg64_states(seed: int, start: int, stop: int):
     """Yield the PCG64 ``(state, inc)`` of chunks ``start`` to ``stop - 1``.
 
@@ -106,27 +127,37 @@ def _pcg64_states(seed: int, start: int, stop: int):
     ``index < 2**32`` (one spawn word): the spawn word is mixed into
     each word of the seed's pool, and eight state words are hashed from
     the result.
+
+    The hashes and mixes run on :data:`_STATE_BLOCK` chunks at once,
+    one chunk per 64-bit lane of a Python int.  Every lane holds a
+    32-bit word and every product is 32 by 32 bits, so no carry crosses
+    into the next lane; each shift is masked back to 32 bits for the
+    same reason.
     """
-    pool = _seed_pool(seed)
-    # _hash and _mix inlined, as this loop runs once per chunk; _MIX_L * pool
-    # word is taken once per run
-    spawn = [(_MIX_L * p, _HASH_A[16 + k], _HASH_A[17 + k]) for k, p in enumerate(pool)]
-    state_words = [(k % 4, _HASH_B[k], _HASH_B[k + 1]) for k in range(8)]
-    for index in range(start, stop):
+    # _MIX_L * pool word reduced mod 2**32, so that the mix's sum stays below 2**64
+    left = [_MIX_L * p & _M32 for p in _seed_pool(seed)]
+    for lo in range(start, stop, _STATE_BLOCK):
+        count = min(_STATE_BLOCK, stop - lo)
+        ones = _lanes([1] * count)
+        m32 = _M32 * ones
+        index = _lanes(range(lo, lo + count))
         mixed = []
-        for left, xor, mult in spawn:
-            h = (index ^ xor) * mult & _M32
-            x = (left + _MIX_R * (h ^ h >> 16)) & _M32
-            mixed.append(x ^ x >> 16)
+        for k, pool_word in enumerate(left):
+            h = (index ^ _HASH_A[16 + k] * ones) * _HASH_A[17 + k] & m32
+            h ^= h >> 16 & m32
+            x = (h * _MIX_R + pool_word * ones) & m32
+            mixed.append(x ^ x >> 16 & m32)
         w = []
-        for k, xor, mult in state_words:
-            h = (mixed[k] ^ xor) * mult & _M32
-            w.append(h ^ h >> 16)
+        for k in range(8):
+            h = (mixed[k % 4] ^ _HASH_B[k] * ones) * _HASH_B[k + 1] & m32
+            w.append(h ^ h >> 16 & m32)
         # PCG64 reads the words as four little-endian uint64s: state hi, lo, inc hi, lo
-        state = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
-        # pcg64 srandom: two LCG steps from state 0, the seed added between them
-        yield ((inc + state) * _PCG_MULT + inc) & _M128, inc
+        words = [_unlanes(w[k + 1] << 32 | w[k], count) for k in (0, 2, 4, 6)]
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*words):
+            state = state_hi << 64 | state_lo
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _M128
+            # pcg64 srandom: two LCG steps from state 0, the seed added between them
+            yield ((inc + state) * _PCG_MULT + inc) & _M128, inc
 
 
 def _wrap64(x: int) -> int:
@@ -134,7 +165,7 @@ def _wrap64(x: int) -> int:
     return (x + _INT64 & _M64) - _INT64
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_SETUP_CACHE)
 def _inversion_setup(n: int, p: float):
     """numpy's per-(n, p) inversion constants: q, q**n and the search bound."""
     q = 1.0 - p
@@ -144,7 +175,7 @@ def _inversion_setup(n: int, p: float):
     return q, exp(n * log1p(-p)), n if n < bound else int(bound)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_SETUP_CACHE)
 def _btpe_setup(n: int, p: float):
     """numpy's per-(n, p) BTPE constants, including ``s`` and ``a = s * (n + 1)``.
 

@@ -783,10 +783,20 @@ def _rejection_rate(
     binomials: dict | None = None,
 ) -> float:
     """Power at sample size ``n``: exact up to ``ROW_CAP``, else a Monte
-    Carlo estimate via a shared null reference sample."""
+    Carlo estimate via a shared null reference sample.
+
+    The estimate's p-values are at least ``1 / (replicates + 1)``, so an
+    ``alpha`` below that is refused: it would read 0 at every ``n``.
+    """
     p0, p1 = model_h0._p, model_h1._p
     if _size(n, p0, p1) <= ROW_CAP:
         return RowTest(n, p0, p1, binomials).power(alpha)
+    if alpha < 1 / (replicates + 1):
+        raise DomainError(
+            f"alpha = {alpha} is below 1 / (replicates + 1) = {1 / (replicates + 1)}, "
+            f"the smallest p-value that replicates = {replicates} can resolve, so the "
+            "sampled power is 0 at every sample size above the exact engine's cap"
+        )
     import numpy as np
 
     rng, null = _seeded_null(n, p0, p1, replicates, seed, spawn_key=(n,))
@@ -836,8 +846,11 @@ def min_sample_size(
     computes the power exactly, with no dependence on ``replicates`` or
     ``seed``.  Above the cap a probe estimates it from ``replicates``
     seeded draws per hypothesis; the smallest p-value it can resolve is
-    ``1 / (replicates + 1)``, so ``alpha`` below that needs more
-    replicates.  An answer above ``MAX_SAMPLE_SIZE`` raises
+    ``1 / (replicates + 1)``, so with ``alpha`` below that the first
+    probe above the cap raises :class:`DomainError`, naming ``alpha``
+    and ``replicates``.  No answer is lost: the search bisects only
+    below a probe that reached ``power``, and such a probe under that
+    ``alpha`` is exact.  An answer above ``MAX_SAMPLE_SIZE`` raises
     :class:`ResourceLimitError`.
 
     ``method`` selects ``"auto"`` (closed form when available),

@@ -263,6 +263,18 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--config", write_config(config))
         assert code == 2 and "power" in err
 
+    def test_alpha_below_what_the_replicates_resolve(self, write_config, capsys):
+        # four cells and no null-impossible one: the search passes the exact
+        # engine's cap, where 99 replicates resolve no p-value below 0.01
+        config = (EXCITATION.replace("epsilon = 0.2", "epsilon = 0.03").replace(LN2, "0.7")
+                  + "[stats]\nalpha = 0.001\npower = 0.9\nbackground = 1e-3\nreplicates = 99\n")
+        assert run_cli(capsys, "plan", "--config", write_config(config)) == (
+            2, "",
+            "mzsim: config error: alpha = 0.001 is below 1 / (replicates + 1) = 0.01, the "
+            "smallest p-value that replicates = 99 can resolve, so the sampled power is 0 "
+            "at every sample size above the exact engine's cap\n",
+        )
+
 
 class TestSectorsDemo:
     def test_prints_matrix_dump(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -5,13 +6,15 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from mzsim import montecarlo
 from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
 from mzsim.errors import DomainError, UnsupportedHypothesisError
 from mzsim.montecarlo import (
+    _STATE_BLOCK,
     SimConfig,
     _pcg64_states,
     _Sampler,
@@ -191,7 +194,8 @@ class TestSubstreams:
     """Chunk states derived in pure Python equal numpy's per-chunk SeedSequence ones."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(12345)]
-    INDICES = [0, 1, 4095, 4096, 2**20 - 1]
+    # 2**32 - 1 is the widest lane value that chunk_rng accepts
+    INDICES = [0, 1, 4095, 4096, 2**20 - 1, 2**32 - 1]
 
     @staticmethod
     def numpy_state(seed, index):
@@ -206,6 +210,16 @@ class TestSubstreams:
         start = 4093
         expected = [self.numpy_state(seed, i) for i in range(start, start + 6)]
         assert list(_pcg64_states(seed, start, start + 6)) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), length=st.integers(_STATE_BLOCK + 1, 3 * _STATE_BLOCK),
+           start=st.integers(0, 2**32 - 1))
+    @example(seed=2**64 - 1, length=2 * _STATE_BLOCK + 3, start=2**32 - 1)
+    def test_ranges_across_blocks_match_seed_sequence(self, seed, length, start):
+        # a range of more than one block, starting anywhere, ending at 2**32 at most
+        start = min(start, 2**32 - length)
+        expected = [self.numpy_state(seed, i) for i in range(start, start + length)]
+        assert list(_pcg64_states(seed, start, start + length)) == expected
 
     def test_chunk_rng_is_the_seed_sequence_generator(self):
         for seed in (0, 2**64 - 1, np.uint64(5)):
@@ -232,10 +246,44 @@ class TestSubstreams:
             finally:
                 tracemalloc.stop()
 
-        # 2**16 chunks against 2**12; tracemalloc traces every int the per-chunk
-        # derivation makes, so these two take ~15 s
+        # 2**16 chunks against 2**12; tracemalloc traces every int the block
+        # derivation makes, so these two take ~4 s
         small, large = peak(2**12), peak(2**16)
         assert large < 1.1 * small
+
+
+class TestSetupCache:
+    """A run computes each per-(n, p) binomial set-up once."""
+
+    @staticmethod
+    def misses_and_keys(monkeypatch, setup_name, simulate, params, h):
+        setup = getattr(montecarlo, setup_name)
+        keys = set()
+
+        def recording(n, p):
+            keys.add((n, p))
+            return setup(n, p)
+
+        setup.cache_clear()
+        monkeypatch.setattr(montecarlo, setup_name, recording)
+        simulate(params, h, SimConfig(seed=2024, chunk_size=4096))
+        return setup.cache_info().misses, len(keys)
+
+    def test_btpe_set_ups_of_a_decay_ccqi_run(self, monkeypatch):
+        # 2442 chunks; the nested draws take n from a window of hundreds of values
+        p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
+        misses, keys = self.misses_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
+                                            Hypothesis.CCQI)
+        assert keys > 300
+        assert misses == keys
+
+    def test_inversion_set_ups_of_a_small_p_run(self, monkeypatch):
+        # s2 and s3 near 1 reflect to p = 0.002, which inversion draws for every n
+        p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.002, t3=0.002)
+        misses, keys = self.misses_and_keys(monkeypatch, "_inversion_setup", simulate_decay, p,
+                                            Hypothesis.POS)
+        assert keys > 100
+        assert misses == keys
 
 
 def _numpy_generator(state: int, inc: int) -> np.random.Generator:
@@ -384,6 +432,52 @@ def test_golden_stream(key):
     simulate, params = _GOLDEN_PARAMS[name]
     cfg = SimConfig(seed=seed, chunk_size=chunk_size)
     assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN[key]
+
+
+# runs of several state blocks that end in a remainder chunk: 733 chunks of 4096
+# and 3001 chunks of 100
+_BLOCK_RUNS = {4096: 3 * 10**6 + 7, 100: 3 * 10**5 + 7}
+_GOLDEN_BLOCKS = {
+    ("excitation", "POS", 4096, 0): (2700758, 299249, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (2699716, 300291, 0, 0),
+    ("excitation", "POS", 100, 0): (269745, 30262, 0, 0),
+    ("excitation", "POS", 100, 2**64 - 1): (269946, 30061, 0, 0),
+    ("excitation", "CCQI", 4096, 0): (2551278, 149529, 149480, 149720),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (2549653, 149833, 150063, 150458),
+    ("excitation", "CCQI", 100, 0): (254776, 15068, 14969, 15194),
+    ("excitation", "CCQI", 100, 2**64 - 1): (254908, 15034, 15038, 15027),
+    ("decay", "POS", 4096, 0): (1508911, 1491096, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (1509559, 1490448, 0, 0),
+    ("decay", "POS", 100, 0): (151192, 148815, 0, 0),
+    ("decay", "POS", 100, 2**64 - 1): (151105, 148902, 0, 0),
+    ("decay", "CCQI", 4096, 0): (974014, 1491096, 534897, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (975783, 1490448, 533776, 0),
+    ("decay", "CCQI", 100, 0): (97671, 148815, 53521, 0),
+    ("decay", "CCQI", 100, 2**64 - 1): (97676, 148902, 53429, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (2096312, 903695, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2096890, 903117, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 0): (209563, 90444, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (210005, 90002, 0, 0),
+    ("photon", "POS", 4096, 0): (1648409, 450858, 900740),
+    ("photon", "POS", 4096, 2**64 - 1): (1650497, 450007, 899503),
+    ("photon", "POS", 100, 0): (165014, 44537, 90456),
+    ("photon", "POS", 100, 2**64 - 1): (164998, 44954, 90055),
+    ("photon", "CCQI", 4096, 0): (1050205, 1050819, 898983),
+    ("photon", "CCQI", 4096, 2**64 - 1): (1050298, 1049355, 900354),
+    ("photon", "CCQI", 100, 0): (104669, 105150, 90188),
+    ("photon", "CCQI", 100, 2**64 - 1): (104906, 104840, 90261),
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_BLOCKS),
+                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
+def test_golden_stream_across_state_blocks(key):
+    """Runs whose chunk states span several derivation blocks keep their tallies."""
+    name, hypothesis, chunk_size, seed = key
+    simulate, params = _GOLDEN_PARAMS[name]
+    params = dataclasses.replace(params, n0=_BLOCK_RUNS[chunk_size])
+    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
+    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_BLOCKS[key]
 
 
 JOINT_SEEDS = 3000

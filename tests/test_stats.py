@@ -837,6 +837,17 @@ class TestExactEngine:
         assert len(p_values) == 2
         assert all((1000 * p) == pytest.approx(round(1000 * p), abs=1e-9) for p in p_values)
 
+    def test_above_the_cap_alpha_must_reach_the_smallest_p_value(self):
+        h0, h1 = four_cell_models()
+        n = sum(ABOVE_THE_CAP)
+        # 99 replicates resolve p-values down to 1 / 100
+        assert _rejection_rate(n, h0, h1, 0.01, 99, 0) > 0.0
+        with pytest.raises(DomainError, match=r"alpha = 0\.0099.*replicates = 99"):
+            _rejection_rate(n, h0, h1, math.nextafter(0.01, 0.0), 99, 0)
+        # below the cap the power is exact, whatever the replicates
+        exact = stats.RowTest(12, h0._p, h1._p).power(0.001)
+        assert _rejection_rate(12, h0, h1, 0.001, 99, 0) == exact
+
     def test_the_exact_engine_ends_at_the_row_cap(self, monkeypatch):
         h0, h1 = four_cell_models()
         counts = (20, 5, 3, 2)
