@@ -127,7 +127,6 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "simulate needs a hypothesis")
     predicted = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
-    cfg.sim.chunk_count(params.n0)  # refuse an oversized run before the sampler loads
     sampled = getattr(montecarlo, f"simulate_{kind}")(params, cfg.hypothesis, cfg.sim)
     probs = [float(v) / params.n0 if params.n0 else float(v) for v in predicted.values()]
     z = [

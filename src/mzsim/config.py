@@ -262,6 +262,8 @@ def _parse_stats(entries: dict, cfg: RunConfig) -> None:
     opts.visibility = _as_float(entries, "visibility")
     if opts.visibility is not None and not 0.0 <= opts.visibility <= 1.0:
         raise ConfigError(f"visibility must be in [0, 1], got {opts.visibility}")
+    if opts.visibility is not None and opts.h0 is not None:
+        raise ConfigError("set either h0 or visibility, not both: visibility replaces h0")
     opts.replicates = _as_int(entries, "replicates")
     if opts.replicates is not None and not 1 <= opts.replicates <= MAX_REPLICATES:
         raise ConfigError(

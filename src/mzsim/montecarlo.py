@@ -75,8 +75,9 @@ _INT64 = 2**63
 # chunk states are derived this many chunks at a time, one 64-bit lane each
 _STATE_BLOCK = 512
 # per-(n, p) binomial set-ups kept: a run's nested draws take n from a window
-# of a few hundred values around each branch's mean
-_SETUP_CACHE = 1024
+# around each branch's mean that grows as sqrt(chunk_size); 3000 decay-CCQI
+# chunks of 2**20 need 4201 set-ups, ~2.8 MB, so a full cache stays near 11 MB
+_SETUP_CACHE = 2**14
 
 
 def _hash(value: int, xor: int, mult: int) -> int:
@@ -347,12 +348,13 @@ def chunk_rng(seed: int, index: int):
     return np.random.Generator(bitgen)
 
 
-def _run_chunked(name: str, n0: int, cfg: SimConfig, kernel) -> CountTable:
-    """Experiment ``name``'s count table for a run of ``n0`` particles.
+def _run_chunked(name: str, h: Hypothesis, n0: int, cfg: SimConfig, kernel) -> CountTable:
+    """Experiment ``name``'s count table for a run of ``n0`` particles under ``h``.
 
     ``kernel(rng, size)`` tallies one chunk in the experiment's label
     order; the tallies are summed one chunk at a time.
     """
+    EXPERIMENTS[name].check(h)
     labels = EXPERIMENTS[name].labels
     total = [0] * len(labels)
     rng = _Sampler()
@@ -377,7 +379,6 @@ def simulate_excitation(
     routes 50/50 to either counter.  Excited survivors land in the "2"
     column of their counter, everything else in the "1" column.
     """
-    EXPERIMENTS["excitation"].check(h)
     s = survival_fraction(p.lam, p.t)
     collapse = h is Hypothesis.CCQI
 
@@ -390,7 +391,7 @@ def simulate_excitation(
         nb1 = rng.binomial(excited - alive, 0.5)
         return size - alive - nb1, alive - nb2, nb1, nb2
 
-    return _run_chunked("excitation", p.n0, cfg, kernel)
+    return _run_chunked("excitation", h, p.n0, cfg, kernel)
 
 
 def simulate_decay(
@@ -422,7 +423,7 @@ def simulate_decay(
         nb1 = rng.binomial(entered - left, 0.5) if collapse else 0
         return size - na2 - nb1, na2, nb1, 0
 
-    return _run_chunked("decay", p.n0, cfg, kernel)
+    return _run_chunked("decay", h, p.n0, cfg, kernel)
 
 
 def simulate_photon(
@@ -440,7 +441,6 @@ def simulate_photon(
     the crystals with probability ``u*d`` or are lost; every surviving
     photon then routes 50/50 at the exit splitter.
     """
-    EXPERIMENTS["photon"].check(h)
     ud = p.u * p.d
     coherent = h is Hypothesis.POS
 
@@ -455,4 +455,4 @@ def simulate_photon(
         counter1 = rng.binomial(survivors, 0.5)
         return counter1, survivors - counter1, size - survivors
 
-    return _run_chunked("photon", p.n0, cfg, kernel)
+    return _run_chunked("photon", h, p.n0, cfg, kernel)

@@ -38,11 +38,12 @@ the engine's cell order, is evaluated around the cut, and
 :meth:`RowTest.statistic` sums an observed table the same way.  A
 cell impossible under one model puts every count in it at ``-inf`` or
 ``+inf``; those outcomes have no null mass or no finite statistic, so
-the rows leave them out.  A binomial table spans the counts whose pmf
-is at least ``2**-64`` of its mode's, and a sum starts from the rows
-whose mass is at least ``2**-64`` of the largest; what lies outside is
-bounded, and summed as well wherever the bound could move the answer
-by more than about ``2**-52`` of it.
+the rows leave them out.  A binomial table steps its pmf out from the
+mode by the ratio of neighbouring terms while it stays at least
+``2**-64`` of the mode's, and is scaled to sum to 1; a sum starts from
+the rows whose mass is at least ``2**-64`` of the largest.  What lies
+outside is bounded, and summed as well wherever the bound could move
+the answer by more than about ``2**-52`` of it.
 
 This module imports no numpy.  :class:`CategoryModel` keeps plain
 floats, and numpy loads only on the first read of its
@@ -103,7 +104,7 @@ TIE_REL_TOL = 1e-9
 ROW_CAP = 2**20
 # largest sample size the power search probes or min_sample_size reports
 MAX_SAMPLE_SIZE = 10**9
-# a binomial table spans the counts whose pmf is at least 2**-64 of the mode's
+# a sum starts from the rows whose mass is at least 2**-64 of the largest
 _WINDOW_LOG = 64 * math.log(2.0)
 
 
@@ -368,68 +369,64 @@ def _size(n: int, p0, p1) -> int:
 class _Binomial:
     """Tails of Binomial(m, r), one table per ``m``, built on first use.
 
-    A table spans the counts whose pmf is at least ``2**-64`` of the
-    mode's.  Below it a tail is the table's whole mass, which misses a
-    smaller share than that; above it :meth:`tail_sum` bounds the tail
-    by the table's last one and sums it term by term where the bound
-    could move the total.
+    A table steps out from the mode, weight 1, by ``(m - x) / (x + 1) *
+    r / (1 - r)`` up and its inverse down while the terms stay at least
+    ``2**-64``, and is scaled to sum to 1, so a tail's rounding grows
+    with its steps from the mode, not with ``m``.  Below the window a
+    tail is the whole table; above it :meth:`tail_sum` bounds the tail by
+    the table's last one and sums it term by term where the bound could
+    move the total.
     """
 
     def __init__(self, r: float):
         self.r = r
-        self._log_r = math.log(r)
-        self._log_s = math.log1p(-r) if r < 1.0 else -math.inf
+        self._odds = r / (1.0 - r) if r < 1.0 else math.inf
         self._tables = {}
 
     def log_pmf(self, m: int, x: int) -> float:
-        if self.r == 1.0:
+        r, lgamma = self.r, math.lgamma
+        if r == 1.0:
             return 0.0 if x == m else -math.inf
-        lgamma = math.lgamma
         return (lgamma(m + 1) - lgamma(x + 1) - lgamma(m - x + 1)
-                + x * self._log_r + (m - x) * self._log_s)
+                + x * math.log(r) + (m - x) * math.log1p(-r))
 
-    def table(self, m: int, log_fact=()):
+    def table(self, m: int):
         """``(lo, tails)``: ``tails[i]`` is P(X >= lo + i) for the counts
-        ``lo .. hi`` of the window and ``hi + 1``.  ``log_fact[c]``, when it
-        reaches ``m``, is ``lgamma(c + 1)``."""
+        ``lo .. hi`` of the window and ``hi + 1``."""
         table = self._tables.get(m)
         if table is None:
-            log_pmf = self.log_pmf
-            mode = min(int((m + 1) * self.r), m)
-            floor = log_pmf(m, mode) - _WINDOW_LOG
-            # the log-pmf is concave, so the window is one run around the mode
-            lo, top = 0, mode
-            while lo < top:
-                mid = (lo + top) // 2
-                lo, top = (lo, mid) if log_pmf(m, mid) >= floor else (mid + 1, top)
-            bottom, hi = mode, m
-            while bottom < hi:
-                mid = (bottom + hi + 1) // 2
-                bottom, hi = (mid, hi) if log_pmf(m, mid) >= floor else (bottom, mid - 1)
-            if m < len(log_fact) and self.r < 1.0:
-                lf, log_r, log_s, exp = log_fact, self._log_r, self._log_s, math.exp
-                pmf = [exp(lf[m] - lf[x] - lf[m - x] + x * log_r + (m - x) * log_s)
-                       for x in range(hi, lo - 1, -1)]
-            else:
-                pmf = [math.exp(log_pmf(m, x)) for x in range(hi, lo - 1, -1)]
-            tails = array("d", accumulate(pmf, initial=self.upper(m, hi + 1)))
+            odds, mode = self._odds, min(int((m + 1) * self.r), m)
+            down, term = [1.0], 1.0
+            for x in range(mode, 0, -1):
+                term *= x / (m - x + 1) / odds
+                if term < 2.0**-64:
+                    break
+                down.append(term)
+            up, term, above = [], 1.0, 0.0
+            for x in range(mode, m):
+                term *= (m - x) / (x + 1) * odds
+                if term < 2.0**-64:
+                    above = self.upper(m, x + 1, term)  # the steps go on past the window
+                    break
+                up.append(term)
+            pmf = up[::-1] + down  # the counts hi down to lo
+            total = math.fsum(pmf)
+            tails = array("d", accumulate((p / total for p in pmf), initial=above / total))
             tails.reverse()
-            table = self._tables[m] = (lo, tails)
+            table = self._tables[m] = (mode + 1 - len(down), tails)
         return table
 
-    def upper(self, m: int, x: int) -> float:
-        """P(X >= x) for ``x`` above the mode, summed until the terms stop counting."""
-        ratio = self.r / (1.0 - self.r) if self.r < 1.0 else 0.0
-        term, total = math.exp(self.log_pmf(m, x)) if x <= m else 0.0, 0.0
+    def upper(self, m: int, x: int, term: float) -> float:
+        """``term``, the pmf at ``x`` above the mode, plus the terms above it while they count."""
+        total = 0.0
         while term > total * 2.0**-60:
             total += term
-            term *= (m - x) / (x + 1) * ratio
+            term *= (m - x) / (x + 1) * self._odds
             x += 1
         return total
 
     def tail_sum(self, cuts) -> float:
-        """``sum(mass * P(X >= x))`` over ``(mass, m, x, table(m))``, to about
-        2**-52 relative."""
+        """``sum(mass * P(X >= x))`` over ``(mass, m, x, table(m))``, to about 2**-52 relative."""
         terms, late = [], []
         for mass, m, x, (lo, tails) in cuts:
             i = x - lo
@@ -439,7 +436,8 @@ class _Binomial:
                 late.append((mass, m, x, mass * tails[-1]))
         total = math.fsum(terms)
         if math.fsum(bound for *_, bound in late) > total * 2.0**-52:
-            total = math.fsum([*terms, *(mass * self.upper(m, x) for mass, m, x, _ in late)])
+            total = math.fsum([*terms, *(mass * self.upper(m, x, math.exp(self.log_pmf(m, x)))
+                                         for mass, m, x, _ in late)])
         return total
 
 
@@ -482,7 +480,7 @@ class RowTest:
 
         # each prefix branches into left + 1 prefixes, one per count of the
         # next outer cell; the pair takes the draws left at the end
-        self._log_fact = log_fact = [math.lgamma(c + 1) for c in range(n + 1)] if outer else []
+        log_fact = [math.lgamma(c + 1) for c in range(n + 1)] if outer else []
         log_mass, llr, left = [math.lgamma(n + 1)], [0.0], [n]
         for k in outer:
             log_q, weight = math.log(q0[k]), w[k]
@@ -532,7 +530,7 @@ class RowTest:
 
         def upper(rows):
             a, m, _, mass = rows = self._rows(rows)
-            tables = {k: binom.table(k, self._log_fact) for k in set(m)}
+            tables = {k: binom.table(k) for k in set(m)}
             return binom.tail_sum(zip(mass, m, self._cuts(t, rows), map(tables.get, m)))
 
         floor = max(log_mass) - _WINDOW_LOG
@@ -586,8 +584,8 @@ class RowTest:
         wu, wv, d = self._wu, self._wv, self._d
         binom0, binom1 = self._binom0, self._binom1
         a_, m_, _, mass0 = rows
-        tables0 = {m: binom0.table(m, self._log_fact) for m in set(m_)}
-        tables1 = {m: binom1.table(m, self._log_fact) for m in set(m_)}
+        tables0 = {m: binom0.table(m) for m in set(m_)}
+        tables1 = {m: binom1.table(m) for m in set(m_)}
         bases = [a + m * wv for a, m in zip(a_, m_)]
 
         def rejects(s: float) -> bool:

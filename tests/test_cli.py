@@ -258,6 +258,16 @@ class TestPlan:
         assert code == 0
         assert json.loads(out)["min_n0"] == 66
 
+    @pytest.mark.parametrize("h0", ["pos", "ccqi"])
+    def test_h0_with_visibility_is_refused(self, write_config, capsys, h0):
+        # visibility replaces h0, so an explicit h0 would be dropped unseen
+        config = (EXCITATION.replace(LN2, "0.7") + "[stats]\nalpha = 0.05\npower = 0.9\n"
+                  f"background = 1e-3\nh0 = {h0}\nh1 = pos\nvisibility = 0.9\n")
+        assert run_cli(capsys, "plan", "--config", write_config(config)) == (
+            2, "", "mzsim: config error: set either h0 or visibility, not both: "
+            "visibility replaces h0\n",
+        )
+
     def test_missing_power(self, write_config, capsys):
         config = EXCITATION + "\n[stats]\nalpha = 0.01\n"
         code, _, err = run_cli(capsys, "plan", "--config", write_config(config))
@@ -651,6 +661,9 @@ def config_documents(draw):
     }
     if draw(st.booleans()):
         stats["visibility"] = draw(UNIT)
+        # visibility replaces h0; the pair is refused, so drop h0 half the time
+        if draw(st.booleans()):
+            del stats["h0"]
     if draw(st.booleans()):
         stats["method"] = draw(st.sampled_from(["auto", "closed_form", "simulation"]))
     sections = {"experiment": experiment, "stats": stats}

@@ -153,12 +153,12 @@ GOLDEN = {
     "fringes-incoherent-json": ("1f96e883a94151ef407efd82287117a26683c6870947d1aa42e1ca2c5515c403", 0),
     "sectors-demo": ("bc605d2fb7b1bc59126fbec507970591b050fdbda8cb0eaae8dbfb6064f60dcc", 0),
     "discriminate-exact-zero-cells": ("458f2c40f95ff8740f4f91392deb2de52234be54daac8786657ceeca1eda10ca", 0),
-    "discriminate-exact-background": ("1d596d7725f21873aeca13ba5303537ec8a52947c803d7df02399918cefac6e5", 0),
-    "discriminate-exact-background-each": ("1d596d7725f21873aeca13ba5303537ec8a52947c803d7df02399918cefac6e5", 0),
+    "discriminate-exact-background": ("d1a3e2040e9f27622f1786dab337c8c1db0a25c6db187415ce75765f412966e3", 0),
+    "discriminate-exact-background-each": ("d1a3e2040e9f27622f1786dab337c8c1db0a25c6db187415ce75765f412966e3", 0),
     "discriminate-exact-visibility": ("c8d1d9178a29aca2f06e6b03951f69702b8680264793c2d83ebd7e37a9b5961f", 0),
-    "discriminate-exact-pooled": ("305b0d10584d81b64a5ccfee84fd1e6c3e89f858b9148b0a97a44aa86a75a0c0", 0),
-    "discriminate-exact-four-cells": ("61f742fcad50967b40bb3b6ef3f44c3a9734938a0a009c7605bf50c4808b13e2", 0),
-    "discriminate-exact-four-cells-200": ("c855d79821d9c1e9e104170d774169a6ee8305cc4ce280425ba452fa72fb6583", 0),
+    "discriminate-exact-pooled": ("c849cc86b5d137f387ac33c78a6bc4e4b8bb441645142ad6f121b8bdbaf264b6", 0),
+    "discriminate-exact-four-cells": ("d8e1b6362d692c35264c16c584604b670453f38aa326158dc30e9c180bab835b", 0),
+    "discriminate-exact-four-cells-200": ("b0ca3c171a3696fb8e7b05f24eed0e55fceb01e6388389dfc4fd22e0f197ec48", 0),
     "discriminate-monte-carlo": ("b40e5d2ec6a66224a3d74301c652445441454f14fd3e45236f205c364ffe0b44", 0),
     "plan-closed-form": ("6fce2fc43e1f922687fe8ba340de0268c102289a2f789cd69b55276277c35162", 0),
     "plan-simulation": ("1369457ab97f5dfb7a1e20e15d9a5f3fcc72eebb20236e54a8637eb312143706", 0),

@@ -169,6 +169,12 @@ class TestErrors:
             parse_config(f"[stats]\nreplicates = {replicates}\n")
         parse_config(f"[stats]\nreplicates = {MAX_REPLICATES}\n")
 
+    def test_h0_and_visibility_are_exclusive(self):
+        with pytest.raises(ConfigError, match="either h0 or visibility, not both"):
+            parse_config("[stats]\nh0 = ccqi\nvisibility = 0.9\n")
+        assert parse_config("[stats]\nh0 = ccqi\n").stats.h0 is Hypothesis.CCQI
+        assert parse_config("[stats]\nvisibility = 0.9\n").stats.visibility == 0.9
+
     def test_bad_output_format(self):
         with pytest.raises(ConfigError, match="format must be one of"):
             parse_config("[output]\nformat = xml\n")

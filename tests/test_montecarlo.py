@@ -156,6 +156,18 @@ class TestPhotonSim:
             simulate_photon(PhotonParams(n0=10, d=0.5, u=0.5), Hypothesis.MODIFIED_RATE)
 
 
+@pytest.mark.parametrize(
+    "simulate,params",
+    [(simulate_excitation, ExcitationParams(n0=10, epsilon=0.5, lam=1.0, t=1.0)),
+     (simulate_decay, DecayParams(n0=1000, lam=1.0, t1=0.1, t2=0.5, t3=0.1)),
+     (simulate_photon, PhotonParams(n0=10, d=0.5, u=0.5))],
+)
+def test_every_sampler_refuses_an_unknown_hypothesis(simulate, params):
+    # a hypothesis name, not a Hypothesis, as the predictors refuse it too
+    with pytest.raises(UnsupportedHypothesisError, match="not ccqi"):
+        simulate(params, "ccqi")
+
+
 class TestReproducibility:
     def test_identical_configs_give_identical_tallies(self):
         p = ExcitationParams(n0=100_000, epsilon=0.3, lam=0.5, t=0.8)
@@ -256,7 +268,7 @@ class TestSetupCache:
     """A run computes each per-(n, p) binomial set-up once."""
 
     @staticmethod
-    def misses_and_keys(monkeypatch, setup_name, simulate, params, h):
+    def misses_and_keys(monkeypatch, setup_name, simulate, params, h, chunk_size=4096):
         setup = getattr(montecarlo, setup_name)
         keys = set()
 
@@ -266,7 +278,7 @@ class TestSetupCache:
 
         setup.cache_clear()
         monkeypatch.setattr(montecarlo, setup_name, recording)
-        simulate(params, h, SimConfig(seed=2024, chunk_size=4096))
+        simulate(params, h, SimConfig(seed=2024, chunk_size=chunk_size))
         return setup.cache_info().misses, len(keys)
 
     def test_btpe_set_ups_of_a_decay_ccqi_run(self, monkeypatch):
@@ -275,6 +287,14 @@ class TestSetupCache:
         misses, keys = self.misses_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
                                             Hypothesis.CCQI)
         assert keys > 300
+        assert misses == keys
+
+    def test_btpe_set_ups_of_large_chunks(self, monkeypatch):
+        # 3000 chunks of 65536: the window of nested n holds over a thousand values
+        p = DecayParams(n0=3000 * 65536, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
+        misses, keys = self.misses_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
+                                            Hypothesis.CCQI, chunk_size=65536)
+        assert keys > 1024
         assert misses == keys
 
     def test_inversion_set_ups_of_a_small_p_run(self, monkeypatch):

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -656,6 +657,77 @@ class Enumeration:
         rejected = [m1 for s, _, m1 in finite
                     if s > -math.inf and upper[bisect_left(stats_, stats._tie_floor(s))] <= alpha]
         return math.fsum(rejected)
+
+
+# pi to 60 digits, for Stirling's series in 50-digit decimal arithmetic
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def decimal_log_factorial(n: int) -> Decimal:
+    """``ln(n!)``, exactly below 1000 and by Stirling's series above, whose
+    first omitted term is then below 1e-30."""
+    if n < 1000:
+        return Decimal(math.factorial(n)).ln()
+    n = Decimal(n)
+    return ((n + Decimal("0.5")) * n.ln() - n + (2 * PI).ln() / 2 + 1 / (12 * n)
+            - 1 / (360 * n**3) + 1 / (1260 * n**5) - 1 / (1680 * n**7))
+
+
+def decimal_binomial_tail(n: int, r: float, x: int) -> Decimal:
+    """P(X >= x) for X ~ Binomial(n, r), 0 < r < 1 and x <= n, in 50-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, s = Decimal(r), 1 - Decimal(r)
+        term = (decimal_log_factorial(n) - decimal_log_factorial(x)
+                - decimal_log_factorial(n - x) + x * r.ln() + (n - x) * s.ln()).exp()
+        total = Decimal(0)
+        while term > total * Decimal("1e-45"):
+            total += term
+            term *= Decimal(n - x) / Decimal(x + 1) * r / s
+            x += 1
+        return +total
+
+
+class TestBinomialTables:
+    """A table steps its pmf out from the mode; its tails are accurate to the last digits."""
+
+    @pytest.mark.parametrize("m", [0, 1, 80, 10**4, 10**7])
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.1, 0.5, 0.7, 0.98, 1.0])
+    def test_tails_match_an_independent_reference(self, m, r):
+        lo, tails = stats._Binomial(r).table(m)
+        hi = lo + len(tails) - 2
+        mode = min(int((m + 1) * r), m)
+        if m < 10**7 or r == 1.0:
+            cuts = sorted({lo, mode, hi + 1, *range(lo, hi + 1, max(1, (hi - lo) // 40))})
+            want = scipy_stats.binom.sf(np.array(cuts) - 1, m, r)
+        else:
+            # scipy's binom.sf errs by up to 3e-12 here, and by 2.4e-10 at r = 1e-6
+            # near the mode, so a 50-digit sum stands in
+            cuts = sorted({lo, mode, hi, *range(lo, hi + 1, max(1, (hi - lo) // 6))})
+            want = [float(decimal_binomial_tail(m, r, x)) for x in cuts]
+        for x, expected in zip(cuts, want):
+            # r / (1 - r) is rounded once, so a tail k steps from the mode may
+            # drift by k * 2**-53; the top of a window of 10**7 is 13,600 steps out
+            rel = max(1e-12, abs(x - mode) * 2.0**-52)
+            assert tails[x - lo] == pytest.approx(expected, rel=rel, abs=0.0), x
+        if r == 1.0:
+            assert (lo, list(tails)) == (m, [1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**7])
+    def test_two_cell_p_values_match_a_50_digit_sum(self, n):
+        # under pos and modified_rate every decay atom reaches counter a: two
+        # cells, whose null probabilities sum to exactly 1, so one row of mass 1
+        params = DecayParams(n0=1000, lam=1.0, lam_prime=0.9, t1=0.1, t2=0.5, t3=0.1)
+        h0 = build_model("decay", params, Hypothesis.POS)
+        h1 = build_model("decay", params, Hypothesis.MODIFIED_RATE)
+        assert h0._p[0] + h0._p[1] == 1.0 and h0._p[2:] == (0.0, 0.0)
+        r = h0._p[1]
+        sd = math.sqrt(n * r * (1 - r))
+        for k in (1, 3, 6):
+            x = int((n + 1) * r) + round(k * sd)
+            p_value = discriminate((n - x, x, 0, 0), h0, h1, 0.05).p_value_h0
+            want = decimal_binomial_tail(n, r, x)
+            assert abs(Decimal(p_value) - want) <= Decimal("1e-12") * want, (k, p_value)
 
 
 class TestExactEngine:

@@ -1,0 +1,285 @@
+"""Run the same seeded random requests through two source trees and compare them.
+
+    python tools/compare_trees.py PARENT_SRC CHANGE_SRC --seed S --count N
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
+checkouts of mzsim.  The script draws ``N`` request configurations
+from ``random.Random(S)``: ``predict``, ``simulate``, ``fringes``,
+``sectors-demo``, ``discriminate`` and ``plan``, over all three
+experiments, with a background (scalar or per category), a visibility
+or neither, and with sample sizes on both sides of the exact engine's
+cap.  An explicit ``h0`` is never set together with ``visibility``.
+Each tree runs every request in one subprocess, in process through
+``mzsim.cli.main``, and the two outputs are compared request by
+request:
+
+* identical: stdout, stderr and exit code are the same bytes;
+* p-value drift: a ``discriminate`` whose log likelihood ratio and
+  decision agree and whose ``p_value_h0`` alone moved; the largest
+  relative move is reported;
+* changed: anything else, listed with its configuration.
+
+The exit status is 0 when nothing changed and no p-value moved by more
+than ``REL_TOL`` relative, else 1.  Standard library
+only; the subprocesses need what mzsim itself imports.
+"""
+
+import argparse
+import collections
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import time
+
+COMMANDS = ("predict", "simulate", "fringes", "sectors-demo", "discriminate", "plan")
+# the share of requests per command, in COMMANDS order
+WEIGHTS = (1, 2, 1, 0.05, 4, 2)
+CELLS = {"excitation": 4, "decay": 4, "photon": 3}
+# the largest relative p-value drift that passes
+REL_TOL = 1e-12
+
+
+def _uniform(rng, lo, hi, digits=4):
+    return round(rng.uniform(lo, hi), digits)
+
+
+def _log_uniform_int(rng, lo, hi):
+    return int(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def _experiment(rng, kind, hypotheses):
+    entries = {"experiment": kind, "hypothesis": rng.choice(hypotheses),
+               "n0": _log_uniform_int(rng, 1, 10**6)}
+    if kind == "excitation":
+        entries.update(epsilon=_uniform(rng, 0.02, 0.6), t=rng.choice(
+            [0.6931471805599453, _uniform(rng, 0.1, 2.0)]), **{"lambda": 1.0})
+    elif kind == "decay":
+        entries.update(t1=_uniform(rng, 0.0, 0.5), t2=_uniform(rng, 0.1, 1.0),
+                       t3=_uniform(rng, 0.0, 0.5), mu=rng.choice([1.0, _uniform(rng, 0.5, 1.0)]),
+                       **{"lambda": 1.0, "lambda_prime": _uniform(rng, 0.3, 0.95)})
+    else:
+        entries.update(d=_uniform(rng, 0.1, 1.0), u=_uniform(rng, 0.3, 1.0))
+    return entries
+
+
+def _rough_probabilities(e, hypothesis):
+    """Category probabilities near the model's, to draw plausible counts from."""
+    if e["experiment"] == "excitation":
+        s = math.exp(-e["t"])
+        alive, dead = e["epsilon"] * s, e["epsilon"] * (1 - s)
+        if hypothesis == "pos":
+            return [1 - alive, alive, 0.0, 0.0]
+        return [1 - alive / 2 - dead / 2, alive / 2, dead / 2, alive / 2]
+    if e["experiment"] == "decay":
+        rate = e["lambda_prime"] if hypothesis == "modified_rate" else 1.0
+        s1, s2, s3 = math.exp(-e["t1"]), math.exp(-rate * e["t2"]), math.exp(-e["t3"])
+        na2 = s1 * s2 * s3
+        nb1 = s1 * (1 - s2) / 2 if hypothesis == "ccqi" else 0.0
+        return [1 - na2 - nb1, na2, nb1, 0.0]
+    ud = e["d"] * e["u"]
+    if hypothesis == "pos":
+        return [ud + (1 - ud) / 4, (1 - ud) / 4, (1 - ud) / 2]
+    survivors = 0.5 + 0.5 * ud
+    return [survivors / 2, survivors / 2, 1 - survivors]
+
+
+def _counts(rng, n, probs, background):
+    """``n`` counts near a multinomial draw, one binomial split at a time."""
+    probs = [p + background for p in probs]
+    rest, left, counts = sum(probs), n, []
+    for p in probs[:-1]:
+        q = min(1.0, p / rest) if rest > 0 else 0.0
+        c = round(rng.gauss(left * q, math.sqrt(left * q * (1 - q))))
+        counts.append(min(left, max(0, c)))
+        left, rest = left - counts[-1], rest - p
+    return ",".join(map(str, [*counts, left]))
+
+
+def _hypotheses(kind):
+    return ("pos", "ccqi", "modified_rate") if kind == "decay" else ("pos", "ccqi")
+
+
+def _stats(rng, command, e):
+    kind, ncat = e["experiment"], CELLS[e["experiment"]]
+    hypotheses = _hypotheses(kind)
+    shape = rng.choice(["none", "scalar", "list", "visibility"])
+    # visibility against pos is the exclusion design
+    entries = {"h1": rng.choice(hypotheses[1:] + (("pos",) if shape == "visibility" else ()))}
+    background = 0.0
+    if shape in ("scalar", "list", "visibility") and rng.random() < 0.8:
+        background = rng.choice([1e-4, 1e-3, 1e-2])
+        entries["background"] = (background if shape != "list"
+                                 else ",".join([str(background)] * ncat))
+    if shape == "visibility":
+        entries["visibility"] = _uniform(rng, 0.5, 1.0)
+    elif rng.random() < 0.5:
+        entries["h0"] = "pos"
+    entries["alpha"] = rng.choice([0.001, 0.01, 0.05])
+    entries["replicates"] = rng.choice([200, 1000, 2000])
+    if command == "discriminate":
+        truth = rng.choice(["pos", entries["h1"]])
+        n = _log_uniform_int(rng, 5, 10**7 if kind == "decay" and background == 0 else 20000)
+        entries["counts"] = _counts(rng, n, _rough_probabilities(e, truth), background)
+    else:
+        entries["power"] = rng.choice([0.5, 0.8, 0.9])
+        if rng.random() < 0.1:
+            entries["method"] = "simulation"
+    return entries
+
+
+def requests(seed: int, count: int):
+    """``count`` (command, config text, flags) triples drawn from ``seed``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        command = rng.choices(COMMANDS, WEIGHTS)[0]
+        flags, sections = [], {}
+        if command in ("predict", "simulate", "fringes") and rng.random() < 0.5:
+            flags = ["--format", "json"]
+        if command == "fringes":
+            sections["fringes"] = {
+                "source_separation": 1e-3, "wavelength": _uniform(rng, 3e-7, 7e-7, 9),
+                "screen_distance": _uniform(rng, 0.1, 2.0), "x_min": -0.002,
+                "x_max": _uniform(rng, 0.0, 0.003, 5), "n_points": rng.randint(2, 200),
+                "pattern": rng.choice(["coherent", "incoherent"])}
+        elif command != "sectors-demo":
+            kind = rng.choice(sorted(CELLS))
+            sections["experiment"] = e = _experiment(rng, kind, _hypotheses(kind))
+            if command == "simulate":
+                sections["simulation"] = {"seed": rng.randrange(2**64),
+                                          "chunk_size": rng.choice([999, 4096, 65536, 10**6])}
+            elif command in ("discriminate", "plan"):
+                sections["stats"] = _stats(rng, command, e)
+                sections["simulation"] = {"seed": rng.randrange(2**32)}
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                       for name, entries in sections.items())
+        out.append((command, text or None, flags))
+    return out
+
+
+def _design(text: str):
+    """A ``discriminate`` request's pooled cells, those possible under both
+    models, and whether the test lies above the exact cap; None if it fails."""
+    from mzsim import cli, config, stats
+    from mzsim.errors import MzsimError
+
+    try:
+        cfg = config.parse_config(text)
+        p0, p1 = (model._p for model in cli._stats_models(cfg))
+        n = sum(cfg.stats.counts)
+        groups = stats._pooled_cells(n, p0, p1)
+        finite = sum(a > 0 < b for a, b in zip(stats._pooled(p0, groups),
+                                                stats._pooled(p1, groups)))
+        return [len(groups), finite, stats._size(n, p0, p1) > stats.ROW_CAP]
+    except (MzsimError, AttributeError):  # a refused request, or a tree without these names
+        return None
+
+
+def _worker() -> None:
+    """Run the requests on stdin through ``mzsim.cli.main``; print the results
+    and, for ``discriminate``, the design."""
+    from mzsim.cli import main
+
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        for command, text, flags in json.load(sys.stdin):
+            argv = [command, *flags]
+            if text is not None:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv += ["--config", path]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append([out.getvalue(), err.getvalue(), code, time.perf_counter() - start,
+                            _design(text) if command == "discriminate" else None])
+    json.dump(results, sys.stdout)
+
+
+def _run(src: str, batch) -> list:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"],
+                          input=json.dumps(batch), capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(done.stdout)
+
+
+def _drift(a: str, b: str):
+    """The relative move of ``p_value_h0`` if it alone differs, else None."""
+    try:
+        a, b = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    if not (isinstance(a, dict) and a.keys() == b.keys() and "p_value_h0" in a):
+        return None
+    if any(a[k] != b[k] for k in a if k != "p_value_h0"):
+        return None
+    pa, pb = a["p_value_h0"], b["p_value_h0"]
+    return abs(pa - pb) / max(abs(pa), abs(pb))
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:] == ["--worker"]:
+        _worker()
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--count", type=int, default=1000)
+    args = parser.parse_args(argv)
+    batch = requests(args.seed, args.count)
+    start = time.perf_counter()
+    parent, change = _run(args.parent_src, batch), _run(args.change_src, batch)
+    tally = collections.defaultdict(collections.Counter)
+    changed, designs = [], collections.Counter()
+    # the largest p-value drift and its request, per number of cells possible under both models
+    worst = collections.defaultdict(lambda: (0.0, None))
+    for (command, text, flags), a, b in zip(batch, parent, change):
+        if command in ("discriminate", "plan"):
+            stats = text.split("[stats]\n")[1]
+            shape = ("visibility" if "visibility" in stats
+                     else "background" if "background" in stats else "neither")
+            designs[f"{command} {text.split()[3]} {shape}"] += 1
+        if b[4] is not None:
+            designs[f"discriminate {b[4][0]} pooled cells, {b[4][1]} possible under both"] += 1
+            designs["discriminate above the exact cap"] += b[4][2]
+        if a[:3] == b[:3]:
+            tally[command]["identical"] += 1
+            continue
+        drift = _drift(a[0], b[0]) if a[1:3] == b[1:3] and command == "discriminate" else None
+        if drift is None:
+            tally[command]["changed"] += 1
+            changed.append((command, flags, text, a[:3], b[:3]))
+        else:
+            tally[command]["p-value drift"] += 1
+            key = b[4][1] if b[4] else None
+            worst[key] = max(worst[key], (drift, text))
+    print(f"{len(batch)} requests, seed {args.seed}, "
+          f"{time.perf_counter() - start:.0f} s for both trees")
+    for command in COMMANDS:
+        print(f"  {command:13s}", ", ".join(f"{v} {k}" for k, v in sorted(tally[command].items())))
+    for key, (drift, text) in sorted(worst.items(), key=lambda item: str(item[0])):
+        print(f"largest relative p-value drift, {key} cells possible under both: {drift:.3g}\n"
+              + "".join(f"    {line}\n" for line in text.splitlines()))
+    slowest = max(range(len(batch)), key=lambda i: max(parent[i][3], change[i][3]))
+    print(f"slowest request: {batch[slowest][0]}, {parent[slowest][3]:.2f} s parent, "
+          f"{change[slowest][3]:.2f} s change")
+    print("coverage:")
+    for key, value in sorted(designs.items()):
+        print(f"  {key}: {value}")
+    for command, flags, text, a, b in changed:
+        print(f"\nchanged: {command} {' '.join(flags)}\n{text}parent: {a}\nchange: {b}")
+    return 1 if changed or max((d for d, _ in worst.values()), default=0.0) > REL_TOL else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
