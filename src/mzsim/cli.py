@@ -277,7 +277,8 @@ def _load_config(args) -> RunConfig:
         cfg = RunConfig()
     else:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            # utf-8-sig drops the byte-order mark some editors write first
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None

@@ -426,9 +426,11 @@ class _Binomial:
         return total
 
     def tail_sum(self, cuts) -> float:
-        """``sum(mass * P(X >= x))`` over ``(mass, m, x, table(m))``, to about 2**-52 relative."""
+        """``sum(mass * P(X >= x))`` over ``(mass, m, x)``, to about 2**-52 relative;
+        under h1 at the cuts of the null's critical statistic, it is the power."""
         terms, late = [], []
-        for mass, m, x, (lo, tails) in cuts:
+        for mass, m, x in cuts:
+            lo, tails = self.table(m)
             i = x - lo
             if i < len(tails):
                 terms.append(mass * tails[i if i > 0 else 0])
@@ -444,9 +446,10 @@ class _Binomial:
 class RowTest:
     """The exact test of ``n`` draws over pooled cells, summed row by row.
 
-    ``binomials`` keeps the binomial tables, keyed by ``r``, for the
-    next test that needs them; a power search passes one dict to all
-    its probes.
+    A p-value is a null tail sum over the rows, and the power is the h1
+    tail sum at the null's critical statistic.  ``binomials`` keeps the
+    binomial tables, keyed by ``r``, for the next test that needs them;
+    a power search passes one dict to all its probes.
     """
 
     def __init__(self, n: int, p0, p1, binomials: dict | None = None):
@@ -506,8 +509,8 @@ class RowTest:
         return total
 
     def _rows(self, rows) -> tuple:
-        """``(a, m, log mass0, mass0)`` of the rows at the indices ``rows``."""
-        return tuple([r[i] for i in rows] for r in (self._a, self._m, self._log_mass, self._mass0))
+        """``(a, m, mass0)`` of the rows at the indices ``rows``."""
+        return tuple([r[i] for i in rows] for r in (self._a, self._m, self._mass0))
 
     def _cuts(self, t: float, rows) -> list[int]:
         """Per row ``(a, m)``, the least ``x`` in ``0 .. m + 1`` whose statistic is at least ``t``."""
@@ -529,9 +532,8 @@ class RowTest:
         t, log_mass, binom = _tie_floor(observed), self._log_mass, self._binom0
 
         def upper(rows):
-            a, m, _, mass = rows = self._rows(rows)
-            tables = {k: binom.table(k) for k in set(m)}
-            return binom.tail_sum(zip(mass, m, self._cuts(t, rows), map(tables.get, m)))
+            a, m, mass = rows = self._rows(rows)
+            return binom.tail_sum(zip(mass, m, self._cuts(t, rows)))
 
         floor = max(log_mass) - _WINDOW_LOG
         rows = range(len(log_mass))
@@ -548,7 +550,8 @@ class RowTest:
         return min(1.0, total)
 
     def power(self, alpha: float) -> float:
-        """h1 mass of the outcomes whose p-value is at most ``alpha``.
+        """h1 mass of the outcomes whose p-value is at most ``alpha``: one h1
+        tail sum at the cuts of the null's critical statistic (:meth:`_critical`).
 
         Call it only when no cell impossible under h0 is open to h1, as
         the power search does; then h1 puts all its mass on the rows,
@@ -562,30 +565,32 @@ class RowTest:
                      for x, a, m in zip(self._log_mass, self._a, self._m)]
         floor0, floor1 = max(self._log_mass) - _WINDOW_LOG, max(log_mass1) - _WINDOW_LOG
         keep = [x >= floor0 or y >= floor1 for x, y in zip(self._log_mass, log_mass1)]
-        rows = [i for i, k in enumerate(keep) if k]
-        result = self._power(alpha, self._rows(rows), [log_mass1[i] for i in rows])
+
+        def tail1(rows):
+            s = self._critical(alpha, cut_rows := self._rows(rows))
+            return 0.0 if s is None else self._binom1.tail_sum(
+                zip([math.exp(log_mass1[i]) for i in rows], cut_rows[1], self._cuts(s, cut_rows)))
+
+        result = tail1([i for i, k in enumerate(keep) if k])
         drop = [not k for k in keep]
         if (math.fsum(compress(self._mass0, drop)) > alpha * 2.0**-52
                 or math.fsum(map(math.exp, compress(log_mass1, drop))) > result * 2.0**-52):
-            result = self._power(alpha, self._rows(range(len(keep))), log_mass1)
+            result = tail1(range(len(keep)))
         return result
 
-    def _power(self, alpha: float, rows, log_mass1) -> float:
-        """Power over ``rows``.
+    def _critical(self, alpha: float, rows) -> float | None:
+        """The critical statistic ``s*`` over ``rows``, or None if no outcome rejects.
 
-        The rejected outcomes are those at or above the critical
-        statistic ``s*``, the least statistic whose p-value is at most
-        ``alpha``.  A bisection that cuts each row by division alone
-        brackets ``s*`` within one step ``w_u - w_v`` of a row, with a
-        margin far above the division's error; the outcomes of the
-        bracket are then listed with their exact statistics, and ``s*``
-        is found among them.
+        ``s*`` is the least statistic whose p-value is at most ``alpha``;
+        it depends on the null alone.  A bisection that cuts each row by
+        division alone brackets ``s*`` within one step ``w_u - w_v`` of a
+        row, with a margin far above the division's error; the outcomes
+        of the bracket are then listed with their exact statistics and
+        null masses, and ``s*`` is found among them.
         """
-        wu, wv, d = self._wu, self._wv, self._d
-        binom0, binom1 = self._binom0, self._binom1
-        a_, m_, _, mass0 = rows
+        wu, wv, d, binom0 = self._wu, self._wv, self._d, self._binom0
+        a_, m_, mass0 = rows
         tables0 = {m: binom0.table(m) for m in set(m_)}
-        tables1 = {m: binom1.table(m) for m in set(m_)}
         bases = [a + m * wv for a, m in zip(a_, m_)]
 
         def rejects(s: float) -> bool:
@@ -628,11 +633,9 @@ class RowTest:
         margin = 1e-12 * (1.0 + self.n * max(abs(wu), abs(wv)))
         bottom, top = _tie_floor(lo) - 2.0 * margin, math.nextafter(hi + margin, math.inf)
         cuts = self._cuts(top, rows)
-        mass1 = list(map(math.exp, log_mass1))
-        p_above = binom0.tail_sum(zip(mass0, m_, cuts, map(tables0.get, m_)))
-        power_above = binom1.tail_sum(zip(mass1, m_, cuts, map(tables1.get, m_)))
+        p_above = binom0.tail_sum(zip(mass0, m_, cuts))
         listed, s_next = [], math.inf
-        for a, m, x, mass0, mass1 in zip(a_, m_, cuts, mass0, mass1):
+        for a, m, x, mass in zip(a_, m_, cuts, mass0):
             if x <= m:
                 s_next = min(s_next, (a + (m - x) * wv) + x * wu)
             while x > 0:
@@ -640,26 +643,17 @@ class RowTest:
                 s = (a + (m - x) * wv) + x * wu
                 if s < bottom:
                     break
-                listed.append((s, mass0 * math.exp(binom0.log_pmf(m, x)),
-                               mass1 * math.exp(binom1.log_pmf(m, x))))
+                listed.append((s, mass * math.exp(binom0.log_pmf(m, x))))
         listed.sort()
-        stats = [e[0] for e in listed]
-        # null and h1 mass of the listed outcomes from the i-th statistic up
-        tail0 = [*accumulate((e[1] for e in reversed(listed)), initial=0.0)][::-1]
-        tail1 = [*accumulate((e[2] for e in reversed(listed)), initial=0.0)][::-1]
+        stats = [s for s, _ in listed]
+        # null mass of the listed outcomes from the i-th statistic up
+        tail0 = [*accumulate((p for _, p in reversed(listed)), initial=0.0)][::-1]
         candidates = stats[bisect_left(stats, lo - margin):]
         if s_next < math.inf:
             candidates.append(s_next)
-        first, end = 0, len(candidates)
-        while first < end:
-            mid = (first + end) // 2
-            if p_above + tail0[bisect_left(stats, _tie_floor(candidates[mid]))] <= alpha:
-                end = mid
-            else:
-                first = mid + 1
-        if first == len(candidates):
-            return 0.0
-        return power_above + tail1[bisect_left(stats, candidates[first])]
+        first = bisect_left(candidates, True, key=lambda s: (
+            p_above + tail0[bisect_left(stats, _tie_floor(s))] <= alpha))
+        return candidates[first] if first < len(candidates) else None
 
 
 def _sampled_statistics(draws, p0, p1):
@@ -849,7 +843,9 @@ def min_sample_size(
     and ``replicates``.  No answer is lost: the search bisects only
     below a probe that reached ``power``, and such a probe under that
     ``alpha`` is exact.  An answer above ``MAX_SAMPLE_SIZE`` raises
-    :class:`ResourceLimitError`.
+    :class:`ResourceLimitError`, before any probe where no test could be
+    smaller: one of size ``alpha`` needs ``n0 >= d(power || alpha) /
+    chi2(h1 || h0)``, ``d`` being the binary Kullback-Leibler divergence.
 
     ``method`` selects ``"auto"`` (closed form when available),
     ``"closed_form"`` (error when unavailable), or ``"simulation"``
@@ -883,14 +879,16 @@ def min_sample_size(
                 "under h0, so the sample size comes from a power search at "
                 "significance alpha"
             )
-        # the probes share their binomial tables
-        binomials = {}
-        return _power_search(
-            lambda n: _rejection_rate(
-                n, model_h0, model_h1, alpha, replicates, seed, binomials
-            ),
-            power,
-        )
+        # any test of size alpha and power beta needs n >= d(beta || alpha) / D(h1 || h0),
+        # and D <= chi2, summed from differences: ln(p1 / p0) rounds where p1 ~ p0
+        chi2 = math.fsum((b - a) ** 2 / a for a, b in zip(model_h0._p, model_h1._p) if a > 0)
+        kl = power * math.log(power / alpha) + (1 - power) * math.log((1 - power) / (1 - alpha))
+        if power > alpha and kl > MAX_SAMPLE_SIZE * chi2:
+            raise ResourceLimitError(f"no sample size up to the cap of {MAX_SAMPLE_SIZE} reaches "
+                                     f"power {power}: any test needs n >= {kl / chi2:.3g}")
+        binomials = {}  # the probes share their binomial tables
+        return _power_search(lambda n: _rejection_rate(
+            n, model_h0, model_h1, alpha, replicates, seed, binomials), power)
     if p_hit >= 1.0:
         return 1
     if method == "simulation":

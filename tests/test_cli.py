@@ -305,6 +305,15 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("mzsim: config error: cannot read config: ")
 
+    def test_a_byte_order_mark_reads_like_a_plain_file(self, tmp_path, capsys):
+        # the mark sat in front of the first header and was refused with line 1
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(EXCITATION.lstrip(), encoding="utf-8")
+        marked.write_text(EXCITATION.lstrip(), encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        results = [run_cli(capsys, "predict", "--config", str(path)) for path in (plain, marked)]
+        assert results[0] == results[1] == (0, "na1,na2,nb1,nb2\n9000,1000,0,0\n", "")
+
     def test_out_flag_writes_file_and_keeps_stdout_clean(
         self, write_config, tmp_path, capsys
     ):

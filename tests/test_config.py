@@ -169,6 +169,24 @@ class TestErrors:
             parse_config(f"[stats]\nreplicates = {replicates}\n")
         parse_config(f"[stats]\nreplicates = {MAX_REPLICATES}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[stats]\npower = 1.5\n", r"^power must be in \(0, 1\), got 1\.5$"),
+            ("[stats]\ncounts = 1,2,-3,4\n",
+             r"^counts must be non-negative integers, got \(1, 2, -3, 4\)$"),
+            ("[stats]\nbackground = -1e-3\n", "^background probabilities must be >= 0$"),
+            ("[stats]\nvisibility = 1.5\n", r"^visibility must be in \[0, 1\], got 1\.5$"),
+            ("[stats\nalpha = 0.01\n", r"^line 1: malformed section header '\[stats'$"),
+            ("[stats]\nalpha =\n", "^line 2: expected 'key = value', got 'alpha ='$"),
+            ("[stats]\ncounts = 1,x,3,4\n",
+             "^line 2: counts must be comma-separated int values, got '1,x,3,4'$"),
+        ],
+    )
+    def test_stats_refusals_name_their_key_or_line(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_h0_and_visibility_are_exclusive(self):
         with pytest.raises(ConfigError, match="either h0 or visibility, not both"):
             parse_config("[stats]\nh0 = ccqi\nvisibility = 0.9\n")

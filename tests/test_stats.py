@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -412,6 +412,36 @@ class TestMinSampleSize:
         assert n >= 1
         # deterministic under a fixed seed
         assert n == min_sample_size(a, b, 0.01, 0.9, replicates=2000, seed=7)
+
+    def test_a_hopeless_power_search_refuses_before_any_probe(self, monkeypatch):
+        # chi2(h1 || h0) = 2 * (d * u)**2 = 5e-19, and d(0.9 || 1e-9) = 18.3; the
+        # search took seconds of exact probes, then refused alpha against replicates
+        params = PhotonParams(n0=1000, d=0.5, u=1e-9)
+        h0, h1 = (build_model("photon", params, h) for h in (Hypothesis.POS, Hypothesis.CCQI))
+
+        def probe(*args):
+            raise AssertionError("the search probed")
+
+        monkeypatch.setattr(stats, "_rejection_rate", probe)
+        with pytest.raises(ResourceLimitError, match=r"cap of 1000000000 .* n >= 3\.67e\+19$"):
+            min_sample_size(h0, h1, 1e-9, 0.9)
+
+    def test_the_refusal_bound_lies_below_every_planned_answer(self):
+        # the power-search answers this module pins
+        background = (pos_model(background=1e-3), ccqi_model(background=1e-3))
+        weak = ExcitationParams(n0=1000, epsilon=0.02, lam=1.0, t=LN2)
+        photon = PhotonParams(n0=1000, d=0.1, u=0.5)
+        hypotheses = (Hypothesis.POS, Hypothesis.CCQI)
+        for (h0, h1), alpha, power, answer in [
+            (background, 0.01, 0.9, 36),
+            (background, 0.01, 0.99, 62),
+            ([build_model("excitation", weak, h, background=1e-3) for h in hypotheses],
+             0.01, 0.95, 768),
+            ([build_model("photon", photon, h) for h in hypotheses], 0.01, 0.95, 3301),
+        ]:
+            chi2 = sum((b - a) ** 2 / a for a, b in zip(h0._p, h1._p) if a > 0)
+            kl = power * math.log(power / alpha) + (1 - power) * math.log((1 - power) / (1 - alpha))
+            assert kl / chi2 <= answer
 
     def test_power_search_needs_alpha(self):
         a = pos_model(background=1e-3)
@@ -920,6 +950,28 @@ class TestExactEngine:
         exact = stats.RowTest(12, h0._p, h1._p).power(0.001)
         assert _rejection_rate(12, h0, h1, 0.001, 99, 0) == exact
 
+    def test_the_seeded_path_puts_cells_impossible_under_h1_below_every_statistic(
+        self, monkeypatch
+    ):
+        # the exclusion design: h1 = POS leaves both b cells empty, so a null
+        # draw that reaches them scores -inf
+        h0 = build_model("excitation", excitation_params(), visibility=0.9)
+        h1 = pos_model()
+        counts, n, alpha = (181, 19, 0, 0), 200, 0.05
+        exact = stats.RowTest(n, h0._p, h1._p)
+        p = discriminate(counts, h0, h1, alpha).p_value_h0  # 0.0741
+        # a sampled p-value misses by up to delta, so the sampled test rejects what
+        # the exact one rejects at a level within delta of alpha: 0.352 to 0.441 here
+        replicates = 20_000
+        delta = 4 * math.sqrt(alpha * (1 - alpha) / replicates)
+        low, high = exact.power(alpha - delta), exact.power(alpha + delta)
+        monkeypatch.setattr(stats, "ROW_CAP", 1)
+        sampled = discriminate(counts, h0, h1, alpha, replicates=10 * replicates).p_value_h0
+        assert abs(sampled - p) <= 4 * math.sqrt(p * (1 - p) / (10 * replicates))
+        power = _rejection_rate(n, h0, h1, alpha, replicates, 0)
+        assert (low - 4 * math.sqrt(low * (1 - low) / replicates) <= power
+                <= high + 4 * math.sqrt(high * (1 - high) / replicates))
+
     def test_the_exact_engine_ends_at_the_row_cap(self, monkeypatch):
         h0, h1 = four_cell_models()
         counts = (20, 5, 3, 2)
@@ -970,8 +1022,16 @@ def engine_designs(draw):
     return n, p0, p1
 
 
+# four draws whose critical-statistic search gallops up from the normal
+# approximation's bound at alpha = 1e-3; random designs rarely take that branch
+GALLOP_UP = DecayParams(n0=100, lam=1.0, t1=0.4, t2=0.5, t3=0.5)
+GALLOP_UP_DESIGN = (4, build_model("decay", GALLOP_UP, visibility=0.9, background=1e-4)._p,
+                    build_model("decay", GALLOP_UP, Hypothesis.CCQI, background=1e-4)._p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(design=engine_designs())
+@example(design=GALLOP_UP_DESIGN)
 def test_the_row_engine_matches_the_enumeration(design):
     n, p0, p1 = design
     test = stats.RowTest(n, p0, p1)
@@ -985,5 +1045,5 @@ def test_the_row_engine_matches_the_enumeration(design):
             oracle.p_value(observed), rel=1e-12, abs=1e-300
         )
     if not any(a == 0.0 < b for a, b in zip(p0, p1)):
-        for alpha in (0.01, 0.05, 0.3):
+        for alpha in (1e-3, 0.01, 0.05, 0.3):
             assert test.power(alpha) == pytest.approx(oracle.power(alpha), rel=1e-12, abs=1e-300)

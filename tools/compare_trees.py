@@ -19,6 +19,11 @@ request:
   relative move is reported;
 * changed: anything else, listed with its configuration.
 
+Per command, the script prints the request count, each tree's summed
+time in ``mzsim.cli.main`` and the tally above.  The two trees run one
+after the other, not interleaved, so a gap of a few per cent between
+their times is host drift, not a change in speed.
+
 The exit status is 0 when nothing changed and no p-value moved by more
 than ``REL_TOL`` relative, else 1.  Standard library
 only; the subprocesses need what mzsim itself imports.
@@ -265,8 +270,12 @@ def main(argv=None) -> int:
             worst[key] = max(worst[key], (drift, text))
     print(f"{len(batch)} requests, seed {args.seed}, "
           f"{time.perf_counter() - start:.0f} s for both trees")
+    print(f"  {'command':13s} requests  parent s  change s")
     for command in COMMANDS:
-        print(f"  {command:13s}", ", ".join(f"{v} {k}" for k, v in sorted(tally[command].items())))
+        runs = [i for i, request in enumerate(batch) if request[0] == command]
+        parent_s, change_s = (sum(tree[i][3] for i in runs) for tree in (parent, change))
+        outcomes = ", ".join(f"{v} {k}" for k, v in sorted(tally[command].items()))
+        print(f"  {command:13s} {len(runs):8d} {parent_s:9.2f} {change_s:9.2f}  {outcomes}".rstrip())
     for key, (drift, text) in sorted(worst.items(), key=lambda item: str(item[0])):
         print(f"largest relative p-value drift, {key} cells possible under both: {drift:.3g}\n"
               + "".join(f"    {line}\n" for line in text.splitlines()))
