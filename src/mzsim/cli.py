@@ -44,12 +44,10 @@ module objects.
 """
 
 import argparse
-import json
 import math
 import numbers
 import re
 import sys
-from dataclasses import replace
 
 from . import fringes, montecarlo, predict, sectors, stats
 from .config import _FIELD_KEYS, RunConfig, parse_config
@@ -88,6 +86,8 @@ def _csv(header: tuple[str, ...], rows) -> str:
 
 
 def _json(payload) -> str:
+    import json  # loaded only by a request that writes JSON
+
     return json.dumps(payload, allow_nan=False) + "\n"
 
 
@@ -288,7 +288,7 @@ def _load_config(args) -> RunConfig:
     if args.out is not None:
         cfg.output_path = args.out
     if getattr(args, "seed", None) is not None:
-        cfg.sim = replace(cfg.sim, seed=args.seed)
+        cfg.sim = cfg.sim.replace(seed=args.seed)
     return cfg
 
 

@@ -16,7 +16,7 @@ The ``[experiment]`` section names the experiment and its parameters::
     t = 0.693                      # photon: d, u
 
 Every section but ``[output]`` takes its keys from a record: the
-experiment's params dataclass, :class:`~mzsim.core.SimConfig`,
+experiment's params record, :class:`~mzsim.core.SimConfig`,
 :class:`StatsOptions` and :class:`~mzsim.core.FringeGeometry`.  A
 field without a default is a required key; the others default to the
 record's own defaults.
@@ -38,9 +38,7 @@ is at most ``stats.ROW_CAP``; ``replicates`` Monte Carlo draws and
 incoherent).  ``[output]`` holds ``format`` (csv | json) and ``path``.
 """
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .core import (
@@ -52,6 +50,7 @@ from .core import (
     Hypothesis,
     PhotonParams,
     SimConfig,
+    _Record,
 )
 from .errors import ConfigError, DomainError, GeometryError
 
@@ -64,8 +63,7 @@ _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
 _OUTPUT_KEYS = ("format", "path")
 
 
-@dataclass
-class StatsOptions:
+class StatsOptions(_Record):
     """Validated contents of the ``[stats]`` section."""
 
     alpha: float | None = None
@@ -79,19 +77,23 @@ class StatsOptions:
     method: str = "auto"
 
 
-@dataclass
 class RunConfig:
-    """One fully validated run: exactly one experiment, one output."""
+    """One fully validated run: exactly one experiment, one output.
 
-    experiment: str | None = None
-    hypothesis: Hypothesis | None = None
-    params: ExcitationParams | DecayParams | PhotonParams | None = None
-    sim: SimConfig = field(default_factory=SimConfig)
-    stats: StatsOptions = field(default_factory=StatsOptions)
-    geometry: FringeGeometry | None = None
-    fringe_pattern: str = "coherent"
-    output_format: str | None = None  # None means the subcommand default
-    output_path: str | None = None
+    The parser fills it in section by section; a section left out keeps
+    the defaults set here.
+    """
+
+    def __init__(self):
+        self.experiment: str | None = None
+        self.hypothesis: Hypothesis | None = None
+        self.params: ExcitationParams | DecayParams | PhotonParams | None = None
+        self.sim = SimConfig()
+        self.stats = StatsOptions()
+        self.geometry: FringeGeometry | None = None
+        self.fringe_pattern = "coherent"
+        self.output_format: str | None = None  # None means the subcommand default
+        self.output_path: str | None = None
 
 
 def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -180,7 +182,7 @@ def _as_hypothesis(entries: dict, key: str) -> Hypothesis | None:
     return None if name is None else Hypothesis(name)
 
 
-def _record(section: str, cls: type, entries: dict, extras: dict):
+def _record(section: str, cls: type[_Record], entries: dict, extras: dict):
     """Build ``cls`` from a section whose keys are its fields, plus ``extras``.
 
     Each field's key is its name (or its ``_FIELD_KEYS`` spelling); a
@@ -189,15 +191,15 @@ def _record(section: str, cls: type, entries: dict, extras: dict):
     missing keys, the extra keys, then the field values.  Returns the
     record and the parsed extras by key.
     """
-    fields = {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
     _reject_unknown(section, entries, (*extras, *fields))
-    for key, f in fields.items():
-        if f.default is dataclasses.MISSING and key not in entries:
+    for key, name in fields.items():
+        if name not in cls._defaults and key not in entries:
             raise ConfigError(f"[{section}] requires key {key!r}")
     parsed = {key: parse(entries, key) for key, parse in extras.items()}
     values = {
-        f.name: (_as_int if f.type is int else _as_float)(entries, key)
-        for key, f in fields.items()
+        name: (_as_int if cls._fields[name] is int else _as_float)(entries, key)
+        for key, name in fields.items()
         if key in entries
     }
     try:
@@ -243,7 +245,7 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("stats", entries, tuple(f.name for f in dataclasses.fields(StatsOptions)))
+    _reject_unknown("stats", entries, tuple(StatsOptions._fields))
     opts = SimpleNamespace()
     opts.alpha = _as_float(entries, "alpha")
     if opts.alpha is not None and not 0.0 < opts.alpha < 1.0:

@@ -4,16 +4,16 @@ Everything downstream (closed-form predictions, the count-level Monte
 Carlo, the fringe patterns and the discrimination statistics) consumes
 the types defined here.  Rates and times are plain dimensionless
 floats; the caller is responsible for using consistent units.  All
-types are immutable and all functions are pure.  This module needs
-only the standard library, so validating a configuration never loads
-numpy.
+types are immutable and all functions are pure.  The records share
+one small base, :class:`_Record`, which builds no code at class
+creation.  This module needs only the standard library, so validating
+a configuration never loads numpy.
 """
 
 import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
 
 from .errors import (
     DomainError,
@@ -37,6 +37,83 @@ __all__ = [
     "survival_fraction",
     "purity_time_offset",
 ]
+
+
+_MISSING = object()
+
+
+class _Record:
+    """Base of the immutable parameter and result records.
+
+    A subclass lists its fields as class annotations, in order, after
+    those it inherits; a class attribute of the same name is the field's
+    default.  ``_fields`` maps each field to its annotation and
+    ``_defaults`` each defaulted field to its default.  Instances take
+    the fields by position or keyword, run ``__post_init__`` to check
+    them, refuse assignment and deletion, and compare and hash by type
+    and field values.  A record that holds arrays sets ``__eq__ =
+    object.__eq__`` and ``__hash__ = object.__hash__`` to compare by
+    identity instead.
+    """
+
+    _fields = {}
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = {**cls._fields, **own}
+        cls._defaults = {**cls._defaults, **{k: cls.__dict__[k] for k in own if k in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        state = self.__dict__
+        for name in fields:
+            value = values.get(name, self._defaults.get(name, _MISSING))
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            state[name] = value
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked like a new record."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
 class Hypothesis(enum.Enum):
@@ -129,8 +206,7 @@ def _check_unit_interval(name: str, value) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class ExcitationParams:
+class ExcitationParams(_Record):
     """Apparatus settings for the cavity-excitation interferometer run.
 
     ``epsilon`` is the probability that a ground-state atom leaves a
@@ -150,8 +226,7 @@ class ExcitationParams:
         _check_nonnegative("t", self.t)
 
 
-@dataclass(frozen=True)
-class DecayParams:
+class DecayParams(_Record):
     """Apparatus settings for the in-flight-decay interferometer run.
 
     ``t1``, ``t2`` and ``t3`` are the times an atom spends before,
@@ -214,11 +289,10 @@ class DecayParams:
         """
         if self.mu == 1.0:
             return self
-        return replace(self, t1=self.t1 + purity_time_offset(self.mu, self.lam), mu=1.0)
+        return self.replace(t1=self.t1 + purity_time_offset(self.mu, self.lam), mu=1.0)
 
 
-@dataclass(frozen=True)
-class PhotonParams:
+class PhotonParams(_Record):
     """Apparatus settings for the pair-splitting photon run.
 
     ``d`` is the fraction of the device-arm flux split into photon
@@ -247,8 +321,7 @@ ATOM_LABELS = ("na1", "na2", "nb1", "nb2")
 PHOTON_LABELS = ("counter1", "counter2", "lost")
 
 
-@dataclass(frozen=True, init=False)
-class CountTable:
+class CountTable(_Record):
     """Detector tallies, one per labelled category, readable by label.
 
     The atom experiments use :data:`ATOM_LABELS`: ``na1``/``nb1`` count
@@ -287,8 +360,7 @@ class CountTable:
         return dict(zip(self.labels, self.counts))
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(_Record):
     """One experiment kind: its parameter record, count categories and hypotheses.
 
     Closed-form tables and samplers live in :mod:`mzsim.predict` and
@@ -334,8 +406,7 @@ _MAX_CHUNK = 2**63 - 1
 _MAX_CHUNKS = 2**20
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Reproducibility contract for a simulation run.
 
     ``chunk_size`` fixes the substream layout: changing it changes the
@@ -381,8 +452,7 @@ MAX_FRINGE_POINTS = 10**6
 MAX_REPLICATES = 2**21
 
 
-@dataclass(frozen=True)
-class FringeGeometry:
+class FringeGeometry(_Record):
     """Two-source screen geometry and the sampling window on the plate.
 
     ``n_points`` is capped at :data:`MAX_FRINGE_POINTS`; the check runs

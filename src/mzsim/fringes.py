@@ -11,11 +11,9 @@ correlations and source kinematics are out of scope.
 configuration never loads numpy; it is re-exported here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry
+from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _Record
 from .errors import DomainError, StructureError
 
 __all__ = [
@@ -33,12 +31,14 @@ def _positions(g: FringeGeometry) -> np.ndarray:
     return np.linspace(g.x_min, g.x_max, g.n_points)
 
 
-@dataclass(frozen=True, eq=False)
-class FringeProfile:
+class FringeProfile(_Record):
     """Sampled screen intensity in single-source units."""
 
     positions: np.ndarray
     intensity: np.ndarray
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)

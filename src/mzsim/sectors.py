@@ -11,10 +11,9 @@ Everything here is dense ``complex128``; the tolerances below are
 calibrated for total dimensions up to ``MAX_DIM``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .core import _Record
 from .errors import ContractError, DomainError, StructureError
 
 __all__ = [
@@ -49,8 +48,7 @@ NORM_TOL = 1e-12
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class SectorSpace:
+class SectorSpace(_Record):
     """Ordered orthogonal decomposition of a finite Hilbert space.
 
     ``sector_dims[k]`` is the dimension of the k-th sector; basis
@@ -101,8 +99,7 @@ def _as_square(matrix, space: SectorSpace) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class SectorObservable:
+class SectorObservable(_Record):
     """Hermitian matrix acting on a graded space.
 
     Hermiticity is enforced at construction; whether the observable
@@ -114,6 +111,9 @@ class SectorObservable:
     matrix: np.ndarray
     space: SectorSpace
 
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __post_init__(self):
         m = _as_square(self.matrix, self.space)
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
@@ -121,12 +121,14 @@ class SectorObservable:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(_Record):
     """Unit-norm complex amplitude vector over the graded basis."""
 
     amplitudes: np.ndarray
     space: SectorSpace
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -141,12 +143,14 @@ class StateVector:
         object.__setattr__(self, "amplitudes", a)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Hermitian, positive semidefinite, unit-trace matrix."""
 
     matrix: np.ndarray
     space: SectorSpace
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         m = _as_square(self.matrix, self.space)

@@ -60,7 +60,6 @@ import numbers
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 
@@ -73,6 +72,7 @@ from .core import (
     SimConfig,
     _check_integer,
     _check_unit_interval,
+    _Record,
 )
 from .errors import (
     DegenerateComparisonError,
@@ -108,8 +108,7 @@ MAX_SAMPLE_SIZE = 10**9
 _WINDOW_LOG = 64 * math.log(2.0)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class CategoryModel:
+class CategoryModel(_Record):
     """Per-category detection probabilities for one experiment setup.
 
     The probabilities are checked and kept as plain floats;
@@ -119,6 +118,9 @@ class CategoryModel:
 
     labels: tuple[str, ...]
     _p: tuple[float, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, labels, probabilities):
         labels = tuple(labels)
@@ -147,8 +149,7 @@ class CategoryModel:
         return array
 
 
-@dataclass(frozen=True)
-class DiscriminationReport:
+class DiscriminationReport(_Record):
     """Outcome of one likelihood-ratio comparison."""
 
     log_likelihood_ratio: float
@@ -164,7 +165,7 @@ class DiscriminationReport:
             raise DomainError(f"p-value must be in [0, 1], got {self.p_value_h0}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def build_model(
@@ -374,14 +375,15 @@ class _Binomial:
     ``2**-64``, and is scaled to sum to 1, so a tail's rounding grows
     with its steps from the mode, not with ``m``.  Below the window a
     tail is the whole table; above it :meth:`tail_sum` bounds the tail by
-    the table's last one and sums it term by term where the bound could
-    move the total.
+    the table's last one and, where the bound could move the total, sums
+    it term by term, stepping on from the first term past the window.
     """
 
     def __init__(self, r: float):
         self.r = r
         self._odds = r / (1.0 - r) if r < 1.0 else math.inf
         self._tables = {}
+        self._past = {}  # m: (hi + 1, the scaled pmf there) for a window that stops below m
 
     def log_pmf(self, m: int, x: int) -> float:
         r, lgamma = self.r, math.lgamma
@@ -402,15 +404,19 @@ class _Binomial:
                 if term < 2.0**-64:
                     break
                 down.append(term)
-            up, term, above = [], 1.0, 0.0
+            up, term, past = [], 1.0, None
             for x in range(mode, m):
                 term *= (m - x) / (x + 1) * odds
                 if term < 2.0**-64:
-                    above = self.upper(m, x + 1, term)  # the steps go on past the window
+                    past = x + 1  # the steps go on past the window
                     break
                 up.append(term)
             pmf = up[::-1] + down  # the counts hi down to lo
             total = math.fsum(pmf)
+            above = 0.0
+            if past is not None:
+                above = self.upper(m, past, term)
+                self._past[m] = (past, term / total)
             tails = array("d", accumulate((p / total for p in pmf), initial=above / total))
             tails.reverse()
             table = self._tables[m] = (mode + 1 - len(down), tails)
@@ -438,9 +444,26 @@ class _Binomial:
                 late.append((mass, m, x, mass * tails[-1]))
         total = math.fsum(terms)
         if math.fsum(bound for *_, bound in late) > total * 2.0**-52:
-            total = math.fsum([*terms, *(mass * self.upper(m, x, math.exp(self.log_pmf(m, x)))
+            total = math.fsum([*terms, *(mass * self.upper(m, x, self._pmf_past(m, x))
                                          for mass, m, x, _ in late)])
         return total
+
+    def _pmf_past(self, m: int, x: int) -> float:
+        """The scaled pmf at ``x`` past the window, stepped on from the first term there.
+
+        A pmf below about ``2**-960`` counts as 0, judged by ``log_pmf``,
+        which errs by far less than 1.  The terms fall past the mode, so
+        those dropped sum to less than ``m * 2**-959``, and a tail above
+        1e-260 keeps its ``2**-52`` for every ``m`` below ``2**40``, which
+        ``ROW_CAP`` implies; the terms stepped through are never subnormal.
+        """
+        if self.log_pmf(m, x) < -960.0 * math.log(2.0):
+            return 0.0
+        y, term = self._past[m]
+        odds = self._odds
+        for y in range(y, x):
+            term *= (m - y) / (y + 1) * odds
+        return term
 
 
 class RowTest:

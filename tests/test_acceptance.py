@@ -8,7 +8,6 @@ geometric order statistics), never copied from the implementation.
 """
 
 import contextlib
-import dataclasses
 import math
 import time
 
@@ -246,7 +245,7 @@ def test_criterion_5_conservation():
             h = hypos[i % len(hypos)]
             assert predict(params, h).total == pytest.approx(params.n0, rel=1e-9)
             if i % 20 == 0:
-                small = dataclasses.replace(params, n0=int(rng.integers(1, 400)))
+                small = params.replace(n0=int(rng.integers(1, 400)))
                 table = simulate(small, h, SimConfig(seed=i, chunk_size=128))
                 assert table.total == small.n0
                 assert all(isinstance(v, int) for v in table.values())

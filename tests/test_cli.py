@@ -499,7 +499,9 @@ executed = sorted(
     if name.startswith("mzsim.") and type(module) is not importlib.util._LazyModule
 )
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "numpy_random": "numpy.random" in sys.modules, "executed": executed}))
+                  "numpy_random": "numpy.random" in sys.modules, "executed": executed,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}))
 """
 
 def run_guard(requests, *modules) -> dict:
@@ -554,6 +556,7 @@ def test_predict_and_config_errors_do_not_import_numpy():
     assert report["codes"] == [0] * len(predicts) + [2] * len(errors)
     assert report["numpy"] is False
     assert STATS_LAYERS.isdisjoint(report["executed"])
+    assert report["dataclasses"] is False and report["inspect"] is False
 
 
 def test_a_closed_form_plan_runs_stats_without_numpy():
@@ -561,6 +564,7 @@ def test_a_closed_form_plan_runs_stats_without_numpy():
     assert report["codes"] == [0] * len(CLOSED_FORM_PLANS)
     assert report["numpy"] is False
     assert STATS_LAYERS <= set(report["executed"])
+    assert report["dataclasses"] is False and report["inspect"] is False
 
 
 def test_stats_requests_below_the_cap_do_not_import_numpy():
@@ -584,6 +588,7 @@ def test_stats_requests_below_the_cap_do_not_import_numpy():
     report = run_guard(CLOSED_FORM_PLANS + exact + errors)
     assert report["codes"] == [0] * len(CLOSED_FORM_PLANS + exact) + [2] * len(errors)
     assert report["numpy"] is False
+    assert report["dataclasses"] is False and report["inspect"] is False
 
 
 def test_simulate_does_not_import_numpy():
@@ -604,6 +609,7 @@ def test_simulate_does_not_import_numpy():
     assert report["codes"] == [0] * len(requests)
     assert report["numpy"] is False and report["numpy_random"] is False
     assert STATS_LAYERS.isdisjoint(report["executed"])
+    assert report["dataclasses"] is False and report["inspect"] is False
 
 
 def test_importing_the_cli_does_not_load_the_exact_engine():
@@ -611,7 +617,26 @@ def test_importing_the_cli_does_not_load_the_exact_engine():
         "codes": [], "numpy": False, "numpy_random": False,
         "executed": ["mzsim.cli", "mzsim.config", "mzsim.core", "mzsim.errors",
                      "mzsim.predict"],
+        "dataclasses": False, "inspect": False,
     }
+
+
+def test_one_process_runs_every_light_path_without_dataclasses_or_inspect():
+    # predict, a config error, simulate, a closed-form plan and exact stats, in turn
+    sim = "[simulation]\nseed = 3\nchunk_size = 4096\n"
+    requests = [
+        ["predict", PHOTON, "--format", "json"],
+        ["predict", DECAY_WITHOUT_OFFSET],  # mu < 1 at lambda = 0
+        ["simulate", EXCITATION + sim, "--format", "json"],
+        CLOSED_FORM_PLANS[0],
+        ["discriminate", FOUR_CELLS + "counts = 62,12,3,3\n"],
+        ["plan", FOUR_CELLS + "power = 0.9\n"],
+    ]
+    report = run_guard(requests)
+    assert report["codes"] == [0, 2, 0, 0, 0, 0]
+    assert report["numpy"] is False
+    assert {"mzsim.montecarlo", "mzsim.stats"} <= set(report["executed"])
+    assert report["dataclasses"] is False and report["inspect"] is False
 
 
 def test_importing_stats_does_not_import_numpy():

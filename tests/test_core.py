@@ -1,19 +1,30 @@
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
+from mzsim.config import StatsOptions
 from mzsim.core import (
+    EXPERIMENTS,
     PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
+    FringeGeometry,
+    Hypothesis,
     PhotonParams,
+    SimConfig,
+    _Record,
     purity_time_offset,
     survival_fraction,
 )
 from mzsim.errors import DomainError
+from mzsim.fringes import FringeProfile
+from mzsim.sectors import DensityMatrix, SectorObservable, SectorSpace, StateVector
+from mzsim.stats import CategoryModel, DiscriminationReport
 
 
 def exp_series(x: float, terms: int = 80) -> float:
@@ -261,3 +272,133 @@ class TestCountTables:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             CountTable(float("nan"), 0, 0, 0)
+
+
+EXCITATION = ExcitationParams(n0=1000, epsilon=0.2, lam=1.0, t=0.5)
+
+
+class TestRecords:
+    """The shared record base: construction, immutability, equality, replace, copies."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert ExcitationParams(1000, 0.2, 1.0, 0.5) == EXCITATION
+        assert ExcitationParams(1000, 0.2, lam=1.0, t=0.5) == EXCITATION
+        assert (EXCITATION.n0, EXCITATION.epsilon, EXCITATION.lam, EXCITATION.t) == (
+            1000, 0.2, 1.0, 0.5)
+
+    def test_defaults_fill_the_fields_left_out(self):
+        assert (SimConfig().seed, SimConfig().chunk_size) == (0, 65536)
+        assert SimConfig(7).chunk_size == 65536
+        decay = DecayParams(10, 1.0, 0.1, 0.2, 0.3)
+        assert (decay.lam_prime, decay.mu) == (None, 1.0)
+        opts = StatsOptions()
+        assert (opts.h0, opts.h1, opts.method, opts.alpha) == (
+            Hypothesis.POS, Hypothesis.CCQI, "auto", None)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((1000, 0.2, 1.0), {}, "missing required argument 't'"),
+        ((), {"n0": 1000, "epsilon": 0.2, "lam": 1.0}, "missing required argument 't'"),
+        ((1000, 0.2, 1.0, 0.5), {"tau": 1.0}, "unexpected keyword argument 'tau'"),
+        ((1000, 0.2, 1.0, 0.5, 0.1), {}, "takes 4 positional arguments but 5 were given"),
+        ((1000, 0.2), {"epsilon": 0.3, "lam": 1.0, "t": 0.5},
+         "multiple values for argument 'epsilon'"),
+    ])
+    def test_a_missing_unknown_or_repeated_field_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            ExcitationParams(*args, **kwargs)
+
+    @pytest.mark.parametrize("record, field", [
+        (EXCITATION, "epsilon"), (SimConfig(), "seed"), (CountTable(1, 2, 3, 4), "labels"),
+        (StatsOptions(), "alpha"),
+    ])
+    def test_assigning_or_deleting_a_field_raises(self, record, field):
+        with pytest.raises(AttributeError, match=f"assign to field '{field}'"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError, match=f"delete field '{field}'"):
+            delattr(record, field)
+
+    def test_equality_and_hash_follow_type_and_values(self):
+        twin = ExcitationParams(1000, 0.2, 1.0, 0.5)
+        assert twin == EXCITATION and hash(twin) == hash(EXCITATION)
+        assert EXCITATION != ExcitationParams(1000, 0.2, 1.0, 0.6)
+        assert len({EXCITATION, twin, EXCITATION.replace(t=0.6)}) == 2
+        assert PhotonParams(10, 0.5, 0.5) != PhotonParams(10, 0.5, 0.25)
+        # the same fields and values under another type
+        twin_type = type("Photons", (_Record,), {"__annotations__": dict(PhotonParams._fields)})
+        assert twin_type(10, 0.5, 0.5) != PhotonParams(10, 0.5, 0.5)
+        assert CountTable(1, 2, 3, 4) == CountTable(1, 2, 3, 4)
+        assert CountTable(1, 2, 3, labels=PHOTON_LABELS) != CountTable(1, 2, 3, 4)
+        assert EXCITATION.__eq__(SimConfig()) is NotImplemented
+
+    def test_a_subclass_appends_its_fields_to_those_it_inherits(self):
+        class Counted(PhotonParams):
+            label: str = "run"
+
+        record = Counted(10, 0.5, 0.25)
+        assert tuple(Counted._fields) == ("n0", "d", "u", "label")
+        assert repr(record).endswith(".<locals>.Counted(n0=10, d=0.5, u=0.25, label='run')")
+        with pytest.raises(DomainError, match="d must be"):
+            record.replace(d=2.0)
+
+    def test_repr_lists_the_fields_in_order(self):
+        assert repr(EXCITATION) == "ExcitationParams(n0=1000, epsilon=0.2, lam=1.0, t=0.5)"
+        assert repr(SimConfig(3)) == "SimConfig(seed=3, chunk_size=65536)"
+        report = DiscriminationReport(1.5, 0.25, "inconclusive")
+        assert repr(report) == (
+            "DiscriminationReport(log_likelihood_ratio=1.5, p_value_h0=0.25, "
+            "decision='inconclusive')")
+        assert report.as_dict() == {
+            "log_likelihood_ratio": 1.5, "p_value_h0": 0.25, "decision": "inconclusive"}
+
+    def test_replace_changes_the_named_fields_and_checks_again(self):
+        moved = EXCITATION.replace(epsilon=0.5, t=2.0)
+        assert moved == ExcitationParams(1000, 0.5, 1.0, 2.0)
+        assert EXCITATION.epsilon == 0.2
+        with pytest.raises(DomainError, match="epsilon"):
+            EXCITATION.replace(epsilon=1.5)
+        with pytest.raises(TypeError, match="tau"):
+            EXCITATION.replace(tau=1.0)
+        # __post_init__ runs again: numpy integers become ints
+        assert type(SimConfig().replace(seed=np.uint64(5)).seed) is int
+
+    def test_records_holding_arrays_compare_by_identity(self):
+        space = SectorSpace((1, 1))
+        x = np.array([0.0, 1.0])
+        records = [
+            lambda: CategoryModel(("a", "b"), (0.25, 0.75)),
+            lambda: FringeProfile(x, x),
+            lambda: SectorObservable(np.eye(2), space),
+            lambda: StateVector(np.array([1.0, 0.0]), space),
+            lambda: DensityMatrix(np.eye(2) / 2, space),
+        ]
+        for make in records:
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == object.__hash__(a)
+            assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("record", [
+        EXCITATION,
+        DecayParams(10, 1.0, 0.1, 0.2, 0.3, lam_prime=2.0, mu=0.5),
+        CountTable(1, 2, 3, labels=PHOTON_LABELS),
+        EXPERIMENTS["decay"],
+        SimConfig(3, 17),
+        FringeGeometry(1e-3, 5e-7, 1.0, -1e-3, 1e-3, 11),
+        StatsOptions(alpha=0.05, counts=(1, 2, 3, 4)),
+        DiscriminationReport(1.5, 0.25, "favor_H1"),
+        SectorSpace((2, 1)),
+    ])
+    def test_pickle_and_deepcopy_round_trip(self, record):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record
+            assert repr(copied) == repr(record)
+            with pytest.raises(AttributeError):
+                copied.n0 = 1
+
+    def test_a_copied_array_record_keeps_its_arrays(self):
+        model = CategoryModel(("a", "b"), (0.25, 0.75))
+        assert model.probabilities.tolist() == [0.25, 0.75]
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert copied != model
+            assert (copied.labels, copied._p) == (model.labels, model._p)
+            assert copied.probabilities.tolist() == [0.25, 0.75]

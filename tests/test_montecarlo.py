@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -495,7 +494,7 @@ def test_golden_stream_across_state_blocks(key):
     """Runs whose chunk states span several derivation blocks keep their tallies."""
     name, hypothesis, chunk_size, seed = key
     simulate, params = _GOLDEN_PARAMS[name]
-    params = dataclasses.replace(params, n0=_BLOCK_RUNS[chunk_size])
+    params = params.replace(n0=_BLOCK_RUNS[chunk_size])
     cfg = SimConfig(seed=seed, chunk_size=chunk_size)
     assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_BLOCKS[key]
 
