@@ -24,11 +24,14 @@ look like, and how many particles does it take to notice?
 closed-form predictions and configuration checks never import numpy.
 The other modules are bound lazily: each one runs on the first access
 to one of its attributes, including the names this package re-exports
-from it.  ``fringes`` and ``sectors`` import numpy then.  ``montecarlo``
-and ``stats`` do not: ``montecarlo`` samples in pure Python and loads
-numpy only in ``chunk_rng``, which returns a numpy generator, and
-``stats`` loads it only for a ``CategoryModel.probabilities`` array and
-for its seeded simulations.
+from it.  ``sectors`` imports numpy then.  The other three do not:
+``fringes`` computes its profiles in pure Python and loads numpy only
+for a ``FringeProfile``'s ``positions`` and ``intensity`` arrays and
+for :func:`~mzsim.fringes.coherent_intensity` of an array,
+``montecarlo`` samples in pure Python and loads numpy only in
+``chunk_rng``, which returns a numpy generator, and ``stats`` loads it
+only for a ``CategoryModel.probabilities`` array and for its seeded
+simulations.
 """
 
 import importlib.util

@@ -36,8 +36,9 @@ its exact engine are pure Python: they load numpy only above its
 zero-cell closed form never does.
 ``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
 binomial sampler are pure Python, so it never loads numpy.
-``fringes`` and ``sectors-demo`` load numpy on their first call into
-the numpy-backed layers (:mod:`~mzsim.fringes`, :mod:`~mzsim.sectors`).
+``fringes`` formats the floats that :mod:`~mzsim.fringes` computes in
+pure Python and never loads numpy either.  ``sectors-demo`` alone
+loads numpy, on its first call into :mod:`~mzsim.sectors`.
 The package binds those layers, :mod:`~mzsim.montecarlo` and
 :mod:`~mzsim.stats` lazily, and this module calls them through their
 module objects.
@@ -153,14 +154,11 @@ def _cmd_fringes(cfg: RunConfig) -> str:
         else fringes.incoherent_pattern
     )
     profile = pattern(cfg.geometry)
+    x, y = profile._positions, profile._intensity
     if (cfg.output_format or "csv") == "json":
-        return _json(
-            {
-                "position": [float(x) for x in profile.positions],
-                "intensity": [float(y) for y in profile.intensity],
-            }
-        )
-    return _csv(("position", "intensity"), zip(profile.positions, profile.intensity))
+        return _json({"position": x.tolist(), "intensity": y.tolist()})
+    # the rows _csv writes, without its per-value type check
+    return "position,intensity\n" + "".join(map("{:.17g},{:.17g}\n".format, x, y))
 
 
 def _stats_models(cfg: RunConfig):

@@ -99,6 +99,11 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __getstate__(self):
+        # the fields alone: a copy rebuilds a cached array, which pickle
+        # would hand back writeable
+        return {name: self.__dict__[name] for name in self._fields}
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

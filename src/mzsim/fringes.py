@@ -9,9 +9,19 @@ interference pattern with equal amplitudes; polarization, pair
 correlations and source kinematics are out of scope.
 :class:`FringeGeometry` lives in :mod:`mzsim.core` so that parsing a
 configuration never loads numpy; it is re-exported here.
+
+The module is pure Python and imports no numpy.  A profile keeps its
+samples as floats; its ``positions`` and ``intensity`` arrays, and
+:func:`coherent_intensity` given an array, load numpy.  The positions
+are ``numpy.linspace``'s and the intensities ``4 * numpy.cos(phase) **
+2``, bit for bit: the same operations in the same order on the same
+floats.
 """
 
-import numpy as np
+import math
+import numbers
+from array import array
+from functools import cached_property
 
 from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _Record
 from .errors import DomainError, StructureError
@@ -27,48 +37,108 @@ __all__ = [
     "calibration_patterns",
 ]
 
-def _positions(g: FringeGeometry) -> np.ndarray:
-    return np.linspace(g.x_min, g.x_max, g.n_points)
+
+def _positions(g: FringeGeometry) -> array:
+    """``numpy.linspace(g.x_min, g.x_max, g.n_points)``, in numpy's arithmetic."""
+    lo, div = g.x_min, g.n_points - 1
+    delta = g.x_max - lo
+    step = delta / div
+    if step == 0:  # delta / div underflowed: numpy scales by delta instead
+        x = array("d", (i / div * delta + lo for i in range(g.n_points)))
+    else:
+        x = array("d", (i * step + lo for i in range(g.n_points)))
+    x[-1] = g.x_max
+    return x
+
+
+def _floats(values) -> array | None:
+    """``values`` as an ``array('d')``, or None unless they form one dimension."""
+    if getattr(values, "ndim", 1) != 1:
+        return None
+    try:
+        return array("d", values)
+    except TypeError:
+        return None
+
+
+def _readonly(values: array):
+    import numpy as np
+
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 class FringeProfile(_Record):
-    """Sampled screen intensity in single-source units."""
+    """Sampled screen intensity in single-source units.
 
-    positions: np.ndarray
-    intensity: np.ndarray
+    The samples are checked and kept as floats; ``positions`` and
+    ``intensity`` give them as read-only float64 arrays, built on first
+    access.
+    """
+
+    _positions: array
+    _intensity: array
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        inten = np.asarray(self.intensity, dtype=float)
-        if pos.ndim != 1 or pos.shape != inten.shape:
+    def __init__(self, positions, intensity):
+        x, y = _floats(positions), _floats(intensity)
+        if x is None or y is None or len(x) != len(y):
             raise StructureError("positions and intensity must be matching 1-d arrays")
-        if not np.all(np.isfinite(inten)) or np.any(inten < 0):
+        if not all(map(math.isfinite, x)):
+            raise DomainError("positions must be finite everywhere")
+        if not all(0.0 <= v < math.inf for v in y):
             raise DomainError("intensity must be finite and >= 0 everywhere")
-        pos.flags.writeable = False
-        inten.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "intensity", inten)
+        object.__setattr__(self, "_positions", x)
+        object.__setattr__(self, "_intensity", y)
+
+    def replace(self, **changes):
+        """A copy with ``positions`` or ``intensity`` replaced, checked anew."""
+        return FringeProfile(
+            **{"positions": self._positions, "intensity": self._intensity, **changes}
+        )
+
+    @cached_property
+    def positions(self):
+        return _readonly(self._positions)
+
+    @cached_property
+    def intensity(self):
+        return _readonly(self._intensity)
 
 
-def coherent_intensity(g: FringeGeometry, x) -> np.ndarray:
+def _coherent(a: float, b: float, x: float) -> float:
+    """``4 * cos(a * x / b) ** 2``, as numpy evaluates it."""
+    try:
+        c = math.cos(a * x / b)
+    except ValueError:  # an infinite phase, where numpy's cos gives nan
+        c = math.nan
+    return 4.0 * c * c
+
+
+def coherent_intensity(g: FringeGeometry, x):
     """Coherent two-source intensity at screen coordinate ``x``.
 
     ``4 * cos^2(pi * s * x / (wavelength * L))``: maxima of 4 at integer
-    multiples of the fringe period, zeros halfway between.
+    multiples of the fringe period, zeros halfway between.  A float for
+    a number ``x``, else a float64 array of ``x``'s shape.
     """
-    phase = np.pi * g.source_separation * np.asarray(x, dtype=float) / (
-        g.wavelength * g.screen_distance
-    )
-    return 4.0 * np.cos(phase) ** 2
+    a, b = math.pi * g.source_separation, g.wavelength * g.screen_distance
+    if isinstance(x, numbers.Real):
+        return _coherent(a, b, x)
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    return np.array([_coherent(a, b, v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def coherent_pattern(g: FringeGeometry) -> FringeProfile:
     """Pattern left when the two sources emit in superposition (fringes)."""
     x = _positions(g)
-    return FringeProfile(x, coherent_intensity(g, x))
+    a, b = math.pi * g.source_separation, g.wavelength * g.screen_distance
+    return FringeProfile(x, array("d", (_coherent(a, b, v) for v in x)))
 
 
 def incoherent_pattern(g: FringeGeometry) -> FringeProfile:
@@ -77,8 +147,7 @@ def incoherent_pattern(g: FringeGeometry) -> FringeProfile:
     Probabilities add instead of amplitudes, so two unit point sources
     give a flat intensity of 2 regardless of their separation.
     """
-    x = _positions(g)
-    return FringeProfile(x, np.full(g.n_points, 2.0))
+    return FringeProfile(_positions(g), array("d", [2.0]) * g.n_points)
 
 
 def calibration_patterns(g: FringeGeometry) -> list[FringeProfile]:
@@ -90,5 +159,5 @@ def calibration_patterns(g: FringeGeometry) -> list[FringeProfile]:
     twice.  Each profile is a flat 1, their sum on one plate is a flat
     4, and half of that sum reproduces :func:`incoherent_pattern`.
     """
-    x = _positions(g)
-    return [FringeProfile(x, np.ones(g.n_points)) for _ in range(4)]
+    x, ones = _positions(g), array("d", [1.0]) * g.n_points
+    return [FringeProfile(x, ones) for _ in range(4)]

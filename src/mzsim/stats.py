@@ -423,9 +423,13 @@ class _Binomial:
         return table
 
     def upper(self, m: int, x: int, term: float) -> float:
-        """``term``, the pmf at ``x`` above the mode, plus the terms above it while they count."""
+        """``term``, the pmf at ``x`` above the mode, plus the terms above it while they count.
+
+        The sum stops at the smallest normal float: a step can leave a
+        subnormal term unchanged, and the loop would then run on.
+        """
         total = 0.0
-        while term > total * 2.0**-60:
+        while term > total * 2.0**-60 and term >= 2.0**-1022:
             total += term
             term *= (m - x) / (x + 1) * self._odds
             x += 1
@@ -451,13 +455,15 @@ class _Binomial:
     def _pmf_past(self, m: int, x: int) -> float:
         """The scaled pmf at ``x`` past the window, stepped on from the first term there.
 
-        A pmf below about ``2**-960`` counts as 0, judged by ``log_pmf``,
-        which errs by far less than 1.  The terms fall past the mode, so
-        those dropped sum to less than ``m * 2**-959``, and a tail above
-        1e-260 keeps its ``2**-52`` for every ``m`` below ``2**40``, which
-        ``ROW_CAP`` implies; the terms stepped through are never subnormal.
+        A pmf below about ``2**-1022``, the smallest normal float, counts
+        as 0, judged by ``log_pmf``, which errs by far less than 1.  The
+        terms fall past the mode, so those dropped, here and by
+        :meth:`upper`, sum to less than ``m * 2**-1020``: a tail above
+        1e-279 keeps its ``2**-52`` for every ``m`` below ``2**40``, which
+        ``ROW_CAP`` implies, and a smaller one errs by less than 1e-300
+        below ``m = 2**20``.
         """
-        if self.log_pmf(m, x) < -960.0 * math.log(2.0):
+        if self.log_pmf(m, x) < -1022.0 * math.log(2.0):
             return 0.0
         y, term = self._past[m]
         odds = self._odds

@@ -612,6 +612,23 @@ def test_simulate_does_not_import_numpy():
     assert report["dataclasses"] is False and report["inspect"] is False
 
 
+def test_fringes_do_not_import_numpy(tmp_path):
+    # four periods over 2001 points
+    config = FRINGES.replace("n_points = 5", "n_points = 2001")
+    out = tmp_path / "profile.csv"
+    requests = [
+        ["fringes", config + f"pattern = {pattern}\n", "--format", fmt]
+        for pattern in ("coherent", "incoherent")
+        for fmt in ("csv", "json")
+    ] + [["fringes", config, "--out", str(out)]]
+    report = run_guard(requests)
+    assert report["codes"] == [0] * len(requests)
+    assert report["numpy"] is False
+    assert "mzsim.fringes" in report["executed"]
+    assert report["dataclasses"] is False and report["inspect"] is False
+    assert out.read_text().count("\n") == 2002
+
+
 def test_importing_the_cli_does_not_load_the_exact_engine():
     assert run_guard([]) == {
         "codes": [], "numpy": False, "numpy_random": False,

@@ -395,6 +395,17 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 copied.n0 = 1
 
+    def test_a_copied_record_rebuilds_its_cached_arrays_read_only(self):
+        x = np.array([0.0, 1.0])
+        for record, name in ((CategoryModel(("a", "b"), (0.25, 0.75)), "probabilities"),
+                             (FringeProfile(x, x), "intensity")):
+            assert not getattr(record, name).flags.writeable
+            for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert name not in copied.__dict__
+                array = getattr(copied, name)
+                assert array.tolist() == getattr(record, name).tolist()
+                assert not array.flags.writeable
+
     def test_a_copied_array_record_keeps_its_arrays(self):
         model = CategoryModel(("a", "b"), (0.25, 0.75))
         assert model.probabilities.tolist() == [0.25, 0.75]

@@ -1,7 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from mzsim.errors import DomainError, GeometryError
@@ -147,3 +151,88 @@ class TestProfileValidation:
     def test_rejects_negative_intensity(self):
         with pytest.raises(DomainError):
             FringeProfile(np.arange(3.0), np.array([1.0, -0.1, 1.0]))
+
+    @pytest.mark.parametrize(
+        "positions", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0]]
+    )
+    def test_rejects_non_finite_positions(self, positions):
+        with pytest.raises(DomainError, match="positions"):
+            FringeProfile(positions, [1.0, 1.0])
+
+    @pytest.mark.parametrize("pattern", [coherent_pattern, incoherent_pattern])
+    def test_rejects_a_window_wider_than_the_largest_float(self, pattern):
+        # x_max - x_min overflows, so linspace's step is infinite
+        with pytest.raises(DomainError, match="positions"):
+            pattern(geometry(x_half=1e308))
+
+
+class TestSameNumbersAsNumpy:
+    """numpy is the reference: ``np.linspace`` and ``4 * np.cos(phase) ** 2``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.floats(1e-4, 5e-3),
+        wavelength=st.floats(3e-7, 1e-6),
+        distance=st.floats(0.5, 2.0),
+        # the window in fringe periods: where it starts and how many it spans
+        start=st.floats(-300.0, 300.0),
+        periods=st.floats(1e-3, 600.0),
+        n_points=st.integers(2, 10**4),
+    )
+    @example(s=1e-3, wavelength=5e-7, distance=1.0, start=-4.0, periods=8.0, n_points=2001)
+    def test_patterns_match_numpy_bit_for_bit(
+        self, s, wavelength, distance, start, periods, n_points
+    ):
+        period = wavelength * distance / s
+        x_min = start * period
+        geo = geometry(s, wavelength, distance, x_half=x_min + periods * period,
+                       n_points=n_points, x_min=x_min)
+        want_x = np.linspace(geo.x_min, geo.x_max, geo.n_points)
+        phase = np.pi * geo.source_separation * want_x / (geo.wavelength * geo.screen_distance)
+        want_y = 4.0 * np.cos(phase) ** 2
+        coherent = coherent_pattern(geo)
+        for profile, y in ((coherent, want_y), (incoherent_pattern(geo), 2.0)):
+            for array in (profile.positions, profile.intensity):
+                assert array.dtype == np.float64 and not array.flags.writeable
+            assert np.array_equal(profile.positions, want_x)
+            assert np.all(profile.intensity == y)
+        assert np.array_equal(coherent.intensity, want_y)
+        assert np.array_equal(coherent_intensity(geo, coherent.positions), want_y)
+
+    @pytest.mark.parametrize(
+        "x_min, x_max, n_points",
+        [(0.0, 5e-324, 4), (0.0, 1e-320, 10**4), (-1e-310, 1e-310, 7)],
+    )
+    def test_positions_match_linspace_for_tiny_steps(self, x_min, x_max, n_points):
+        # where the step rounds to 0, linspace scales by the width instead
+        geo = FringeGeometry(1e-3, 5e-7, 1.0, x_min, x_max, n_points)
+        want = np.linspace(x_min, x_max, n_points)
+        assert np.array_equal(incoherent_pattern(geo).positions, want)
+
+    def test_a_number_gives_a_float_and_an_infinite_phase_gives_nan(self):
+        geo = geometry()
+        assert type(coherent_intensity(geo, 2.5e-4)) is float
+        with np.errstate(all="ignore"):
+            want = 4.0 * np.cos(np.pi * 1e-3 * np.array([1e308, 1e-4]) / 5e-7) ** 2
+        got = coherent_intensity(geo, [1e308, 1e-4])
+        assert math.isnan(coherent_intensity(geo, 1e308)) and math.isnan(want[0])
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestProfileRecord:
+    def test_replace_keeps_the_other_samples_and_checks_anew(self):
+        profile = coherent_pattern(geometry(n_points=11))
+        flat = profile.replace(intensity=np.full(11, 2.0))
+        assert np.array_equal(flat.positions, profile.positions)
+        assert np.all(flat.intensity == 2.0)
+        with pytest.raises(DomainError, match="positions"):
+            profile.replace(positions=[math.nan] * 11)
+
+    def test_copies_keep_the_samples(self):
+        profile = coherent_pattern(geometry(n_points=11))
+        assert profile.intensity[0] >= 0.0  # builds the cached array first
+        for copied in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
+            assert copied != profile
+            assert np.array_equal(copied.positions, profile.positions)
+            assert np.array_equal(copied.intensity, profile.intensity)
+            assert not copied.intensity.flags.writeable

@@ -1046,9 +1046,15 @@ GALLOP_UP_DESIGN = (4, build_model("decay", GALLOP_UP, visibility=0.9, backgroun
                     build_model("decay", GALLOP_UP, Hypothesis.CCQI, background=1e-4)._p)
 
 
+# a p-value of 6.3e-291, between the smallest normal float and 2**-960
+TINY_TAIL_DESIGN = (126, [0.49751243781094534, 0.49751243781094534, 0.0049751243781094535],
+                    [0.49329542011716715, 0.49329542011716715, 0.01340915976566566])
+
+
 @settings(max_examples=40, deadline=None)
 @given(design=engine_designs())
 @example(design=GALLOP_UP_DESIGN)
+@example(design=TINY_TAIL_DESIGN)
 def test_the_row_engine_matches_the_enumeration(design):
     n, p0, p1 = design
     test = stats.RowTest(n, p0, p1)

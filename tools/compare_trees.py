@@ -9,6 +9,9 @@ from ``random.Random(S)``: ``predict``, ``simulate``, ``fringes``,
 experiments, with a background (scalar or per category), a visibility
 or neither, and with sample sizes on both sides of the exact engine's
 cap.  An explicit ``h0`` is never set together with ``visibility``.
+A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
+log-uniform, each half the time, over a window of up to about 500
+fringe periods.
 Each tree runs every request in one subprocess, in process through
 ``mzsim.cli.main``, and the two outputs are compared request by
 request:
@@ -148,10 +151,15 @@ def requests(seed: int, count: int):
         if command in ("predict", "simulate", "fringes") and rng.random() < 0.5:
             flags = ["--format", "json"]
         if command == "fringes":
+            # periods of 7.5e-5 to 2.8e-3 over windows up to 0.04 wide: up to ~500 fringes
+            half = _uniform(rng, 1e-4, 0.02, 6)
             sections["fringes"] = {
-                "source_separation": 1e-3, "wavelength": _uniform(rng, 3e-7, 7e-7, 9),
-                "screen_distance": _uniform(rng, 0.1, 2.0), "x_min": -0.002,
-                "x_max": _uniform(rng, 0.0, 0.003, 5), "n_points": rng.randint(2, 200),
+                "source_separation": _uniform(rng, 5e-4, 2e-3, 7),
+                "wavelength": _uniform(rng, 3e-7, 7e-7, 9),
+                "screen_distance": _uniform(rng, 0.5, 2.0), "x_min": -half,
+                "x_max": round(half * rng.uniform(-0.5, 1.0), 7),
+                "n_points": (rng.randint(1000, 10**4) if rng.random() < 0.5
+                             else _log_uniform_int(rng, 2, 10**4 + 1)),
                 "pattern": rng.choice(["coherent", "incoherent"])}
         elif command != "sectors-demo":
             kind = rng.choice(sorted(CELLS))
