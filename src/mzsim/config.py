@@ -28,18 +28,17 @@ count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` (1 to
 ``core.MAX_REPLICATES``) and ``method`` (auto | closed_form |
-simulation).  This module checks each key's type and range; the rules
-of the test belong to :mod:`~mzsim.stats`.  ``discriminate`` and
-``plan`` compute p-values and power exactly while a test's size, over
-the categories left after pooling those whose likelihood ratios tie,
-is at most ``stats.ROW_CAP``; ``replicates`` Monte Carlo draws and
-``seed`` enter only above it and for ``method = simulation``.
+simulation).  This module parses each key's type, the records own the
+ranges (:class:`StatsOptions` those of ``[stats]``) and :mod:`~mzsim.stats`
+the rules of the test: p-values and power are exact while a test's size,
+over the categories left after pooling those whose likelihood ratios tie,
+is at most ``stats.ROW_CAP``, and ``replicates`` draws and ``seed`` enter
+only above it and for ``method = simulation``.
 ``[fringes]`` holds the screen geometry plus ``pattern`` (coherent |
 incoherent).  ``[output]`` holds ``format`` (csv | json) and ``path``.
 """
 
 import math
-from types import SimpleNamespace
 
 from .core import (
     EXPERIMENTS,
@@ -61,10 +60,11 @@ _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 # config keys that differ from the parameter-record field they set
 _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
 _OUTPUT_KEYS = ("format", "path")
+_METHODS = ("auto", "closed_form", "simulation")
 
 
 class StatsOptions(_Record):
-    """Validated contents of the ``[stats]`` section."""
+    """Validated contents of the ``[stats]`` section, whose ranges it checks."""
 
     alpha: float | None = None
     power: float | None = None
@@ -75,6 +75,22 @@ class StatsOptions(_Record):
     visibility: float | None = None
     replicates: int | None = None
     method: str = "auto"
+
+    def __post_init__(self):
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.power is not None and not 0.0 < self.power < 1.0:
+            raise DomainError(f"power must be in (0, 1), got {self.power}")
+        if self.counts is not None and any(c < 0 for c in self.counts):
+            raise DomainError(f"counts must be non-negative integers, got {self.counts}")
+        if self.background is not None and any(b < 0 for b in self.background):
+            raise DomainError("background probabilities must be >= 0")
+        if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
+            raise DomainError(f"visibility must be in [0, 1], got {self.visibility}")
+        if self.replicates is not None and not 1 <= self.replicates <= MAX_REPLICATES:
+            raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}")
+        if self.method not in _METHODS:
+            raise DomainError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
 
 
 class RunConfig:
@@ -182,23 +198,25 @@ def _as_hypothesis(entries: dict, key: str) -> Hypothesis | None:
     return None if name is None else Hypothesis(name)
 
 
-def _record(section: str, cls: type[_Record], entries: dict, extras: dict):
-    """Build ``cls`` from a section whose keys are its fields, plus ``extras``.
+def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
+    """Build ``cls`` from a section whose keys are its fields, plus extra keys.
 
     Each field's key is its name (or its ``_FIELD_KEYS`` spelling); a
-    field without a default is required.  ``extras`` maps every other
-    allowed key to its parser.  Checks run in order: unknown keys,
-    missing keys, the extra keys, then the field values.  Returns the
-    record and the parsed extras by key.
+    field without a default is required.  ``parsers`` maps every extra
+    key, and every field key that is neither a plain int nor a float,
+    to its parser.  Checks run in order: unknown keys, missing keys, the
+    extra keys, the field values' types, then the record's own checks.
+    Returns the record and the parsed extras by key.
     """
     fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
+    extras = [key for key in parsers if key not in fields]
     _reject_unknown(section, entries, (*extras, *fields))
     for key, name in fields.items():
         if name not in cls._defaults and key not in entries:
             raise ConfigError(f"[{section}] requires key {key!r}")
-    parsed = {key: parse(entries, key) for key, parse in extras.items()}
+    parsed = {key: parsers[key](entries, key) for key in extras}
     values = {
-        name: (_as_int if cls._fields[name] is int else _as_float)(entries, key)
+        name: parsers.get(key, _as_int if cls._fields[name] is int else _as_float)(entries, key)
         for key, name in fields.items()
         if key in entries
     }
@@ -245,35 +263,15 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("stats", entries, tuple(StatsOptions._fields))
-    opts = SimpleNamespace()
-    opts.alpha = _as_float(entries, "alpha")
-    if opts.alpha is not None and not 0.0 < opts.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {opts.alpha}")
-    opts.power = _as_float(entries, "power")
-    if opts.power is not None and not 0.0 < opts.power < 1.0:
-        raise ConfigError(f"power must be in (0, 1), got {opts.power}")
-    opts.h0 = _as_hypothesis(entries, "h0")
-    opts.h1 = _as_hypothesis(entries, "h1")
-    opts.counts = _parse_number_list(entries, "counts", int)
-    if opts.counts is not None and any(c < 0 for c in opts.counts):
-        raise ConfigError(f"counts must be non-negative integers, got {opts.counts}")
-    opts.background = _parse_number_list(entries, "background", float)
-    if opts.background is not None and any(b < 0 for b in opts.background):
-        raise ConfigError("background probabilities must be >= 0")
-    opts.visibility = _as_float(entries, "visibility")
-    if opts.visibility is not None and not 0.0 <= opts.visibility <= 1.0:
-        raise ConfigError(f"visibility must be in [0, 1], got {opts.visibility}")
-    if opts.visibility is not None and opts.h0 is not None:
+    parsers = {
+        "h0": _as_hypothesis, "h1": _as_hypothesis, "replicates": _as_int,
+        "counts": lambda entries, key: _parse_number_list(entries, key, int),
+        "background": lambda entries, key: _parse_number_list(entries, key, float),
+        "method": lambda entries, key: _as_choice(entries, key, _METHODS),
+    }
+    cfg.stats, _ = _record("stats", StatsOptions, entries, parsers)
+    if "h0" in entries and "visibility" in entries:
         raise ConfigError("set either h0 or visibility, not both: visibility replaces h0")
-    opts.replicates = _as_int(entries, "replicates")
-    if opts.replicates is not None and not 1 <= opts.replicates <= MAX_REPLICATES:
-        raise ConfigError(
-            f"replicates must be in [1, {MAX_REPLICATES}], got {opts.replicates}"
-        )
-    opts.method = _as_choice(entries, "method", ("auto", "closed_form", "simulation"))
-    # an absent key keeps the record's default
-    cfg.stats = StatsOptions(**{k: v for k, v in vars(opts).items() if v is not None})
 
 
 def _parse_fringes(entries: dict, cfg: RunConfig) -> None:

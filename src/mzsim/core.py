@@ -49,11 +49,12 @@ class _Record:
     those it inherits; a class attribute of the same name is the field's
     default.  ``_fields`` maps each field to its annotation and
     ``_defaults`` each defaulted field to its default.  Instances take
-    the fields by position or keyword, run ``__post_init__`` to check
-    them, refuse assignment and deletion, and compare and hash by type
-    and field values.  A record that holds arrays sets ``__eq__ =
-    object.__eq__`` and ``__hash__ = object.__hash__`` to compare by
-    identity instead.
+    the fields by position or keyword, refuse assignment and deletion,
+    and compare and hash by type and field values.  Construction,
+    :meth:`replace`, pickle and copies all end in ``__setstate__``, which
+    runs ``__post_init__``, the one place a record checks its fields.  A
+    record that holds arrays sets ``__eq__ = object.__eq__`` and
+    ``__hash__ = object.__hash__`` to compare by identity instead.
     """
 
     _fields = {}
@@ -79,13 +80,11 @@ class _Record:
             if name in values:
                 raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
             values[name] = value
-        state = self.__dict__
         for name in fields:
-            value = values.get(name, self._defaults.get(name, _MISSING))
+            value = values.setdefault(name, self._defaults.get(name, _MISSING))
             if value is _MISSING:
                 raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
-            state[name] = value
-        self.__post_init__()
+        self.__setstate__(values)
 
     def __post_init__(self):
         pass
@@ -104,6 +103,10 @@ class _Record:
         # would hand back writeable
         return {name: self.__dict__[name] for name in self._fields}
 
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -118,7 +121,9 @@ class _Record:
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, checked like a new record."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        copy = object.__new__(type(self))
+        _Record.__init__(copy, **{**self.__getstate__(), **changes})
+        return copy
 
 
 class Hypothesis(enum.Enum):
@@ -315,6 +320,15 @@ class PhotonParams(_Record):
         _check_unit_interval("u", self.u)
 
 
+def _readonly(values, dtype=float):
+    """A read-only copy of ``values`` as a numpy array, float64 by default."""
+    import numpy as np
+
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 def _check_tally(name: str, value) -> None:
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a number, got {value!r}")
@@ -341,12 +355,16 @@ class CountTable(_Record):
     labels: tuple[str, ...]
 
     def __init__(self, *counts, labels: tuple[str, ...] = ATOM_LABELS):
+        super().__init__(counts, labels)
+
+    def __post_init__(self):
+        counts, labels = tuple(self.counts), tuple(self.labels)
         if len(counts) != len(labels):
             raise StructureError(f"expected {len(labels)} counts {labels}, got {len(counts)}")
         for name, value in zip(labels, counts):
             _check_tally(name, value)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "labels", labels)
 
     def __getattr__(self, name: str):
         labels = self.__dict__.get("labels", ())

@@ -23,7 +23,7 @@ import numbers
 from array import array
 from functools import cached_property
 
-from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _Record
+from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _readonly, _Record
 from .errors import DomainError, StructureError
 
 __all__ = [
@@ -61,14 +61,6 @@ def _floats(values) -> array | None:
         return None
 
 
-def _readonly(values: array):
-    import numpy as np
-
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 class FringeProfile(_Record):
     """Sampled screen intensity in single-source units.
 
@@ -84,7 +76,10 @@ class FringeProfile(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, positions, intensity):
-        x, y = _floats(positions), _floats(intensity)
+        super().__init__(positions, intensity)
+
+    def __post_init__(self):
+        x, y = _floats(self._positions), _floats(self._intensity)
         if x is None or y is None or len(x) != len(y):
             raise StructureError("positions and intensity must be matching 1-d arrays")
         if not all(map(math.isfinite, x)):
@@ -96,9 +91,7 @@ class FringeProfile(_Record):
 
     def replace(self, **changes):
         """A copy with ``positions`` or ``intensity`` replaced, checked anew."""
-        return FringeProfile(
-            **{"positions": self._positions, "intensity": self._intensity, **changes}
-        )
+        return super().replace(**{"_" + name: value for name, value in changes.items()})
 
     @cached_property
     def positions(self):

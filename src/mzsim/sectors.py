@@ -13,7 +13,7 @@ calibrated for total dimensions up to ``MAX_DIM``.
 
 import numpy as np
 
-from .core import _Record
+from .core import _readonly, _Record
 from .errors import ContractError, DomainError, StructureError
 
 __all__ = [
@@ -91,11 +91,10 @@ class SectorSpace(_Record):
 
 
 def _as_square(matrix, space: SectorSpace) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
+    m = _readonly(matrix, complex)
     n = space.total_dim
     if m.shape != (n, n):
         raise StructureError(f"matrix shape {m.shape} does not match dimension {n}")
-    m.flags.writeable = False
     return m
 
 
@@ -131,7 +130,7 @@ class StateVector(_Record):
     __hash__ = object.__hash__
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        a = _readonly(self.amplitudes, complex).reshape(-1)
         if a.shape != (self.space.total_dim,):
             raise StructureError(
                 f"amplitude count {a.shape[0]} does not match dimension "
@@ -139,7 +138,6 @@ class StateVector(_Record):
             )
         if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
             raise DomainError(f"state vector must have unit norm within {NORM_TOL:g}")
-        a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
 

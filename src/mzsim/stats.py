@@ -72,6 +72,7 @@ from .core import (
     SimConfig,
     _check_integer,
     _check_unit_interval,
+    _readonly,
     _Record,
 )
 from .errors import (
@@ -123,9 +124,12 @@ class CategoryModel(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, labels, probabilities):
-        labels = tuple(labels)
+        super().__init__(labels, probabilities)
+
+    def __post_init__(self):
+        labels = tuple(self.labels)
         try:
-            p = tuple(map(float, probabilities))
+            p = tuple(map(float, self._p))
         except TypeError:
             p = None
         if p is None or len(labels) != len(p):
@@ -142,11 +146,7 @@ class CategoryModel(_Record):
 
     @cached_property
     def probabilities(self):
-        import numpy as np
-
-        array = np.array(self._p, dtype=float)
-        array.flags.writeable = False
-        return array
+        return _readonly(self._p)
 
 
 class DiscriminationReport(_Record):
@@ -686,16 +686,14 @@ class RowTest:
 
 
 def _sampled_statistics(draws, p0, p1):
-    """LLR of each row of ``draws``; ``-inf`` or ``+inf`` where a count hits
-    a cell impossible under h1 or h0."""
+    """LLR of each row of ``draws``; ``-inf`` where a count hits a cell
+    impossible under h1.  No row may hit a cell impossible under h0."""
     import numpy as np
 
-    w, h1_zero, h0_zero = (np.array(x) for x in _llr_weights(p0, p1))
+    w, h1_zero, _ = (np.array(x) for x in _llr_weights(p0, p1))
     vals = draws @ w
     if h1_zero.any():
         vals = np.where(draws[:, h1_zero].sum(axis=1) > 0, -np.inf, vals)
-    if h0_zero.any():
-        vals = np.where(draws[:, h0_zero].sum(axis=1) > 0, np.inf, vals)
     return vals
 
 

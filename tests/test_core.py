@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from mzsim.config import StatsOptions
 from mzsim.core import (
+    ATOM_LABELS,
     EXPERIMENTS,
     PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
+    Experiment,
     FringeGeometry,
     Hypothesis,
     PhotonParams,
@@ -21,7 +24,7 @@ from mzsim.core import (
     purity_time_offset,
     survival_fraction,
 )
-from mzsim.errors import DomainError
+from mzsim.errors import DomainError, StructureError
 from mzsim.fringes import FringeProfile
 from mzsim.sectors import DensityMatrix, SectorObservable, SectorSpace, StateVector
 from mzsim.stats import CategoryModel, DiscriminationReport
@@ -413,3 +416,85 @@ class TestRecords:
             assert copied != model
             assert (copied.labels, copied._p) == (model.labels, model._p)
             assert copied.probabilities.tolist() == [0.25, 0.75]
+
+
+SPACE = SectorSpace((1, 1))
+# per record type: a record, changes for replace, the constructor call that
+# makes the changed record, and the error that call raises (None: it succeeds)
+RECORD_EXAMPLES = {
+    ExcitationParams: (lambda: EXCITATION, {"epsilon": 1.5},
+                       lambda: ExcitationParams(1000, 1.5, 1.0, 0.5), DomainError),
+    DecayParams: (lambda: DecayParams(10, 1.0, 0.1, 0.2, 0.3, lam_prime=2.0, mu=0.5),
+                  {"lam": 0.0}, lambda: DecayParams(10, 0.0, 0.1, 0.2, 0.3, 2.0, 0.5),
+                  DomainError),
+    PhotonParams: (lambda: PhotonParams(10, 0.5, 0.25), {"u": -1.0},
+                   lambda: PhotonParams(10, 0.5, -1.0), DomainError),
+    CountTable: (lambda: CountTable(1, 2, 3, labels=PHOTON_LABELS), {"counts": (1, -2, 3)},
+                 lambda: CountTable(1, -2, 3, labels=PHOTON_LABELS), DomainError),
+    Experiment: (lambda: EXPERIMENTS["photon"], {"labels": ATOM_LABELS},
+                 lambda: Experiment("photon", PhotonParams, ATOM_LABELS,
+                                    (Hypothesis.POS, Hypothesis.CCQI)), None),
+    SimConfig: (lambda: SimConfig(3, 17), {"chunk_size": 0}, lambda: SimConfig(3, 0),
+                DomainError),
+    FringeGeometry: (lambda: FringeGeometry(1e-3, 5e-7, 1.0, -1e-3, 1e-3, 11), {"n_points": 1},
+                     lambda: FringeGeometry(1e-3, 5e-7, 1.0, -1e-3, 1e-3, 1), DomainError),
+    StatsOptions: (lambda: StatsOptions(alpha=0.05, counts=(1, 2, 3, 4)), {"alpha": 1.5},
+                   lambda: StatsOptions(alpha=1.5, counts=(1, 2, 3, 4)), DomainError),
+    CategoryModel: (lambda: CategoryModel(("a", "b"), (0.25, 0.75)), {"labels": ("a",)},
+                    lambda: CategoryModel(("a",), (0.25, 0.75)), StructureError),
+    DiscriminationReport: (lambda: DiscriminationReport(1.5, 0.25, "favor_H1"),
+                           {"decision": "maybe"},
+                           lambda: DiscriminationReport(1.5, 0.25, "maybe"), DomainError),
+    FringeProfile: (lambda: FringeProfile([0.0, 1.0], [1.0, 2.0]), {"intensity": [1.0, -2.0]},
+                    lambda: FringeProfile([0.0, 1.0], [1.0, -2.0]), DomainError),
+    SectorSpace: (lambda: SectorSpace((2, 1)), {"sector_dims": (2, 0)},
+                  lambda: SectorSpace((2, 0)), DomainError),
+    SectorObservable: (lambda: SectorObservable(np.diag([1.0, 2.0]), SPACE),
+                       {"matrix": [[0.0, 1j], [0.0, 0.0]]},
+                       lambda: SectorObservable([[0.0, 1j], [0.0, 0.0]], SPACE), DomainError),
+    StateVector: (lambda: StateVector([0.6, 0.8], SPACE), {"amplitudes": [1.0, 1.0]},
+                  lambda: StateVector([1.0, 1.0], SPACE), DomainError),
+    DensityMatrix: (lambda: DensityMatrix(np.eye(2) / 2, SPACE), {"matrix": np.eye(2)},
+                    lambda: DensityMatrix(np.eye(2), SPACE), DomainError),
+}
+
+
+def _record_types(base=_Record):
+    """Every record type mzsim defines, subclasses of subclasses included."""
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("mzsim."):
+            yield cls
+        yield from _record_types(cls)
+
+
+@pytest.mark.parametrize("cls", sorted(_record_types(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_record_checks_itself_however_it_is_made(cls, monkeypatch):
+    assert cls in RECORD_EXAMPLES, f"add an example of {cls.__name__} to RECORD_EXAMPLES"
+    make, changes, make_changed, error = RECORD_EXAMPLES[cls]
+    record = make()
+    same = record.replace()
+    assert type(same) is cls and repr(same) == repr(record)
+    if error is None:
+        assert repr(record.replace(**changes)) == repr(make_changed())
+    else:
+        with pytest.raises(error) as built:
+            make_changed()
+        with pytest.raises(error, match=re.escape(str(built.value))):
+            record.replace(**changes)
+
+    checked = []
+    check = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self) or check(self))
+    for duplicate in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy):
+        checked.clear()
+        copied = duplicate(record)
+        assert len(checked) == 1 and checked[0] is copied
+        assert type(copied) is cls and repr(copied) == repr(record)
+        for value in vars(copied).values():
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
+
+
+def test_stats_options_check_their_ranges():
+    with pytest.raises(DomainError, match=re.escape("alpha must be in (0, 1), got 1.5")):
+        StatsOptions(alpha=1.5)

@@ -148,6 +148,13 @@ class TestProfileValidation:
         with pytest.raises(StructureError):
             FringeProfile(np.arange(3.0), np.arange(4.0))
 
+    @pytest.mark.parametrize("positions", [np.zeros((2, 2)), ["a", "b"], [[0.0], [1.0]]])
+    def test_rejects_samples_that_are_not_one_dimensional_numbers(self, positions):
+        from mzsim.errors import StructureError
+
+        with pytest.raises(StructureError, match="matching 1-d arrays"):
+            FringeProfile(positions, [1.0, 1.0])
+
     def test_rejects_negative_intensity(self):
         with pytest.raises(DomainError):
             FringeProfile(np.arange(3.0), np.array([1.0, -0.1, 1.0]))

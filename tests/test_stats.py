@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from bisect import bisect_left
@@ -320,6 +321,12 @@ class TestDiscriminate:
         with pytest.raises(DomainError):
             discriminate((9000, 1000, 0, 0), pos_model(), ccqi_model(), alpha=1.5)
 
+    def test_counts_impossible_under_both_models_are_refused(self):
+        h0 = CategoryModel(("a", "b", "c"), (0.5, 0.5, 0.0))
+        h1 = CategoryModel(("a", "b", "c"), (0.5, 0.0, 0.5))
+        with pytest.raises(DomainError, match="impossible under both models"):
+            discriminate((3, 1, 1), h0, h1, alpha=0.05)
+
     def test_ties_with_the_observed_statistic_count_as_extreme(self):
         # many null replicates tie (89, 10, 1, 0) up to the last bits of the LLR
         params = ExcitationParams(n0=100, epsilon=0.2, lam=1.0, t=LN2)
@@ -441,6 +448,24 @@ class TestMinSampleSize:
             chi2 = sum((b - a) ** 2 / a for a, b in zip(h0._p, h1._p) if a > 0)
             kl = power * math.log(power / alpha) + (1 - power) * math.log((1 - power) / (1 - alpha))
             assert kl / chi2 <= answer
+
+    def test_a_power_search_past_the_cap_is_refused(self, monkeypatch):
+        # the bound d(power || alpha) / chi2 is 0.76 here, so the search itself
+        # reaches the cap: 36 atoms are needed
+        monkeypatch.setattr(stats, "MAX_SAMPLE_SIZE", 16)
+        with pytest.raises(ResourceLimitError, match="no sample size up to the cap of 16 "):
+            min_sample_size(pos_model(background=1e-3), ccqi_model(background=1e-3), 0.01, 0.9)
+
+    @pytest.mark.parametrize("alpha, power, method, message", [
+        (0.01, 0.0, "auto", "power must be in (0, 1), got 0.0"),
+        (0.01, 1.0, "auto", "power must be in (0, 1), got 1.0"),
+        (0.0, 0.9, "auto", "alpha must be in (0, 1), got 0.0"),
+        (1.5, 0.9, "auto", "alpha must be in (0, 1), got 1.5"),
+        (0.01, 0.9, "fast", "unknown method 'fast'"),
+    ])
+    def test_power_alpha_and_method_are_checked(self, alpha, power, method, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            min_sample_size(pos_model(), ccqi_model(), alpha, power, method=method)
 
     def test_power_search_needs_alpha(self):
         a = pos_model(background=1e-3)

@@ -8,7 +8,12 @@ from ``random.Random(S)``: ``predict``, ``simulate``, ``fringes``,
 ``sectors-demo``, ``discriminate`` and ``plan``, over all three
 experiments, with a background (scalar or per category), a visibility
 or neither, and with sample sizes on both sides of the exact engine's
-cap.  An explicit ``h0`` is never set together with ``visibility``.
+cap.  An explicit ``h0`` is never set together with ``visibility``,
+except as a defect: one ``[stats]`` section in ten carries exactly one
+defect (a bad ``alpha``, ``power``, ``visibility``, ``replicates``,
+``counts``, ``background`` or ``method``, ``h0`` beside
+``visibility``, or an unknown key), so the refusals' stderr is
+compared as well.
 A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
 log-uniform, each half the time, over a window of up to about 500
 fringe periods.
@@ -51,6 +56,23 @@ WEIGHTS = (1, 2, 1, 0.05, 4, 2)
 CELLS = {"excitation": 4, "decay": 4, "photon": 3}
 # the largest relative p-value drift that passes
 REL_TOL = 1e-12
+# the share of [stats] sections that carry one defect
+DEFECT_SHARE = 0.1
+# bad values per [stats] key, given the number of cells; h0 is bad beside a
+# visibility, and seed belongs to [simulation]
+DEFECTS = {
+    "alpha": lambda ncat: ["0", "1", "1.5", "-0.1", "nan", "high"],
+    "power": lambda ncat: ["0", "1", "2.5", "inf"],
+    "visibility": lambda ncat: ["-3.0", "1.5", "nan", "full"],
+    "replicates": lambda ncat: ["0", "-5", str(2**21 + 1), "1.5"],
+    "counts": lambda ncat: [",".join(["-1"] + ["5"] * (ncat - 1)), "1,x" + ",3" * (ncat - 2),
+                            "5", ",".join(["7"] * (ncat + 1))],
+    "background": lambda ncat: ["-1e-3", "nan", "1e-3,1e-3", ",".join(["1e-3"] * (ncat - 1))
+                                + ",-1e-3"],
+    "method": lambda ncat: ["fast", "exact", "Auto"],
+    "h0": lambda ncat: ["pos"],
+    "seed": lambda ncat: ["3"],
+}
 
 
 def _uniform(rng, lo, hi, digits=4):
@@ -138,6 +160,13 @@ def _stats(rng, command, e):
         entries["power"] = rng.choice([0.5, 0.8, 0.9])
         if rng.random() < 0.1:
             entries["method"] = "simulation"
+    if rng.random() < DEFECT_SHARE:
+        key = rng.choice(sorted(DEFECTS))
+        entries[key] = rng.choice(DEFECTS[key](ncat))
+        if key == "h0":
+            entries.setdefault("visibility", _uniform(rng, 0.5, 1.0))
+        elif key == "visibility":
+            entries.pop("h0", None)
     return entries
 
 
@@ -262,6 +291,7 @@ def main(argv=None) -> int:
             shape = ("visibility" if "visibility" in stats
                      else "background" if "background" in stats else "neither")
             designs[f"{command} {text.split()[3]} {shape}"] += 1
+            designs[f"{command} exit {b[2]}"] += 1
         if b[4] is not None:
             designs[f"discriminate {b[4][0]} pooled cells, {b[4][1]} possible under both"] += 1
             designs["discriminate above the exact cap"] += b[4][2]
