@@ -24,14 +24,18 @@ look like, and how many particles does it take to notice?
 closed-form predictions and configuration checks never import numpy.
 The other modules are bound lazily: each one runs on the first access
 to one of its attributes, including the names this package re-exports
-from it.  ``sectors`` imports numpy then.  The other three do not:
+from it.  None of the four imports numpy then:
 ``fringes`` computes its profiles in pure Python and loads numpy only
 for a ``FringeProfile``'s ``positions`` and ``intensity`` arrays and
 for :func:`~mzsim.fringes.coherent_intensity` of an array,
 ``montecarlo`` samples in pure Python and loads numpy only in
-``chunk_rng``, which returns a numpy generator, and ``stats`` loads it
-only for a ``CategoryModel.probabilities`` array and for its seeded
-simulations.
+``chunk_rng``, which returns a numpy generator, ``sectors`` keeps its
+matrices as Python complex numbers and loads numpy only for their
+``matrix`` and ``amplitudes`` arrays, sector labels and its ``random_*``
+builders, and ``stats`` loads it only for a
+``CategoryModel.probabilities`` array and for its seeded simulations.
+So of the CLI's requests only ``plan`` with ``method = simulation`` and
+the seeded tests above ``stats.ROW_CAP`` import numpy.
 """
 
 import importlib.util

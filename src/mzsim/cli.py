@@ -36,9 +36,9 @@ its exact engine are pure Python: they load numpy only above its
 zero-cell closed form never does.
 ``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
 binomial sampler are pure Python, so it never loads numpy.
-``fringes`` formats the floats that :mod:`~mzsim.fringes` computes in
-pure Python and never loads numpy either.  ``sectors-demo`` alone
-loads numpy, on its first call into :mod:`~mzsim.sectors`.
+``fringes`` and ``sectors-demo`` format the numbers that :mod:`~mzsim.fringes`
+and :mod:`~mzsim.sectors` compute in pure Python, so only ``plan`` with
+``method = simulation`` and the seeded tests above ``ROW_CAP`` load numpy.
 The package binds those layers, :mod:`~mzsim.montecarlo` and
 :mod:`~mzsim.stats` lazily, and this module calls them through their
 module objects.
@@ -226,10 +226,10 @@ def _cmd_sectors_demo(cfg: RunConfig) -> str:
         "sector dimensions: (1, 1)",
         "cat state: (|0> + |1>) / sqrt(2), one basis vector per sector",
         "density matrix of the cat state:",
-        *_matrix_lines(rho.matrix),
+        *_matrix_lines(rho._matrix),
         f"purity: {_fmt(sectors.purity(rho))}",
         "after removing inter-sector coherences:",
-        *_matrix_lines(projected.matrix),
+        *_matrix_lines(projected._matrix),
         f"purity: {_fmt(sectors.purity(projected))}",
         "the coherent cat state becomes the even classical mixture",
     ]

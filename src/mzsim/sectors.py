@@ -1,4 +1,4 @@
-"""Finite-dimensional superselection-sector algebra on dense matrices.
+"""Finite-dimensional superselection-sector algebra.
 
 A grading of a Hilbert space into orthogonal sectors restricts the
 physical observables to block-diagonal matrices.  Coherences between
@@ -7,13 +7,22 @@ sectors are then unobservable: zeroing them out of any density matrix
 observable.  State vectors may still straddle sectors on purpose; that
 is exactly what makes the unobservability demonstrable.
 
-Everything here is dense ``complex128``; the tolerances below are
-calibrated for total dimensions up to ``MAX_DIM``.
+The module is pure Python and imports no numpy.  The records keep
+their entries as Python ``complex`` numbers, and every check and all
+the algebra run on them; their ``matrix`` and ``amplitudes`` are
+read-only complex128 arrays, built on first access, which load numpy.
+numpy loads otherwise only where the interface is numpy's:
+:meth:`SectorSpace.labels`, :func:`sector_label_operator` and the
+``random_*`` builders, which draw from a numpy ``Generator``.  The
+tolerances below are calibrated for total dimensions up to ``MAX_DIM``.
 """
 
-import numpy as np
+import math
+import numbers
+from functools import cached_property
+from operator import mul
 
-from .core import _readonly, _Record
+from .core import _check_integer, _readonly, _Record
 from .errors import ContractError, DomainError, StructureError
 
 __all__ = [
@@ -58,7 +67,10 @@ class SectorSpace(_Record):
     sector_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.sector_dims)
+        dims = tuple(self.sector_dims)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+            raise DomainError(f"sector dimensions must be integers, got {dims!r}")
+        dims = tuple(map(int, dims))
         object.__setattr__(self, "sector_dims", dims)
         if not dims:
             raise DomainError("at least one sector is required")
@@ -85,17 +97,95 @@ class SectorSpace(_Record):
             start += d
         return out
 
-    def labels(self) -> np.ndarray:
-        """Sector index of every basis vector."""
+    def labels(self):
+        """Sector index of every basis vector, as a numpy integer array."""
+        import numpy as np
+
         return np.repeat(np.arange(self.n_sectors), self.sector_dims)
 
 
-def _as_square(matrix, space: SectorSpace) -> np.ndarray:
-    m = _readonly(matrix, complex)
-    n = space.total_dim
-    if m.shape != (n, n):
-        raise StructureError(f"matrix shape {m.shape} does not match dimension {n}")
-    return m
+def _listed(values):
+    # a numpy array hands over its entries as Python numbers
+    return values.tolist() if hasattr(values, "tolist") else values
+
+
+def _complexes(values) -> tuple | None:
+    """``values`` as Python complex numbers, or None unless they form one dimension."""
+    try:
+        return tuple(map(complex, _listed(values)))
+    except (TypeError, ValueError):
+        return None
+
+
+def _finite(values) -> bool:
+    return all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values)
+
+
+def _norm(values) -> float:
+    return math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in values))
+
+
+def _square(matrix, space: SectorSpace, record: str) -> tuple:
+    """``matrix`` as ``space.total_dim`` rows of as many finite complex numbers."""
+    try:
+        rows = tuple(map(_complexes, _listed(matrix)))
+    except TypeError:  # not a sequence at all
+        rows = (None,)
+    widths = set() if None in rows else {len(row) for row in rows}
+    if None in rows or len(widths) > 1:
+        raise StructureError(f"{record} matrix must be a 2-d array of numbers")
+    n, shape = space.total_dim, (len(rows), *widths)
+    if shape != (n, n):
+        raise StructureError(f"matrix shape {shape} does not match dimension {n}")
+    if not all(map(_finite, rows)):
+        raise DomainError(f"{record} entries must be finite")
+    return rows
+
+
+def _field_names(changes: dict) -> dict:
+    """``replace`` changes with the public ``matrix`` and ``amplitudes`` as their fields."""
+    return {
+        "_" + name if name in ("matrix", "amplitudes") else name: value
+        for name, value in changes.items()
+    }
+
+
+def _hermitian(rows: tuple) -> bool:
+    """Whether ``rows`` equals its conjugate transpose within ``HERMITIAN_TOL``."""
+    return all(
+        abs(a - b.conjugate()) <= HERMITIAN_TOL
+        for row, col in zip(rows, zip(*rows))
+        for a, b in zip(row, col)
+    )
+
+
+def _positive_semidefinite(rows: tuple) -> bool:
+    """Whether no eigenvalue of Hermitian ``rows`` lies below ``-EIGENVALUE_TOL``.
+
+    Factors ``rows + EIGENVALUE_TOL * I`` as ``L D L^H`` from its lower
+    triangle and refuses at the first pivot of ``D`` that is not
+    positive: the shifted matrix is positive definite exactly when every
+    pivot is.  That is ``eigvalsh(rows).min() >= -EIGENVALUE_TOL`` up to
+    rounding at the boundary.
+    """
+    # scaled[k][j] is conj(L[k][j]) * pivots[j], for j < k
+    scaled, pivots = [], []
+    for i, row in enumerate(rows):
+        li = []  # row i of L, left of the diagonal
+        for a, sk, dk in zip(row, scaled, pivots):
+            li.append((a - sum(map(mul, li, sk))) / dk)
+        si = [v.conjugate() * d for v, d in zip(li, pivots)]
+        d = row[i].real + EIGENVALUE_TOL - sum(map(mul, li, si)).real
+        if not d > 0:
+            return False
+        scaled.append(si)
+        pivots.append(d)
+    return True
+
+
+def _trace_of_product(a: tuple, b: tuple) -> float:
+    """``Re tr(a b)``, summed as ``Re sum_ij a_ij b_ji``."""
+    return float(sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*b))).real)
 
 
 class SectorObservable(_Record):
@@ -104,63 +194,111 @@ class SectorObservable(_Record):
     Hermiticity is enforced at construction; whether the observable
     respects the grading is a separate, checked predicate
     (:func:`is_valid_observable`), so invalid observables can be built
-    and interrogated.
+    and interrogated.  The entries are kept as rows of Python complex
+    numbers; ``matrix`` gives them as a read-only complex128 array,
+    built on first access.
     """
 
-    matrix: np.ndarray
+    _matrix: tuple
     space: SectorSpace
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init__(self, matrix, space):
+        super().__init__(matrix, space)
+
     def __post_init__(self):
-        m = _as_square(self.matrix, self.space)
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        rows = _square(self._matrix, self.space, "SectorObservable")
+        if not _hermitian(rows):
             raise DomainError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_matrix", rows)
+
+    def replace(self, **changes):
+        """A copy with ``matrix`` or ``space`` replaced, checked anew."""
+        return super().replace(**_field_names(changes))
+
+    @cached_property
+    def matrix(self):
+        return _readonly(self._matrix, complex)
 
 
 class StateVector(_Record):
-    """Unit-norm complex amplitude vector over the graded basis."""
+    """Unit-norm complex amplitude vector over the graded basis.
 
-    amplitudes: np.ndarray
+    The amplitudes are kept as Python complex numbers; ``amplitudes``
+    gives them as a read-only complex128 array, built on first access.
+    """
+
+    _amplitudes: tuple
     space: SectorSpace
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init__(self, amplitudes, space):
+        super().__init__(amplitudes, space)
+
     def __post_init__(self):
-        a = _readonly(self.amplitudes, complex).reshape(-1)
-        if a.shape != (self.space.total_dim,):
+        a = _complexes(self._amplitudes)
+        if a is None:
+            raise StructureError("StateVector amplitudes must be a 1-d array of numbers")
+        if len(a) != self.space.total_dim:
             raise StructureError(
-                f"amplitude count {a.shape[0]} does not match dimension "
+                f"amplitude count {len(a)} does not match dimension "
                 f"{self.space.total_dim}"
             )
-        if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
+        if not _finite(a):
+            raise DomainError("StateVector amplitudes must be finite")
+        if abs(_norm(a) - 1.0) > NORM_TOL:
             raise DomainError(f"state vector must have unit norm within {NORM_TOL:g}")
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "_amplitudes", a)
+
+    def replace(self, **changes):
+        """A copy with ``amplitudes`` or ``space`` replaced, checked anew."""
+        return super().replace(**_field_names(changes))
+
+    @cached_property
+    def amplitudes(self):
+        return _readonly(self._amplitudes, complex)
 
 
 class DensityMatrix(_Record):
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix.
 
-    matrix: np.ndarray
+    Kept like :class:`SectorObservable`: rows of Python complex numbers,
+    with ``matrix`` a read-only complex128 array built on first access.
+    """
+
+    _matrix: tuple
     space: SectorSpace
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init__(self, matrix, space):
+        super().__init__(matrix, space)
+
     def __post_init__(self):
-        m = _as_square(self.matrix, self.space)
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        rows = _square(self._matrix, self.space, "DensityMatrix")
+        if not _hermitian(rows):
             raise DomainError(f"density matrix is not Hermitian within {HERMITIAN_TOL:g}")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        trace = sum(row[i] for i, row in enumerate(rows))
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise DomainError(f"density matrix must have unit trace within {TRACE_TOL:g}")
-        if np.min(np.linalg.eigvalsh(m)) < -EIGENVALUE_TOL:
+        if not _positive_semidefinite(rows):
             raise DomainError(
                 f"density matrix must be positive semidefinite within {EIGENVALUE_TOL:g}"
             )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_matrix", rows)
+
+    def replace(self, **changes):
+        """A copy with ``matrix`` or ``space`` replaced, checked anew."""
+        return super().replace(**_field_names(changes))
+
+    @cached_property
+    def matrix(self):
+        return _readonly(self._matrix, complex)
 
 
 def is_valid_observable(a: SectorObservable, atol: float = BLOCK_TOL) -> bool:
@@ -169,10 +307,10 @@ def is_valid_observable(a: SectorObservable, atol: float = BLOCK_TOL) -> bool:
     Equivalent to block-diagonality in the grading, and to commuting
     with :func:`sector_label_operator`.
     """
-    slices = a.space.slices()
-    for i, si in enumerate(slices):
-        for sj in slices[i + 1:]:
-            if np.max(np.abs(a.matrix[si, sj])) > atol:
+    for sl in a.space.slices():
+        # the blocks right of this sector's; Hermiticity mirrors them below
+        for row in a._matrix[sl]:
+            if any(abs(v) > atol for v in row[sl.stop:]):
                 return False
     return True
 
@@ -185,7 +323,7 @@ def sector_support(psi: StateVector, atol: float = NORM_TOL) -> int | None:
     """
     best = None
     for k, sl in enumerate(psi.space.slices()):
-        weight = np.linalg.norm(psi.amplitudes[sl])
+        weight = _norm(psi._amplitudes[sl])
         if weight > atol:
             if best is not None:
                 return None
@@ -212,7 +350,13 @@ def sector_matrix_element(
         raise DomainError("both states must be supported in a single sector")
     if k_psi == k_phi:
         raise DomainError("states must live in distinct sectors")
-    return complex(np.vdot(psi.amplitudes, a.matrix @ phi.amplitudes))
+    right = phi._amplitudes
+    return complex(
+        sum(
+            p.conjugate() * sum(map(mul, row, right))
+            for p, row in zip(psi._amplitudes, a._matrix)
+        )
+    )
 
 
 def superselect(rho: DensityMatrix) -> DensityMatrix:
@@ -223,56 +367,77 @@ def superselect(rho: DensityMatrix) -> DensityMatrix:
     and the map is idempotent.  Expectation values of valid observables
     are unchanged, which is why the removed terms are unobservable.
     """
-    out = np.zeros_like(rho.matrix)
+    n, out = rho.space.total_dim, []
     for sl in rho.space.slices():
-        out[sl, sl] = rho.matrix[sl, sl]
+        left, right = (0j,) * sl.start, (0j,) * (n - sl.stop)
+        out.extend(left + row[sl] + right for row in rho._matrix[sl])
     return DensityMatrix(out, rho.space)
 
 
 def purity(rho: DensityMatrix) -> float:
     """``tr(rho^2)``: 1 for projectors, ``1/total_dim`` for the maximal mixture."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return _trace_of_product(rho._matrix, rho._matrix)
 
 
-def sector_label_operator(space: SectorSpace) -> np.ndarray:
-    """Diagonal matrix of sector indices; valid observables commute with it."""
+def sector_label_operator(space: SectorSpace):
+    """Diagonal complex128 matrix of sector indices; valid observables commute with it."""
+    import numpy as np
+
     return np.diag(space.labels().astype(complex))
 
 
 def basis_state(space: SectorSpace, index: int) -> StateVector:
-    amplitudes = np.zeros(space.total_dim, dtype=complex)
-    amplitudes[index] = 1.0
+    """The basis vector at flat index ``index``, in ``[0, total_dim)``."""
+    _check_integer("index", index)
+    if not 0 <= index < space.total_dim:
+        raise DomainError(f"index must be in [0, {space.total_dim}), got {index}")
+    amplitudes = [0j] * space.total_dim
+    amplitudes[index] = 1 + 0j
     return StateVector(amplitudes, space)
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
     """Projector ``|psi><psi|`` as a density matrix."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.space)
+    a = psi._amplitudes
+    conj = [v.conjugate() for v in a]
+    return DensityMatrix([[v * c for c in conj] for v in a], psi.space)
 
 
 def maximally_mixed(space: SectorSpace) -> DensityMatrix:
     n = space.total_dim
-    return DensityMatrix(np.eye(n, dtype=complex) / n, space)
+    diagonal = complex(1 / n)
+    return DensityMatrix(
+        [[diagonal if i == j else 0j for j in range(n)] for i in range(n)], space
+    )
 
 
 def expectation(a: SectorObservable, rho: DensityMatrix) -> float:
     """``tr(A rho)``, real for Hermitian inputs."""
     if a.space != rho.space:
         raise StructureError("observable and state must share one SectorSpace")
-    return float(np.trace(a.matrix @ rho.matrix).real)
+    return _trace_of_product(a._matrix, rho._matrix)
 
 
-def random_state(space: SectorSpace, rng: np.random.Generator) -> StateVector:
-    """Haar-like random unit vector, generally straddling sectors."""
+def random_state(space: SectorSpace, rng) -> StateVector:
+    """Haar-like random unit vector, generally straddling sectors.
+
+    ``rng`` is a :class:`numpy.random.Generator`, as for every
+    ``random_*`` builder.
+    """
+    import numpy as np
+
     n = space.total_dim
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     return StateVector(a / np.linalg.norm(a), space)
 
 
-def random_sector_state(
-    space: SectorSpace, sector: int, rng: np.random.Generator
-) -> StateVector:
-    """Random unit vector supported entirely in one sector."""
+def random_sector_state(space: SectorSpace, sector: int, rng) -> StateVector:
+    """Random unit vector supported entirely in sector ``sector``, in ``[0, n_sectors)``."""
+    _check_integer("sector", sector)
+    if not 0 <= sector < space.n_sectors:
+        raise DomainError(f"sector must be in [0, {space.n_sectors}), got {sector}")
+    import numpy as np
+
     a = np.zeros(space.total_dim, dtype=complex)
     sl = space.slices()[sector]
     block = rng.normal(size=space.sector_dims[sector]) + 1j * rng.normal(
@@ -282,22 +447,20 @@ def random_sector_state(
     return StateVector(a, space)
 
 
-def _random_hermitian_block(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _random_hermitian_block(dim: int, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0
 
 
-def random_hermitian_observable(
-    space: SectorSpace, rng: np.random.Generator
-) -> SectorObservable:
+def random_hermitian_observable(space: SectorSpace, rng) -> SectorObservable:
     """Dense random Hermitian matrix; generally couples sectors."""
     return SectorObservable(_random_hermitian_block(space.total_dim, rng), space)
 
 
-def random_valid_observable(
-    space: SectorSpace, rng: np.random.Generator
-) -> SectorObservable:
+def random_valid_observable(space: SectorSpace, rng) -> SectorObservable:
     """Random Hermitian matrix assembled block by block along the grading."""
+    import numpy as np
+
     m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for sl, dim in zip(space.slices(), space.sector_dims):
         m[sl, sl] = _random_hermitian_block(dim, rng)
@@ -305,9 +468,11 @@ def random_valid_observable(
 
 
 def random_density_matrix(
-    space: SectorSpace, rng: np.random.Generator, rank: int | None = None
+    space: SectorSpace, rng, rank: int | None = None
 ) -> DensityMatrix:
     """Random mixture of ``rank`` random pure states (full rank by default)."""
+    import numpy as np
+
     n = space.total_dim
     k = n if rank is None else rank
     if not 1 <= k <= n:

@@ -661,6 +661,20 @@ def test_importing_stats_does_not_import_numpy():
     assert report["numpy"] is False and STATS_LAYERS <= set(report["executed"])
 
 
+def test_sectors_demo_does_not_import_numpy(tmp_path):
+    out = tmp_path / "demo.txt"
+    report = run_guard([["sectors-demo", ""], ["sectors-demo", "", "--out", str(out)]])
+    assert report["codes"] == [0, 0]
+    assert report["numpy"] is False and report["numpy_random"] is False
+    assert "mzsim.sectors" in report["executed"]
+    assert "purity: 0.5" in out.read_text()
+
+
+def test_importing_sectors_does_not_import_numpy():
+    report = run_guard([], "mzsim.sectors")
+    assert report["numpy"] is False and "mzsim.sectors" in report["executed"]
+
+
 def test_only_the_simulation_above_the_cap_imports_numpy_random():
     # numpy.random takes ~14 ms to import, and only the seeded tests above the
     # row cap use it; 344 draws over four pooled cells lie above ROW_CAP, so

@@ -401,7 +401,10 @@ class TestRecords:
     def test_a_copied_record_rebuilds_its_cached_arrays_read_only(self):
         x = np.array([0.0, 1.0])
         for record, name in ((CategoryModel(("a", "b"), (0.25, 0.75)), "probabilities"),
-                             (FringeProfile(x, x), "intensity")):
+                             (FringeProfile(x, x), "intensity"),
+                             (SectorObservable(np.eye(2), SPACE), "matrix"),
+                             (StateVector([0.6, 0.8j], SPACE), "amplitudes"),
+                             (DensityMatrix(np.eye(2) / 2, SPACE), "matrix")):
             assert not getattr(record, name).flags.writeable
             for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
                 assert name not in copied.__dict__

@@ -3,6 +3,7 @@ import pytest
 
 from mzsim.errors import ContractError, DomainError, StructureError
 from mzsim.sectors import (
+    EIGENVALUE_TOL,
     DensityMatrix,
     SectorObservable,
     SectorSpace,
@@ -53,6 +54,15 @@ class TestSectorSpace:
         with pytest.raises(DomainError):
             SectorSpace((40, 40))
 
+    @pytest.mark.parametrize("dims", [(1.5, 1), (True, 1), (1, 2.0), ("2", 1)])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dims):
+        with pytest.raises(DomainError, match="sector dimensions must be integers"):
+            SectorSpace(dims)
+
+    def test_accepts_numpy_integers_as_ints(self):
+        space = SectorSpace((np.int64(2), np.uint8(1)))
+        assert space.sector_dims == (2, 1) and type(space.sector_dims[0]) is int
+
 
 class TestConstructors:
     def test_observable_must_be_hermitian(self):
@@ -78,6 +88,41 @@ class TestConstructors:
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]), space)
         with pytest.raises(DomainError):  # not Hermitian
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), space)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entries_are_refused_naming_the_record(self, bad):
+        space = SectorSpace((1, 1))
+        with pytest.raises(DomainError, match="StateVector amplitudes must be finite"):
+            StateVector([bad, 0.0], space)
+        with pytest.raises(DomainError, match="SectorObservable entries must be finite"):
+            SectorObservable([[bad, 0.0], [0.0, 1.0]], space)
+        with pytest.raises(DomainError, match="DensityMatrix entries must be finite"):
+            DensityMatrix([[bad, 0.0], [0.0, bad]], space)
+
+    @pytest.mark.parametrize("matrix", [
+        [1.0, 0.0], [[1.0, 0.0], [0.0]], [[1.0, "x"], [0.0, 1.0]], 1.0,
+        np.zeros((2, 2, 1)),
+    ])
+    def test_a_matrix_that_is_not_a_grid_of_numbers_is_a_structure_error(self, matrix):
+        with pytest.raises(StructureError, match="matrix must be a 2-d array of numbers"):
+            SectorObservable(matrix, SectorSpace((1, 1)))
+
+    @pytest.mark.parametrize("amplitudes", [[[1.0], [0.0]], [1.0, None], 1.0])
+    def test_amplitudes_that_are_not_numbers_in_a_row_are_a_structure_error(self, amplitudes):
+        with pytest.raises(StructureError, match="amplitudes must be a 1-d array of numbers"):
+            StateVector(amplitudes, SectorSpace((1, 1)))
+
+    def test_entries_are_kept_as_complex_numbers_and_arrays_built_on_access(self):
+        space = SectorSpace((1, 1))
+        rho = DensityMatrix([[0.5, 0.5], [0.5, 0.5]], space)
+        assert rho._matrix == ((0.5 + 0j, 0.5 + 0j), (0.5 + 0j, 0.5 + 0j))
+        assert "matrix" not in vars(rho)
+        assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
+        assert rho.matrix is rho.matrix
+        psi = StateVector(np.array([0.6, 0.8]), space)
+        assert psi._amplitudes == (0.6 + 0j, 0.8 + 0j)
+        assert psi.amplitudes.tolist() == [0.6 + 0j, 0.8 + 0j]
+        assert psi.replace(amplitudes=[0.8, 0.6])._amplitudes == (0.8 + 0j, 0.6 + 0j)
 
 
 class TestValidity:
@@ -203,6 +248,86 @@ class TestPurity:
     def test_maximal_mixture(self):
         space = SectorSpace((3, 2))
         assert purity(maximally_mixed(space)) == pytest.approx(0.2, rel=1e-12)
+
+
+class TestIndices:
+    @pytest.mark.parametrize("index", [3, -1, 2**70])
+    def test_basis_state_refuses_an_index_out_of_range(self, index):
+        with pytest.raises(DomainError, match=r"index must be in \[0, 3\)"):
+            basis_state(SectorSpace((2, 1)), index)
+
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_basis_state_refuses_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(DomainError, match="index must be an integer"):
+            basis_state(SectorSpace((2, 1)), index)
+
+    def test_basis_state_takes_every_index_in_range(self):
+        space = SectorSpace((2, 1))
+        for i in (0, 1, np.int64(2)):
+            assert basis_state(space, i).amplitudes.tolist() == np.eye(3)[i].tolist()
+
+    @pytest.mark.parametrize("sector", [2, -1, 0.0, False])
+    def test_random_sector_state_refuses_a_sector_out_of_range(self, sector):
+        with pytest.raises(DomainError, match="sector must be"):
+            random_sector_state(SectorSpace((2, 1)), sector, np.random.default_rng(0))
+
+
+def _sector_partition(n, rng):
+    """A SectorSpace of total dimension ``n`` in 1 to 4 sectors."""
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 4))),
+                             replace=False).tolist()) if n > 1 else []
+    edges = [0, *cuts, n]
+    return SectorSpace(tuple(b - a for a, b in zip(edges, edges[1:])))
+
+
+def _density_with_smallest_eigenvalue(n, smallest, rng):
+    """A trace-one Hermitian matrix whose smallest eigenvalue is about ``smallest``."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.random(n - 1) + 0.1
+    m = (q * np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 64])
+def test_the_algebra_agrees_with_numpy_oracles(n):
+    rng = np.random.default_rng(4600 + n)
+    for _ in range(40 if n <= 16 else 4):
+        space = _sector_partition(n, rng)
+        rho = random_density_matrix(space, rng, rank=int(rng.integers(1, n + 1)))
+        a = random_hermitian_observable(space, rng)
+        assert abs(purity(rho) - np.trace(rho.matrix @ rho.matrix).real) < 1e-12
+        assert abs(expectation(a, rho) - np.trace(a.matrix @ rho.matrix).real) < 1e-12
+        pinched = np.zeros_like(rho.matrix)
+        for sl in space.slices():
+            pinched[sl, sl] = rho.matrix[sl, sl]
+        assert np.array_equal(superselect(rho).matrix, pinched)
+        if space.n_sectors > 1:
+            valid = random_valid_observable(space, rng)
+            i, j = rng.choice(space.n_sectors, size=2, replace=False)
+            psi = random_sector_state(space, int(i), rng)
+            phi = random_sector_state(space, int(j), rng)
+            oracle = np.vdot(psi.amplitudes, valid.matrix @ phi.amplitudes)
+            assert abs(sector_matrix_element(valid, psi, phi) - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64])
+def test_positivity_matches_the_smallest_eigenvalue_off_the_boundary(n):
+    # smallest eigenvalues within 1e-6 of -EIGENVALUE_TOL, on both sides
+    rng = np.random.default_rng(4700 + n)
+    space, decided = SectorSpace((n,)), 0
+    for _ in range(60 if n <= 16 else 10):
+        offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.5, -6.0)
+        m = _density_with_smallest_eigenvalue(n, -EIGENVALUE_TOL + offset, rng)
+        smallest = np.linalg.eigvalsh(m).min()
+        if abs(smallest + EIGENVALUE_TOL) <= 1e-12:
+            continue
+        decided += 1
+        if smallest < -EIGENVALUE_TOL:
+            with pytest.raises(DomainError, match="positive semidefinite"):
+                DensityMatrix(m, space)
+        else:
+            DensityMatrix(m, space)
+    assert decided >= (40 if n <= 16 else 6)
 
 
 class TestSectorSupport:
