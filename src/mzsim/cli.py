@@ -9,6 +9,20 @@ Subcommands::
     mzsim plan         --config FILE [--seed N] [--out PATH]
     mzsim sectors-demo [--out PATH]
 
+One table, ``_OPTIONS``, lists each subcommand's options, and a small
+parser reads the command line from it as argparse would: an option
+by its full name or a unique prefix (``--form json``), its value as
+the next argument or after ``=`` (``--format=json``), the last of a
+repeated option, a negative number as a value (``--seed -5``, which
+the config then refuses), and ``-h``/``--help`` before or after the
+subcommand.  ``discriminate`` and ``plan`` also take ``--format``,
+and ``sectors-demo`` an optional ``--config``.  Help goes to stdout
+with exit 0.  A usage error (no or an unknown subcommand, an unknown
+option or stray argument, a missing value, a ``--format`` other than
+csv or json, a ``--seed`` that is not an integer, no ``--config``)
+writes a usage line and ``mzsim: error: ...`` to stderr, nothing to
+stdout, and exits 2.
+
 ``predict`` emits the expected count table for the configured
 experiment and hypothesis.  ``simulate`` emits three rows under the
 same header: the sampled tallies, the prediction they are compared to,
@@ -17,9 +31,10 @@ position/intensity profile.  ``discriminate`` and ``plan`` emit flat
 JSON reports.  ``sectors-demo`` prints a worked superselection
 example (a cross-sector cat state losing its coherences).
 
-Exit codes: 0 success, 2 configuration error (including any domain,
-structure or hypothesis error a config value provokes downstream), 3
-runtime error: identical models, a search cap, or an I/O failure.  A
+Exit codes: 0 success or help, 2 usage or configuration error (the
+latter including any domain, structure or hypothesis error a config
+value provokes downstream), 3 runtime error: identical models, a
+search cap, or an I/O failure.  A
 configuration error names the config key (``lambda``), also where the
 message comes from a parameter record's field (``lam``).  Data
 goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
@@ -44,10 +59,8 @@ The package binds those layers, :mod:`~mzsim.montecarlo` and
 module objects.
 """
 
-import argparse
 import math
 import numbers
-import re
 import sys
 
 from . import fringes, montecarlo, predict, sectors, stats
@@ -64,14 +77,16 @@ __all__ = ["main"]
 
 # errors that a configuration value provokes, wherever they surface
 _CONFIG_ERRORS = (ConfigError, DomainError, StructureError, UnsupportedHypothesisError)
-# a parameter-record field named in an error message, outside the quoted or
-# bracketed text in which messages echo what the user wrote
-_FIELD_NAME = re.compile(r"('[^']*'|\[[^\]]*\])|\b(" + "|".join(_FIELD_KEYS) + r")\b")
 
 
 def _config_message(exc: Exception) -> str:
     """``exc``'s message with each record field spelled as its config key."""
-    return _FIELD_NAME.sub(lambda m: m[1] or _FIELD_KEYS[m[2]], str(exc))
+    import re  # compiled only on this error path
+
+    # a parameter-record field named in the message, outside the quoted or
+    # bracketed text in which messages echo what the user wrote
+    field = re.compile(r"('[^']*'|\[[^\]]*\])|\b(" + "|".join(_FIELD_KEYS) + r")\b")
+    return field.sub(lambda m: m[1] or _FIELD_KEYS[m[2]], str(exc))
 
 
 def _fmt(value) -> str:
@@ -246,55 +261,205 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mzsim",
-        description="Interferometer count predictions, Monte Carlo runs, "
-        "fringe profiles, and hypothesis discrimination.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument(
-            "--config",
-            required=name != "sectors-demo",
-            help="path to the run configuration file",
+# each subcommand's options, in the order its usage line and help list them;
+# each option takes one value, and every subcommand but sectors-demo requires --config
+_OPTIONS = {
+    "predict": ("--config", "--out", "--format"),
+    "simulate": ("--config", "--out", "--format", "--seed"),
+    "fringes": ("--config", "--out", "--format"),
+    "discriminate": ("--config", "--out", "--format", "--seed"),
+    "plan": ("--config", "--out", "--format", "--seed"),
+    "sectors-demo": ("--config", "--out"),
+}
+_FORMATS = ("csv", "json")
+# (metavar, help) of each option
+_OPTION_HELP = {
+    "--config": ("CONFIG", "path to the run configuration file"),
+    "--out": ("OUT", "write the artifact here instead of stdout"),
+    "--format": ("{" + ",".join(_FORMATS) + "}", "override [output] format"),
+    "--seed": ("SEED", "override [simulation] seed"),
+}
+_HELP_FLAGS = ("-h", "--help")
+
+
+class _Exit(Exception):
+    """Ends option parsing; its args are the exit status and the text to write:
+    0 and help for stdout, or 2 and a usage error for stderr."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: mzsim [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = ["[-h]"]
+    for name in _OPTIONS[command]:
+        option = f"{name} {_OPTION_HELP[name][0]}"
+        required = name == "--config" and command != "sectors-demo"
+        words.append(option if required else f"[{option}]")
+    return f"usage: mzsim {command} " + " ".join(words)
+
+
+def _usage_error(command: str | None, message: str) -> _Exit:
+    return _Exit(2, f"{_usage(command)}\nmzsim: error: {message}\n")
+
+
+def _help(command: str | None) -> _Exit:
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        text = (
+            "\nInterferometer count predictions, Monte Carlo runs, fringe profiles, and\n"
+            "hypothesis discrimination.\n\npositional arguments:\n"
+            "  {" + ",".join(_COMMANDS) + "}\n"
         )
-        p.add_argument("--out", help="write the artifact here instead of stdout")
-        if name != "sectors-demo":
-            p.add_argument(
-                "--format", choices=("csv", "json"), help="override [output] format"
+        width = 22
+    else:
+        rows += [(f"{name} {_OPTION_HELP[name][0]}", _OPTION_HELP[name][1])
+                 for name in _OPTIONS[command]]
+        text = ""
+        width = max(len(flags) for flags, _ in rows) + 2
+    text += "\noptions:\n" + "".join(f"  {flags:{width}}{what}\n" for flags, what in rows)
+    return _Exit(0, f"{_usage(command)}\n{text}")
+
+
+def _read_option(arg: str, names: tuple[str, ...], command: str | None):
+    """How argparse reads ``arg`` against the option ``names``.
+
+    None for a positional argument; else ``(name, value)``, where
+    ``name`` is the option ``arg`` spells in full or by a unique prefix
+    ("" for an unknown option) and ``value`` the text after ``=``, or
+    after ``-h``, or None.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    name, equals, value = arg.partition("=")
+    if equals and name in names:
+        return name, value
+    if arg[1] == "-":
+        matches = [option for option in names if option.startswith(name)]
+        value = value if equals else None
+    else:
+        matches, value = (["-h"], arg[2:]) if arg[:2] == "-h" else ([], None)
+    if len(matches) > 1:
+        raise _usage_error(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    import re  # only an argument that starts with "-" and names no option gets here
+
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+        return None  # a negative number, or text with a space, is a positional
+    return "", None
+
+
+def _check_help(name: str, value: str | None, command: str | None) -> None:
+    """Raise help, or argparse's refusal of text given to ``-h``/``--help``."""
+    if value is not None:
+        # -hh asks for help twice; other text after -h, or any after --help=, is refused
+        rest = value.lstrip("h") if name == "-h" else value
+        if rest or not value:
+            raise _usage_error(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+    raise _help(command)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and its option values by name, None where not given.
+
+    Reads ``argv`` by argparse's rules for the ``_OPTIONS`` table: an
+    option by its name or a unique prefix of it, its value as the next
+    argument or after ``=``, the last of a repeated option, and help
+    wherever it comes before a refusal.  Raises :class:`_Exit` for help
+    and for a usage error.
+    """
+    extras = []  # unknown arguments, refused once everything else has been read
+    i = 0
+    while i < len(argv) and argv[i] != "--":
+        read = _read_option(argv[i], _HELP_FLAGS, None)
+        if read is None:
+            break
+        if read[0]:
+            _check_help(*read, None)
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        raise _usage_error(None, "the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _usage_error(
+            None, f"argument command: invalid choice: {command!r} (choose from {choices})"
+        )
+    names = (*_HELP_FLAGS, *_OPTIONS[command])
+    # everything after "--" is positional; argparse reads every argument before
+    # it first, so an ambiguous prefix is refused before anything else
+    end = rest.index("--") if "--" in rest else len(rest)
+    reads = [_read_option(arg, names, command) for arg in rest[:end]]
+    reads += [None] * (len(rest) - end)
+    values = dict.fromkeys(("config", "out", "format", "seed"))
+    i = 0
+    while i < len(rest):
+        read = reads[i]
+        i += 1
+        if not (read and read[0]):
+            extras.append(rest[i - 1])
+            continue
+        name, value = read
+        if name in _HELP_FLAGS:
+            _check_help(name, value, command)
+        if value is None:
+            if i == end or reads[i] is not None:
+                raise _usage_error(command, f"argument {name}: expected one argument")
+            value = rest[i]
+            i += 1
+        if name == "--format" and value not in _FORMATS:
+            choices = ", ".join(map(repr, _FORMATS))
+            raise _usage_error(
+                command, f"argument --format: invalid choice: {value!r} (choose from {choices})"
             )
-        if name in ("simulate", "discriminate", "plan"):
-            p.add_argument("--seed", type=int, help="override [simulation] seed")
-    return parser
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(
+                    command, f"argument --seed: invalid int value: {value!r}"
+                ) from None
+        values[name[2:]] = value
+    if values["config"] is None and command != "sectors-demo":
+        raise _usage_error(command, "the following arguments are required: --config")
+    if extras:
+        raise _usage_error(None, "unrecognized arguments: " + " ".join(extras))
+    return command, values
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is None:
+def _load_config(options: dict) -> RunConfig:
+    if options["config"] is None:
         cfg = RunConfig()
     else:
         try:
             # utf-8-sig drops the byte-order mark some editors write first
-            with open(args.config, encoding="utf-8-sig") as fh:
+            with open(options["config"], encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = parse_config(text)
-    if getattr(args, "format", None) is not None:
-        cfg.output_format = args.format
-    if args.out is not None:
-        cfg.output_path = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.sim = cfg.sim.replace(seed=args.seed)
+    if options["format"] is not None:
+        cfg.output_format = options["format"]
+    if options["out"] is not None:
+        cfg.output_path = options["out"]
+    if options["seed"] is not None:
+        cfg.sim = cfg.sim.replace(seed=options["seed"])
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        text = _COMMANDS[args.command](cfg)
+        command, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as stop:
+        status, text = stop.args
+        (sys.stderr if status else sys.stdout).write(text)
+        return status
+    try:
+        cfg = _load_config(options)
+        text = _COMMANDS[command](cfg)
     except _CONFIG_ERRORS as exc:
         print(f"mzsim: config error: {_config_message(exc)}", file=sys.stderr)
         return 2

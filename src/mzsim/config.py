@@ -49,6 +49,8 @@ from .core import (
     Hypothesis,
     PhotonParams,
     SimConfig,
+    _check_finite,
+    _check_integer,
     _Record,
 )
 from .errors import ConfigError, DomainError, GeometryError
@@ -61,10 +63,12 @@ _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
 _OUTPUT_KEYS = ("format", "path")
 _METHODS = ("auto", "closed_form", "simulation")
+# the annotations of the fields that ``_record`` parses as integers
+_INT_FIELDS = (int, int | None)
 
 
 class StatsOptions(_Record):
-    """Validated contents of the ``[stats]`` section, whose ranges it checks."""
+    """Validated contents of the ``[stats]`` section, whose types and ranges it checks."""
 
     alpha: float | None = None
     power: float | None = None
@@ -77,18 +81,34 @@ class StatsOptions(_Record):
     method: str = "auto"
 
     def __post_init__(self):
+        for name in ("alpha", "power", "visibility"):
+            if getattr(self, name) is not None:
+                _check_finite(name, getattr(self, name))
+        for name in ("h0", "h1"):
+            if not isinstance(getattr(self, name), Hypothesis):
+                raise DomainError(f"{name} must be a Hypothesis, got {getattr(self, name)!r}")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.power is not None and not 0.0 < self.power < 1.0:
             raise DomainError(f"power must be in (0, 1), got {self.power}")
-        if self.counts is not None and any(c < 0 for c in self.counts):
-            raise DomainError(f"counts must be non-negative integers, got {self.counts}")
-        if self.background is not None and any(b < 0 for b in self.background):
-            raise DomainError("background probabilities must be >= 0")
+        if self.counts is not None:
+            for c in self.counts:
+                _check_integer("counts", c)
+            if any(c < 0 for c in self.counts):
+                raise DomainError(f"counts must be non-negative integers, got {self.counts}")
+        if self.background is not None:
+            for b in self.background:
+                _check_finite("background", b)
+            if any(b < 0 for b in self.background):
+                raise DomainError("background probabilities must be >= 0")
         if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.replicates is not None and not 1 <= self.replicates <= MAX_REPLICATES:
-            raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}")
+        if self.replicates is not None:
+            _check_integer("replicates", self.replicates)
+            if not 1 <= self.replicates <= MAX_REPLICATES:
+                raise DomainError(
+                    f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}"
+                )
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
 
@@ -203,9 +223,10 @@ def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
 
     Each field's key is its name (or its ``_FIELD_KEYS`` spelling); a
     field without a default is required.  ``parsers`` maps every extra
-    key, and every field key that is neither a plain int nor a float,
-    to its parser.  Checks run in order: unknown keys, missing keys, the
-    extra keys, the field values' types, then the record's own checks.
+    key, and every field key that is neither an int nor a float (``X``
+    or ``X | None``), to its parser.  Checks run in order: unknown keys,
+    missing keys, the extra keys, the field values' types, then the
+    record's own checks.
     Returns the record and the parsed extras by key.
     """
     fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
@@ -216,7 +237,8 @@ def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
             raise ConfigError(f"[{section}] requires key {key!r}")
     parsed = {key: parsers[key](entries, key) for key in extras}
     values = {
-        name: parsers.get(key, _as_int if cls._fields[name] is int else _as_float)(entries, key)
+        name: parsers.get(key, _as_int if cls._fields[name] in _INT_FIELDS else _as_float)(
+            entries, key)
         for key, name in fields.items()
         if key in entries
     }
@@ -264,7 +286,7 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
     parsers = {
-        "h0": _as_hypothesis, "h1": _as_hypothesis, "replicates": _as_int,
+        "h0": _as_hypothesis, "h1": _as_hypothesis,
         "counts": lambda entries, key: _parse_number_list(entries, key, int),
         "background": lambda entries, key: _parse_number_list(entries, key, float),
         "method": lambda entries, key: _as_choice(entries, key, _METHODS),

@@ -475,6 +475,7 @@ def random_density_matrix(
 
     n = space.total_dim
     k = n if rank is None else rank
+    _check_integer("rank", k)
     if not 1 <= k <= n:
         raise DomainError(f"rank must be in [1, {n}], got {k}")
     weights = rng.random(k) + 1e-3

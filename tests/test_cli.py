@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzsim
-from mzsim.cli import _z_score, main
+from mzsim.cli import _COMMANDS, _parse_args, _z_score, main
 from mzsim.config import parse_config
 from mzsim.errors import MzsimError
 
@@ -341,6 +342,199 @@ class TestPlumbing:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser whose reading of a command line ``cli._parse_args`` keeps."""
+    parser = argparse.ArgumentParser(
+        prog="mzsim",
+        description="Interferometer count predictions, Monte Carlo runs, "
+        "fringe profiles, and hypothesis discrimination.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument(
+            "--config",
+            required=name != "sectors-demo",
+            help="path to the run configuration file",
+        )
+        p.add_argument("--out", help="write the artifact here instead of stdout")
+        if name != "sectors-demo":
+            p.add_argument(
+                "--format", choices=("csv", "json"), help="override [output] format"
+            )
+        if name in ("simulate", "discriminate", "plan"):
+            p.add_argument("--seed", type=int, help="override [simulation] seed")
+    return parser
+
+
+def argparse_reading(argv):
+    """(status, parsed): 0 and the namespace's values, or the exit status with None."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as stop:
+            return stop.code, None
+    return 0, (ns.command, ns.config, ns.out, getattr(ns, "format", None),
+               getattr(ns, "seed", None))
+
+
+def new_reading(argv):
+    command, options = _parse_args(argv)
+    return command, options["config"], options["out"], options["format"], options["seed"]
+
+
+OPTIONS = ("--config", "--out", "--format", "--seed")
+# each option in full and by each prefix
+SPELLINGS = {name: [name[:k] for k in range(3, len(name) + 1)] for name in OPTIONS}
+HELP_SPELLINGS = ["-h", "--h", "--he", "--hel", "--help"]
+# values each option takes, then values that are wrong somewhere: a format or
+# seed that is refused, text with a space, option-like words
+OPTION_VALUES = {"--config": ["run.cfg", "-5", "x y", ""], "--out": ["out.txt", "-1.5", "a=b"],
+                 "--format": ["csv", "json"], "--seed": ["3", "-5", "1_0", " 7"]}
+WRONG_VALUES = ["xml", "JSON", "1.5", "abc", "", "-x", "-h", "--config", "-", "--"]
+# arguments no subcommand takes: unknown options, help with a tail, stray words
+STRAYS = ["--bogus", "--bogus=1", "-x", "---config", "--conf-ig", "--=x", "--=", "-hh",
+          "-hx", "-h=h", "-h=", "--help=x", "--", "extra", "-5", "-1.5", "- ", "-"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv: maybe a leading word, a subcommand (or junk), then options and strays.
+
+    Most options are well formed, so that about half the lines parse.
+    """
+    words = []
+    if draw(st.integers(0, 9)) == 0:
+        words.append(draw(st.sampled_from(["-h", "--he", "--bogus", "-x", "--", "-5"])))
+    if draw(st.integers(0, 19)):
+        words.append(draw(st.sampled_from([*_COMMANDS, "predic", "nope", ""])))
+    if draw(st.integers(0, 4)):
+        words += ["--config", "run.cfg"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 99))
+        name = draw(st.sampled_from(OPTIONS))
+        spelling = draw(st.sampled_from(SPELLINGS[name]))
+        value = draw(st.sampled_from(OPTION_VALUES[name] if kind < 70 else WRONG_VALUES))
+        if (kind < 25 or 70 <= kind < 75) and value != "--":
+            # "--opt=--" is left out: argparse hands that option an empty list
+            words.append(f"{spelling}={value}")
+        elif kind < 80:
+            words += [spelling, value]
+        elif kind < 85:
+            words.append(spelling)  # a missing value, unless the next word gives one
+        elif kind < 90:
+            words.append(draw(st.sampled_from(HELP_SPELLINGS)))
+        else:
+            words.append(draw(st.sampled_from(STRAYS)))
+    return words
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=command_lines())
+def test_the_option_table_reads_every_command_line_as_argparse_did(argv):
+    status, parsed = argparse_reading(argv)
+    if status == 0 and parsed is not None:
+        assert new_reading(argv) == parsed
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == status
+    if status == 0:  # help
+        assert out.getvalue().startswith("usage: mzsim") and err.getvalue() == ""
+    else:
+        assert status == 2 and out.getvalue() == ""
+        usage, message = err.getvalue().splitlines()
+        assert usage.startswith("usage: mzsim") and message.startswith("mzsim: error: ")
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--"], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'predict', "
+         "'simulate', 'fringes', 'discriminate', 'plan', 'sectors-demo')"),
+        (["predict"], "the following arguments are required: --config"),
+        (["predict", "--config"], "argument --config: expected one argument"),
+        (["predict", "--config", "--out", "x"], "argument --config: expected one argument"),
+        (["predict", "--config", "--", "x"], "argument --config: expected one argument"),
+        (["simulate", "--config", "a", "--seed", "1.5"],
+         "argument --seed: invalid int value: '1.5'"),
+        (["simulate", "--config", "a", "--form=xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (["predict", "--config", "a", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["--bogus", "plan", "--config", "a", "extra"], "unrecognized arguments: --bogus extra"),
+        (["plan", "--config", "a", "--", "-h"], "unrecognized arguments: -- -h"),
+        (["plan", "--=a"], "ambiguous option: --=a could match --help, --config, --out, "
+         "--format, --seed"),
+        (["plan", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    ])
+    def test_a_usage_error_exits_2_with_nothing_on_stdout(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[1] == f"mzsim: error: {message}"
+
+    def test_the_usage_line_names_the_subcommand_and_its_options(self, capsys):
+        assert run_cli(capsys, "sectors-demo", "--format", "csv")[2].splitlines()[0] == (
+            "usage: mzsim [-h] {predict,simulate,fringes,discriminate,plan,sectors-demo} ...")
+        assert run_cli(capsys, "simulate", "--seed")[2].splitlines()[0] == (
+            "usage: mzsim simulate [-h] --config CONFIG [--out OUT] [--format {csv,json}] "
+            "[--seed SEED]")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["--bogus", "-hh"], ["plan", "-h"],
+                                      ["sectors-demo", "--format", "csv", "--help"],
+                                      ["predict", "--config", "a", "--h", "--format", "xml"]])
+    def test_help_exits_0_on_stdout_before_any_later_refusal(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith("usage: mzsim")
+        assert "  -h, --help" in out and out.endswith("\n")
+
+    def test_help_lists_each_option_of_the_subcommand(self, capsys):
+        out = run_cli(capsys, "simulate", "-h")[1]
+        assert out == (
+            "usage: mzsim simulate [-h] --config CONFIG [--out OUT] [--format {csv,json}] "
+            "[--seed SEED]\n\noptions:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --config CONFIG      path to the run configuration file\n"
+            "  --out OUT            write the artifact here instead of stdout\n"
+            "  --format {csv,json}  override [output] format\n"
+            "  --seed SEED          override [simulation] seed\n"
+        )
+
+    @pytest.mark.parametrize("spellings", [
+        ["--config={path}", "--format=json"],
+        ["--c", "{path}", "--form", "json"],
+        ["--format", "csv", "--config", "/nonexistent", "--conf", "{path}", "--f", "json"],
+    ])
+    def test_option_spellings_reach_the_same_run(self, write_config, capsys, spellings):
+        path = write_config(PHOTON)
+        code, out, err = run_cli(capsys, "predict", *(w.format(path=path) for w in spellings))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"counter1": 5000.0, "counter2": 5000.0, "lost": 6000.0}
+
+    def test_a_double_dash_after_equals_is_the_value(self):
+        # argparse handed "--config=--" an empty list, on which open() raised TypeError
+        assert new_reading(["predict", "--config=--", "--out=--"]) == (
+            "predict", "--", "--", None, None)
+
+    def test_a_negative_seed_is_read_and_refused_by_the_config(self, write_config, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--config", write_config(EXCITATION),
+                                 "--seed", "-5")
+        assert (code, out) == (2, "")
+        assert err == "mzsim: config error: seed must be a 64-bit unsigned integer, got -5\n"
+
+    @pytest.mark.parametrize("argv, status", [(["predict"], 2), (["plan", "-h"], 0)])
+    def test_the_console_script_exits_with_the_status(self, argv, status):
+        src = os.path.dirname(os.path.dirname(mzsim.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mzsim.cli import main; sys.exit(main())",
+             *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == status
+        assert (done.stdout if status == 0 else done.stderr).startswith("usage: mzsim")
+
+
 DECAY_WITHOUT_OFFSET = """
 [experiment]
 experiment = decay
@@ -501,7 +695,9 @@ executed = sorted(
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
                   "numpy_random": "numpy.random" in sys.modules, "executed": executed,
                   "dataclasses": "dataclasses" in sys.modules,
-                  "inspect": "inspect" in sys.modules}))
+                  "inspect": "inspect" in sys.modules,
+                  "argparse": "argparse" in sys.modules,
+                  "gettext": "gettext" in sys.modules}))
 """
 
 def run_guard(requests, *modules) -> dict:
@@ -557,6 +753,7 @@ def test_predict_and_config_errors_do_not_import_numpy():
     assert report["numpy"] is False
     assert STATS_LAYERS.isdisjoint(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
 
 
 def test_a_closed_form_plan_runs_stats_without_numpy():
@@ -565,6 +762,7 @@ def test_a_closed_form_plan_runs_stats_without_numpy():
     assert report["numpy"] is False
     assert STATS_LAYERS <= set(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
 
 
 def test_stats_requests_below_the_cap_do_not_import_numpy():
@@ -589,6 +787,7 @@ def test_stats_requests_below_the_cap_do_not_import_numpy():
     assert report["codes"] == [0] * len(CLOSED_FORM_PLANS + exact) + [2] * len(errors)
     assert report["numpy"] is False
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
 
 
 def test_simulate_does_not_import_numpy():
@@ -610,6 +809,7 @@ def test_simulate_does_not_import_numpy():
     assert report["numpy"] is False and report["numpy_random"] is False
     assert STATS_LAYERS.isdisjoint(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
 
 
 def test_fringes_do_not_import_numpy(tmp_path):
@@ -626,6 +826,7 @@ def test_fringes_do_not_import_numpy(tmp_path):
     assert report["numpy"] is False
     assert "mzsim.fringes" in report["executed"]
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
     assert out.read_text().count("\n") == 2002
 
 
@@ -634,7 +835,7 @@ def test_importing_the_cli_does_not_load_the_exact_engine():
         "codes": [], "numpy": False, "numpy_random": False,
         "executed": ["mzsim.cli", "mzsim.config", "mzsim.core", "mzsim.errors",
                      "mzsim.predict"],
-        "dataclasses": False, "inspect": False,
+        "dataclasses": False, "inspect": False, "argparse": False, "gettext": False,
     }
 
 
@@ -654,6 +855,22 @@ def test_one_process_runs_every_light_path_without_dataclasses_or_inspect():
     assert report["numpy"] is False
     assert {"mzsim.montecarlo", "mzsim.stats"} <= set(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
+    assert report["argparse"] is False and report["gettext"] is False
+
+
+def test_usage_errors_and_help_load_neither_argparse_nor_gettext():
+    requests = [
+        ["predict", PHOTON, "--format", "xml"],
+        ["simulate", EXCITATION, "--seed", "abc"],
+        ["fringes", FRINGES, "--bogus"],
+        ["nope", ""],
+        ["plan", EXCITATION, "--seed"],
+        ["discriminate", EXCITATION, "-h"],
+        ["sectors-demo", "", "--help"],
+    ]
+    report = run_guard(requests)
+    assert report["codes"] == [2, 2, 2, 2, 2, 0, 0]
+    assert report["argparse"] is False and report["gettext"] is False
 
 
 def test_importing_stats_does_not_import_numpy():
@@ -667,6 +884,7 @@ def test_sectors_demo_does_not_import_numpy(tmp_path):
     assert report["codes"] == [0, 0]
     assert report["numpy"] is False and report["numpy_random"] is False
     assert "mzsim.sectors" in report["executed"]
+    assert report["argparse"] is False and report["gettext"] is False
     assert "purity: 0.5" in out.read_text()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from mzsim.config import parse_config
+from mzsim.config import StatsOptions, _record, parse_config
 from mzsim.core import (
     MAX_REPLICATES,
     DecayParams,
@@ -8,6 +8,7 @@ from mzsim.core import (
     Hypothesis,
     PhotonParams,
     SimConfig,
+    _Record,
 )
 from mzsim.errors import ConfigError
 
@@ -203,3 +204,17 @@ class TestErrors:
                 "[fringes]\nsource_separation = 0.5\nwavelength = 5e-7\n"
                 "screen_distance = 1.0\nx_min = -0.01\nx_max = 0.01\nn_points = 11\n"
             )
+
+
+class _OptionalCount(_Record):
+    k: int | None = None
+
+
+@pytest.mark.parametrize("cls, key", [(StatsOptions, "replicates"), (_OptionalCount, "k")])
+def test_an_optional_int_field_parses_as_an_int(cls, key):
+    # an int | None field was parsed as a float, so 1.5 and 2.0 were taken
+    for text in ("1.5", "2.0"):
+        with pytest.raises(ConfigError, match=f"^line 3: {key} must be an integer, got '{text}'$"):
+            _record("stats", cls, {key: (text, 3)}, {})
+    record, _ = _record("stats", cls, {key: ("2", 3)}, {})
+    assert getattr(record, key) == 2 and type(getattr(record, key)) is int

@@ -501,3 +501,21 @@ def test_every_record_checks_itself_however_it_is_made(cls, monkeypatch):
 def test_stats_options_check_their_ranges():
     with pytest.raises(DomainError, match=re.escape("alpha must be in (0, 1), got 1.5")):
         StatsOptions(alpha=1.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"replicates": 1.5}, "replicates must be an integer, got 1.5"),
+    ({"replicates": True}, "replicates must be an integer, got True"),
+    ({"counts": (1.5, 2)}, "counts must be an integer, got 1.5"),
+    ({"h0": "pos"}, "h0 must be a Hypothesis, got 'pos'"),
+    ({"h1": None}, "h1 must be a Hypothesis, got None"),
+    ({"alpha": "0.05"}, "alpha must be a finite number, got '0.05'"),
+    ({"power": math.nan}, "power must be a finite number, got nan"),
+    ({"visibility": True}, "visibility must be a finite number, got True"),
+    ({"background": (1e-3, math.inf)}, "background must be a finite number, got inf"),
+    ({"method": 5}, "method must be one of auto, closed_form, simulation, got 5"),
+])
+def test_stats_options_check_their_types(kwargs, message):
+    # each used to construct, and replicates = 1.5 reached the stats layer
+    with pytest.raises(DomainError, match=re.escape(message)):
+        StatsOptions(**kwargs)

@@ -271,6 +271,17 @@ class TestIndices:
         with pytest.raises(DomainError, match="sector must be"):
             random_sector_state(SectorSpace((2, 1)), sector, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rank", [True, 2.5, np.float64(2.0)])
+    def test_random_density_matrix_refuses_a_rank_that_is_not_an_integer(self, rank):
+        # True passed the range check as 1, and 2.5 failed inside numpy
+        with pytest.raises(DomainError, match="rank must be an integer"):
+            random_density_matrix(SectorSpace((2, 1)), np.random.default_rng(0), rank=rank)
+
+    def test_random_density_matrix_takes_an_integer_rank(self):
+        space = SectorSpace((2, 1))
+        rho = random_density_matrix(space, np.random.default_rng(0), rank=np.int64(2))
+        assert np.linalg.matrix_rank(rho.matrix) == 2
+
 
 def _sector_partition(n, rng):
     """A SectorSpace of total dimension ``n`` in 1 to 4 sectors."""

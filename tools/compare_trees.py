@@ -17,11 +17,21 @@ compared as well.
 A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
 log-uniform, each half the time, over a window of up to about 500
 fringe periods.
+The command lines come from a second generator, seeded with the text
+``"S flags"``, so they do not move the configurations a seed draws:
+``--format json`` (half the ``predict``, ``simulate`` and ``fringes``
+requests), ``--seed`` given twice (a fifth of the seeded commands),
+and ``--out`` to a file (a fifth of all), each spelled in full or by a
+unique prefix, with its value after a space or ``=``.  One request in
+a hundred also carries a malformed option (``MALFORMED``).
 Each tree runs every request in one subprocess, in process through
-``mzsim.cli.main``, and the two outputs are compared request by
-request:
+``mzsim.cli.main`` (a ``SystemExit`` counts as its exit code), and the
+two outputs are compared request by request:
 
-* identical: stdout, stderr and exit code are the same bytes;
+* identical: stdout, stderr, exit code and the ``--out`` file are the
+  same bytes;
+* usage error: both trees refused the command line with exit 2 and a
+  usage line, and only stderr differs;
 * p-value drift: a ``discriminate`` whose log likelihood ratio and
   decision agree and whose ``p_value_h0`` alone moved; the largest
   relative move is reported;
@@ -33,8 +43,8 @@ after the other, not interleaved, so a gap of a few per cent between
 their times is host drift, not a change in speed.
 
 The exit status is 0 when nothing changed and no p-value moved by more
-than ``REL_TOL`` relative, else 1.  Standard library
-only; the subprocesses need what mzsim itself imports.
+than ``REL_TOL`` relative, else 1; a usage error is not a change.
+Standard library only; the subprocesses need what mzsim itself imports.
 """
 
 import argparse
@@ -170,15 +180,50 @@ def _stats(rng, command, e):
     return entries
 
 
+# spellings of an option and its value, one picked per request
+SPELLINGS = ("{name} {value}", "{name}={value}", "{prefix} {value}", "{prefix}={value}")
+# the option prefixes drawn, unique in every subcommand that takes the option
+PREFIXES = {"--format": "--form", "--seed": "--s", "--out": "--o"}
+# the share of requests with a malformed command line, and the lines drawn
+MALFORMED_SHARE = 0.01
+MALFORMED = (["--format", "xml"], ["--seed", "abc"], ["--seed"], ["--bogus"], ["extra"],
+             ["--format"], ["--=x"], ["-hx"])
+SEEDED = ("simulate", "discriminate", "plan")
+
+
+def _spelled(rng, name: str, value: str) -> list[str]:
+    spelling = rng.choice(SPELLINGS).format(name=name, prefix=PREFIXES[name], value=value)
+    return spelling.split(" ", 1)
+
+
+def _flags(rng, command: str, json_format: bool) -> list[str]:
+    """One request's options: ``--format json``, the ``--seed`` override given
+    twice, ``--out`` to the worker's file (``{out}``), in any spelling, or now
+    and then a malformed command line."""
+    flags = _spelled(rng, "--format", "json") if json_format else []
+    if command in SEEDED and rng.random() < 0.2:
+        for _ in range(2):  # the last one counts
+            flags += _spelled(rng, "--seed", str(rng.randrange(2**64)))
+    if rng.random() < 0.2:
+        flags += _spelled(rng, "--out", "{out}")
+    if rng.random() < MALFORMED_SHARE:
+        flags += rng.choice(MALFORMED)
+    return flags
+
+
 def requests(seed: int, count: int):
-    """``count`` (command, config text, flags) triples drawn from ``seed``."""
-    rng = random.Random(seed)
+    """``count`` (command, config text, flags) triples drawn from ``seed``.
+
+    The flags come from their own stream, so a seed draws the same
+    configurations whatever flags are drawn.
+    """
+    rng, flag_rng = random.Random(seed), random.Random(f"{seed} flags")
     out = []
     for _ in range(count):
         command = rng.choices(COMMANDS, WEIGHTS)[0]
-        flags, sections = [], {}
-        if command in ("predict", "simulate", "fringes") and rng.random() < 0.5:
-            flags = ["--format", "json"]
+        sections = {}
+        json_format = command in ("predict", "simulate", "fringes") and rng.random() < 0.5
+        flags = _flags(flag_rng, command, json_format)
         if command == "fringes":
             # periods of 7.5e-5 to 2.8e-3 over windows up to 0.04 wide: up to ~500 fringes
             half = _uniform(rng, 1e-4, 0.02, 6)
@@ -230,9 +275,9 @@ def _worker() -> None:
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "run.cfg")
+        path, out_path = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
         for command, text, flags in json.load(sys.stdin):
-            argv = [command, *flags]
+            argv = [command, *(flag.replace("{out}", out_path) for flag in flags)]
             if text is not None:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text)
@@ -240,10 +285,27 @@ def _worker() -> None:
             out, err = io.StringIO(), io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            results.append([out.getvalue(), err.getvalue(), code, time.perf_counter() - start,
-                            _design(text) if command == "discriminate" else None])
+                try:
+                    code = main(argv)
+                except SystemExit as stop:  # a tree whose parser exits on a usage error
+                    code = stop.code
+            seconds = time.perf_counter() - start
+            written = None
+            if os.path.exists(out_path):
+                with open(out_path, encoding="utf-8") as fh:
+                    written = fh.read()
+                os.remove(out_path)
+            # the file's name differs between the two processes
+            out, err = (stream.getvalue().replace(out_path, "{out}") for stream in (out, err))
+            results.append([out, err, code, seconds,
+                            _design(text) if command == "discriminate" else None, written])
     json.dump(results, sys.stdout)
+
+
+def _usage_error(a, b) -> bool:
+    """Whether both trees refused the command line, and only stderr differs."""
+    return (a[2] == b[2] == 2 and a[0] == b[0] and a[5] == b[5]
+            and a[1].startswith("usage: mzsim") and b[1].startswith("usage: mzsim"))
 
 
 def _run(src: str, batch) -> list:
@@ -295,13 +357,19 @@ def main(argv=None) -> int:
         if b[4] is not None:
             designs[f"discriminate {b[4][0]} pooled cells, {b[4][1]} possible under both"] += 1
             designs["discriminate above the exact cap"] += b[4][2]
-        if a[:3] == b[:3]:
+        if a[:3] + a[5:] == b[:3] + b[5:]:
             tally[command]["identical"] += 1
             continue
-        drift = _drift(a[0], b[0]) if a[1:3] == b[1:3] and command == "discriminate" else None
+        if _usage_error(a, b):
+            tally[command]["usage error"] += 1
+            continue
+        # the data of a discriminate went to stdout or, with --out, to the file
+        same = a[1:3] == b[1:3] and (a[5] is None) == (b[5] is None)
+        drift = (_drift(a[0] + (a[5] or ""), b[0] + (b[5] or ""))
+                 if same and command == "discriminate" else None)
         if drift is None:
             tally[command]["changed"] += 1
-            changed.append((command, flags, text, a[:3], b[:3]))
+            changed.append((command, flags, text, a[:3] + a[5:], b[:3] + b[5:]))
         else:
             tally[command]["p-value drift"] += 1
             key = b[4][1] if b[4] else None
