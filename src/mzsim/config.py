@@ -28,8 +28,8 @@ count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` (1 to
 ``core.MAX_REPLICATES``) and ``method`` (auto | closed_form |
-simulation).  This module parses each key's type, the records own the
-ranges (:class:`StatsOptions` those of ``[stats]``) and :mod:`~mzsim.stats`
+simulation).  This module parses each key as its field's type, the records
+own the ranges (:class:`StatsOptions` those of ``[stats]``) and :mod:`~mzsim.stats`
 the rules of the test: p-values and power are exact while a test's size,
 over the categories left after pooling those whose likelihood ratios tie,
 is at most ``stats.ROW_CAP``, and ``replicates`` draws and ``seed`` enter
@@ -38,6 +38,7 @@ only above it and for ``method = simulation``.
 incoherent).  ``[output]`` holds ``format`` (csv | json) and ``path``.
 """
 
+import enum
 import math
 
 from .core import (
@@ -47,10 +48,9 @@ from .core import (
     ExcitationParams,
     FringeGeometry,
     Hypothesis,
+    Method,
     PhotonParams,
     SimConfig,
-    _check_finite,
-    _check_integer,
     _Record,
 )
 from .errors import ConfigError, DomainError, GeometryError
@@ -62,13 +62,10 @@ _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 # config keys that differ from the parameter-record field they set
 _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
 _OUTPUT_KEYS = ("format", "path")
-_METHODS = ("auto", "closed_form", "simulation")
-# the annotations of the fields that ``_record`` parses as integers
-_INT_FIELDS = (int, int | None)
 
 
 class StatsOptions(_Record):
-    """Validated contents of the ``[stats]`` section, whose types and ranges it checks."""
+    """Validated contents of the ``[stats]`` section, whose ranges it checks."""
 
     alpha: float | None = None
     power: float | None = None
@@ -78,39 +75,23 @@ class StatsOptions(_Record):
     background: tuple[float, ...] | None = None
     visibility: float | None = None
     replicates: int | None = None
-    method: str = "auto"
+    method: Method = Method.AUTO
 
     def __post_init__(self):
-        for name in ("alpha", "power", "visibility"):
-            if getattr(self, name) is not None:
-                _check_finite(name, getattr(self, name))
-        for name in ("h0", "h1"):
-            if not isinstance(getattr(self, name), Hypothesis):
-                raise DomainError(f"{name} must be a Hypothesis, got {getattr(self, name)!r}")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.power is not None and not 0.0 < self.power < 1.0:
             raise DomainError(f"power must be in (0, 1), got {self.power}")
-        if self.counts is not None:
-            for c in self.counts:
-                _check_integer("counts", c)
-            if any(c < 0 for c in self.counts):
-                raise DomainError(f"counts must be non-negative integers, got {self.counts}")
-        if self.background is not None:
-            for b in self.background:
-                _check_finite("background", b)
-            if any(b < 0 for b in self.background):
-                raise DomainError("background probabilities must be >= 0")
+        if self.counts is not None and any(c < 0 for c in self.counts):
+            raise DomainError(f"counts must be non-negative integers, got {self.counts}")
+        if self.background is not None and any(b < 0 for b in self.background):
+            raise DomainError("background probabilities must be >= 0")
         if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.replicates is not None:
-            _check_integer("replicates", self.replicates)
-            if not 1 <= self.replicates <= MAX_REPLICATES:
-                raise DomainError(
-                    f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}"
-                )
-        if self.method not in _METHODS:
-            raise DomainError(f"method must be one of {', '.join(_METHODS)}, got {self.method!r}")
+        if self.replicates is not None and not 1 <= self.replicates <= MAX_REPLICATES:
+            raise DomainError(
+                f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}"
+            )
 
 
 class RunConfig:
@@ -198,7 +179,7 @@ def _as_int(entries: dict, key: str) -> int | None:
         raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
 
 
-def _as_choice(entries: dict, key: str, choices: tuple[str, ...]) -> str | None:
+def _as_choice(entries: dict, key: str, choices: tuple[str, ...], kind=str):
     if key not in entries:
         return None
     value, lineno = entries[key]
@@ -206,39 +187,43 @@ def _as_choice(entries: dict, key: str, choices: tuple[str, ...]) -> str | None:
         raise ConfigError(
             f"{key} must be one of {', '.join(choices)}, got {value!r}", lineno
         )
-    return value
+    return kind(value)
 
 
 def _as_text(entries: dict, key: str) -> str | None:
     return entries[key][0] if key in entries else None
 
 
-def _as_hypothesis(entries: dict, key: str) -> Hypothesis | None:
-    name = _as_choice(entries, key, tuple(h.value for h in Hypothesis))
-    return None if name is None else Hypothesis(name)
+def _parser(annotation):
+    """A field key's parser, by the annotation rules of :class:`~mzsim.core._Record`."""
+    args = getattr(annotation, "__args__", ())
+    if type(None) in args:  # X | None
+        return _parser(args[0])
+    if args:  # tuple[X, ...]
+        return lambda entries, key: _parse_number_list(entries, key, args[0])
+    if isinstance(annotation, enum.EnumMeta):
+        values = tuple(m.value for m in annotation)
+        return lambda entries, key: _as_choice(entries, key, values, annotation)
+    return _as_int if annotation is int else _as_float
 
 
 def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
     """Build ``cls`` from a section whose keys are its fields, plus extra keys.
 
-    Each field's key is its name (or its ``_FIELD_KEYS`` spelling); a
-    field without a default is required.  ``parsers`` maps every extra
-    key, and every field key that is neither an int nor a float (``X``
-    or ``X | None``), to its parser.  Checks run in order: unknown keys,
-    missing keys, the extra keys, the field values' types, then the
-    record's own checks.
+    A field's key is its name (or its ``_FIELD_KEYS`` spelling), parsed by
+    :func:`_parser` and required if the field has no default; ``parsers``
+    maps each extra key to its parser.  Checks run in order: unknown keys,
+    missing keys, the extra keys, the field keys, then the record's own.
     Returns the record and the parsed extras by key.
     """
     fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
-    extras = [key for key in parsers if key not in fields]
-    _reject_unknown(section, entries, (*extras, *fields))
+    _reject_unknown(section, entries, (*parsers, *fields))
     for key, name in fields.items():
         if name not in cls._defaults and key not in entries:
             raise ConfigError(f"[{section}] requires key {key!r}")
-    parsed = {key: parsers[key](entries, key) for key in extras}
+    parsed = {key: parsers[key](entries, key) for key in parsers}
     values = {
-        name: parsers.get(key, _as_int if cls._fields[name] in _INT_FIELDS else _as_float)(
-            entries, key)
+        name: _parser(cls._fields[name])(entries, key)
         for key, name in fields.items()
         if key in entries
     }
@@ -257,7 +242,7 @@ def _parse_experiment(entries: dict, cfg: RunConfig) -> None:
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {kind!r}", lineno
         )
-    extras = {"experiment": _as_text, "hypothesis": _as_hypothesis}
+    extras = {"experiment": _as_text, "hypothesis": _parser(Hypothesis)}
     cfg.params, parsed = _record("experiment", EXPERIMENTS[kind].params, entries, extras)
     cfg.experiment, cfg.hypothesis = kind, parsed["hypothesis"]
 
@@ -285,13 +270,7 @@ def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
 
 
 def _parse_stats(entries: dict, cfg: RunConfig) -> None:
-    parsers = {
-        "h0": _as_hypothesis, "h1": _as_hypothesis,
-        "counts": lambda entries, key: _parse_number_list(entries, key, int),
-        "background": lambda entries, key: _parse_number_list(entries, key, float),
-        "method": lambda entries, key: _as_choice(entries, key, _METHODS),
-    }
-    cfg.stats, _ = _record("stats", StatsOptions, entries, parsers)
+    cfg.stats, _ = _record("stats", StatsOptions, entries, {})
     if "h0" in entries and "visibility" in entries:
         raise ConfigError("set either h0 or visibility, not both: visibility replaces h0")
 

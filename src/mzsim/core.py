@@ -52,19 +52,30 @@ class _Record:
     the fields by position or keyword, refuse assignment and deletion,
     and compare and hash by type and field values.  Construction,
     :meth:`replace`, pickle and copies all end in ``__setstate__``, which
-    runs ``__post_init__``, the one place a record checks its fields.  A
-    record that holds arrays sets ``__eq__ = object.__eq__`` and
-    ``__hash__ = object.__hash__`` to compare by identity instead.
+    checks each field's type and then runs ``__post_init__``, the one
+    place a record checks ranges.  A record that holds arrays sets
+    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__`` to
+    compare by identity instead.
+
+    Each field's annotation sets its type check, and :mod:`mzsim.config`
+    parses its key by the same rules: ``int`` takes an integer, kept as an
+    ``int``; ``float`` a finite number (a field that may be infinite is a
+    ``numbers.Real``); an :class:`enum.Enum` subclass one of its members;
+    ``tuple[X, ...]`` an iterable of ``X``, kept as a tuple; ``X | None``
+    None or an ``X``.  No bool is a number; other annotations are not
+    checked.  A refusal is a :class:`DomainError` naming the field.
     """
 
     _fields = {}
     _defaults = {}
+    _checks = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = {**cls._fields, **own}
         cls._defaults = {**cls._defaults, **{k: cls.__dict__[k] for k in own if k in cls.__dict__}}
+        cls._checks = {**cls._checks, **{k: c for k, a in own.items() if (c := _type_check(a))}}
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
@@ -104,7 +115,8 @@ class _Record:
         return {name: self.__dict__[name] for name in self._fields}
 
     def __setstate__(self, state: dict):
-        self.__dict__.update(state)
+        checked = {name: check(name, state[name]) for name, check in self._checks.items()}
+        self.__dict__.update(state, **checked)
         self.__post_init__()
 
     def __eq__(self, other):
@@ -147,6 +159,15 @@ class Hypothesis(enum.Enum):
     MODIFIED_RATE = "modified_rate"
 
 
+class Method(str, enum.Enum):
+    """How :func:`mzsim.stats.min_sample_size` answers; a member equals and prints as its value."""
+
+    __str__ = str.__str__
+    AUTO = "auto"
+    CLOSED_FORM = "closed_form"
+    SIMULATION = "simulation"
+
+
 def survival_fraction(lam: float, dt: float) -> float:
     """Fraction of an excited population still excited after ``dt``.
 
@@ -179,13 +200,14 @@ def purity_time_offset(mu: float, lam: float) -> float:
     return -math.log(mu) / lam
 
 
-def _check_integer(name: str, value) -> None:
+def _check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    # numpy integers become ints, so arithmetic on them cannot wrap
+    return int(value)
 
 
-def _check_count(name: str, value) -> None:
-    _check_integer(name, value)
+def _check_count(name: str, value: int) -> None:
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
     # predictions scale the count by floats, so it must convert to one
@@ -196,12 +218,13 @@ def _check_count(name: str, value) -> None:
         )
 
 
-def _check_finite(name: str, value) -> None:
+def _check_finite(name: str, value):
     # comparing with inf, not math.isfinite, keeps integers beyond the float range
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Real) and -math.inf < value < math.inf
     ):
         raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _check_nonnegative(name: str, value) -> None:
@@ -214,6 +237,26 @@ def _check_unit_interval(name: str, value) -> None:
     _check_nonnegative(name, value)
     if value > 1:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
+
+
+def _check_member(name: str, value, kind: type):
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _type_check(annotation):
+    """The check ``(name, value) -> value`` of a field, by :class:`_Record`'s rules, or None."""
+    args = getattr(annotation, "__args__", ())
+    if type(None) in args:  # X | None
+        check = _type_check(args[0])
+        return check and (lambda name, value: value if value is None else check(name, value))
+    if getattr(annotation, "__origin__", None) is tuple:  # tuple[X, ...]
+        each = _type_check(args[0]) or (lambda name, value: value)
+        return lambda name, value: tuple(each(name, v) for v in value)
+    if isinstance(annotation, enum.EnumMeta):
+        return lambda name, value: _check_member(name, value, annotation)
+    return {int: _check_integer, float: _check_finite}.get(annotation)
 
 
 class ExcitationParams(_Record):
@@ -269,7 +312,6 @@ class DecayParams(_Record):
             )
         if self.lam_prime is not None:
             _check_nonnegative("lam_prime", self.lam_prime)
-        _check_finite("mu", self.mu)
         if not 0 < self.mu <= 1:
             raise DomainError(f"mu must be in (0, 1], got {self.mu}")
         if self.mu < 1 and self.lam == 0:
@@ -329,13 +371,6 @@ def _readonly(values, dtype=float):
     return out
 
 
-def _check_tally(name: str, value) -> None:
-    if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
-
-
 ATOM_LABELS = ("na1", "na2", "nb1", "nb2")
 PHOTON_LABELS = ("counter1", "counter2", "lost")
 
@@ -358,13 +393,12 @@ class CountTable(_Record):
         super().__init__(counts, labels)
 
     def __post_init__(self):
-        counts, labels = tuple(self.counts), tuple(self.labels)
-        if len(counts) != len(labels):
-            raise StructureError(f"expected {len(labels)} counts {labels}, got {len(counts)}")
-        for name, value in zip(labels, counts):
-            _check_tally(name, value)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "labels", labels)
+        if len(self.counts) != len(self.labels):
+            raise StructureError(
+                f"expected {len(self.labels)} counts {self.labels}, got {len(self.counts)}")
+        for name, value in zip(self.labels, self.counts):
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0, got {value}")
 
     def __getattr__(self, name: str):
         labels = self.__dict__.get("labels", ())
@@ -440,10 +474,6 @@ class SimConfig(_Record):
     chunk_size: int = 65536
 
     def __post_init__(self):
-        for name in ("seed", "chunk_size"):
-            _check_integer(name, getattr(self, name))
-            # numpy integers become ints, so chunk arithmetic cannot wrap
-            object.__setattr__(self, name, int(getattr(self, name)))
         if not 0 <= self.seed < _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 1 <= self.chunk_size <= _MAX_CHUNK:
@@ -490,13 +520,10 @@ class FringeGeometry(_Record):
     n_points: int
 
     def __post_init__(self):
-        for name in ("source_separation", "wavelength", "screen_distance", "x_min", "x_max"):
-            _check_finite(name, getattr(self, name))
         for name in ("source_separation", "wavelength", "screen_distance"):
             value = getattr(self, name)
             if not value > 0:
                 raise DomainError(f"{name} must be > 0, got {value}")
-        _check_integer("n_points", self.n_points)
         if self.n_points < 2:
             raise DomainError(f"n_points must be >= 2, got {self.n_points}")
         if self.n_points > MAX_FRINGE_POINTS:

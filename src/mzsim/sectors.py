@@ -18,7 +18,6 @@ tolerances below are calibrated for total dimensions up to ``MAX_DIM``.
 """
 
 import math
-import numbers
 from functools import cached_property
 from operator import mul
 
@@ -67,18 +66,13 @@ class SectorSpace(_Record):
     sector_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(self.sector_dims)
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
-            raise DomainError(f"sector dimensions must be integers, got {dims!r}")
-        dims = tuple(map(int, dims))
-        object.__setattr__(self, "sector_dims", dims)
-        if not dims:
+        if not self.sector_dims:
             raise DomainError("at least one sector is required")
-        if any(d < 1 for d in dims):
-            raise DomainError(f"sector dimensions must be >= 1, got {dims}")
-        if sum(dims) > MAX_DIM:
+        if any(d < 1 for d in self.sector_dims):
+            raise DomainError(f"sector dimensions must be >= 1, got {self.sector_dims}")
+        if self.total_dim > MAX_DIM:
             raise DomainError(
-                f"total dimension {sum(dims)} exceeds the supported cap {MAX_DIM}"
+                f"total dimension {self.total_dim} exceeds the supported cap {MAX_DIM}"
             )
 
     @property

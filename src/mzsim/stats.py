@@ -69,6 +69,7 @@ from .core import (
     MAX_REPLICATES,
     CountTable,
     Hypothesis,
+    Method,
     SimConfig,
     _check_integer,
     _check_unit_interval,
@@ -118,7 +119,7 @@ class CategoryModel(_Record):
     """
 
     labels: tuple[str, ...]
-    _p: tuple[float, ...]
+    _p: tuple
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -127,12 +128,11 @@ class CategoryModel(_Record):
         super().__init__(labels, probabilities)
 
     def __post_init__(self):
-        labels = tuple(self.labels)
         try:
             p = tuple(map(float, self._p))
         except TypeError:
             p = None
-        if p is None or len(labels) != len(p):
+        if p is None or len(self.labels) != len(p):
             raise StructureError("labels and probabilities must have matching length")
         if not all(0.0 <= x < math.inf for x in p):
             raise DomainError("probabilities must be finite and >= 0")
@@ -141,7 +141,6 @@ class CategoryModel(_Record):
             raise DomainError(
                 f"probabilities must sum to 1 within {PROBABILITY_SUM_TOL:g}, got {total!r}"
             )
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_p", p)
 
     @cached_property
@@ -152,7 +151,7 @@ class CategoryModel(_Record):
 class DiscriminationReport(_Record):
     """Outcome of one likelihood-ratio comparison."""
 
-    log_likelihood_ratio: float
+    log_likelihood_ratio: numbers.Real  # +-inf where a category is impossible under one model
     p_value_h0: float
     decision: str
 
@@ -847,7 +846,7 @@ def min_sample_size(
     alpha: float | None,
     power: float,
     *,
-    method: str = "auto",
+    method: Method = Method.AUTO,
     replicates: int = 10_000,
     seed: int = 0,
 ) -> int:
@@ -874,9 +873,9 @@ def min_sample_size(
     smaller: one of size ``alpha`` needs ``n0 >= d(power || alpha) /
     chi2(h1 || h0)``, ``d`` being the binary Kullback-Leibler divergence.
 
-    ``method`` selects ``"auto"`` (closed form when available),
-    ``"closed_form"`` (error when unavailable), or ``"simulation"``
-    (Monte Carlo even for the zero-cell design, as a cross-check).
+    ``method``, a :class:`~mzsim.core.Method` or its value, selects ``"auto"``
+    (closed form when available), ``"closed_form"`` (error when unavailable),
+    or ``"simulation"`` (Monte Carlo even for the zero-cell design, as a cross-check).
     ``replicates`` and ``seed`` are checked as in :func:`discriminate`,
     whichever path answers.
     """
@@ -886,7 +885,7 @@ def min_sample_size(
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     _check_sampling(replicates, seed)
-    if method not in ("auto", "closed_form", "simulation"):
+    if method not in tuple(Method):
         raise DomainError(f"unknown method {method!r}")
 
     # the probability under h1 of a category impossible under h0
@@ -895,7 +894,7 @@ def min_sample_size(
         if a == 0.0:
             p_hit += b
     if p_hit == 0.0:
-        if method == "closed_form":
+        if method == Method.CLOSED_FORM:
             raise DomainError(
                 "method = closed_form needs a category that is impossible under h0, "
                 "and this design has none"
@@ -918,7 +917,7 @@ def min_sample_size(
             n, model_h0, model_h1, alpha, replicates, seed, binomials), power)
     if p_hit >= 1.0:
         return 1
-    if method == "simulation":
+    if method == Method.SIMULATION:
         n = _geometric_min_n(p_hit, power, replicates, seed)
     else:
         ratio = math.log1p(-power) / math.log1p(-p_hit)

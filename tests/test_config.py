@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mzsim.config import StatsOptions, _record, parse_config
@@ -206,11 +208,13 @@ class TestErrors:
             )
 
 
-class _OptionalCount(_Record):
+class _Knobs(_Record):
     k: int | None = None
+    weights: tuple[float, ...] | None = None
+    h: Hypothesis = Hypothesis.POS
 
 
-@pytest.mark.parametrize("cls, key", [(StatsOptions, "replicates"), (_OptionalCount, "k")])
+@pytest.mark.parametrize("cls, key", [(StatsOptions, "replicates"), (_Knobs, "k")])
 def test_an_optional_int_field_parses_as_an_int(cls, key):
     # an int | None field was parsed as a float, so 1.5 and 2.0 were taken
     for text in ("1.5", "2.0"):
@@ -218,3 +222,17 @@ def test_an_optional_int_field_parses_as_an_int(cls, key):
             _record("stats", cls, {key: (text, 3)}, {})
     record, _ = _record("stats", cls, {key: ("2", 3)}, {})
     assert getattr(record, key) == 2 and type(getattr(record, key)) is int
+
+
+def test_a_record_parses_by_its_annotations_alone():
+    entries = {"k": ("7", 2), "weights": ("0.5, 2", 3), "h": ("ccqi", 4)}
+    record, parsed = _record("knobs", _Knobs, entries, parsers={})
+    assert record == _Knobs(7, (0.5, 2.0), Hypothesis.CCQI) and parsed == {}
+    assert _record("knobs", _Knobs, {}, parsers={})[0] == _Knobs()
+    for key, text, message in (
+        ("weights", "0.5, x", "weights must be comma-separated float values, got '0.5, x'"),
+        ("weights", "0.5, nan", "weights must be finite numbers, got '0.5, nan'"),
+        ("h", "bogus", "h must be one of pos, ccqi, modified_rate, got 'bogus'"),
+    ):
+        with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
+            _record("knobs", _Knobs, {key: (text, 3)}, parsers={})

@@ -503,19 +503,83 @@ def test_stats_options_check_their_ranges():
         StatsOptions(alpha=1.5)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"replicates": 1.5}, "replicates must be an integer, got 1.5"),
-    ({"replicates": True}, "replicates must be an integer, got True"),
-    ({"counts": (1.5, 2)}, "counts must be an integer, got 1.5"),
-    ({"h0": "pos"}, "h0 must be a Hypothesis, got 'pos'"),
-    ({"h1": None}, "h1 must be a Hypothesis, got None"),
-    ({"alpha": "0.05"}, "alpha must be a finite number, got '0.05'"),
-    ({"power": math.nan}, "power must be a finite number, got nan"),
-    ({"visibility": True}, "visibility must be a finite number, got True"),
-    ({"background": (1e-3, math.inf)}, "background must be a finite number, got inf"),
-    ({"method": 5}, "method must be one of auto, closed_form, simulation, got 5"),
+# per config record, fields it takes
+GOOD_FIELDS = {
+    ExcitationParams: dict(n0=10, epsilon=0.2, lam=1.0, t=1.0),
+    DecayParams: dict(n0=10, lam=1.0, t1=0.1, t2=0.2, t3=0.3),
+    PhotonParams: dict(n0=10, d=0.5, u=0.5),
+    SimConfig: {},
+    FringeGeometry: dict(source_separation=1e-3, wavelength=5e-7, screen_distance=1.0,
+                         x_min=-1e-3, x_max=1e-3, n_points=11),
+    StatsOptions: {},
+}
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (ExcitationParams, {"n0": 1.5}, "n0 must be an integer, got 1.5"),
+    (ExcitationParams, {"epsilon": "0.2"}, "epsilon must be a finite number, got '0.2'"),
+    (ExcitationParams, {"lam": math.nan}, "lam must be a finite number, got nan"),
+    (ExcitationParams, {"t": True}, "t must be a finite number, got True"),
+    (DecayParams, {"n0": 10.0}, "n0 must be an integer, got 10.0"),
+    (DecayParams, {"lam": None}, "lam must be a finite number, got None"),
+    (DecayParams, {"t1": math.inf}, "t1 must be a finite number, got inf"),
+    (DecayParams, {"t2": "1"}, "t2 must be a finite number, got '1'"),
+    (DecayParams, {"t3": -math.inf}, "t3 must be a finite number, got -inf"),
+    (DecayParams, {"lam_prime": math.nan}, "lam_prime must be a finite number, got nan"),
+    (DecayParams, {"mu": True}, "mu must be a finite number, got True"),
+    (PhotonParams, {"n0": "10"}, "n0 must be an integer, got '10'"),
+    (PhotonParams, {"d": None}, "d must be a finite number, got None"),
+    (PhotonParams, {"u": math.inf}, "u must be a finite number, got inf"),
+    (SimConfig, {"seed": 1.0}, "seed must be an integer, got 1.0"),
+    (SimConfig, {"chunk_size": True}, "chunk_size must be an integer, got True"),
+    (FringeGeometry, {"source_separation": math.nan},
+     "source_separation must be a finite number, got nan"),
+    (FringeGeometry, {"wavelength": math.inf}, "wavelength must be a finite number, got inf"),
+    (FringeGeometry, {"screen_distance": "1"},
+     "screen_distance must be a finite number, got '1'"),
+    (FringeGeometry, {"x_min": None}, "x_min must be a finite number, got None"),
+    (FringeGeometry, {"x_max": -math.inf}, "x_max must be a finite number, got -inf"),
+    (FringeGeometry, {"n_points": 2.5}, "n_points must be an integer, got 2.5"),
+    (StatsOptions, {"replicates": 1.5}, "replicates must be an integer, got 1.5"),
+    (StatsOptions, {"replicates": True}, "replicates must be an integer, got True"),
+    (StatsOptions, {"counts": (1.5, 2)}, "counts must be an integer, got 1.5"),
+    (StatsOptions, {"h0": "pos"}, "h0 must be a Hypothesis, got 'pos'"),
+    (StatsOptions, {"h1": None}, "h1 must be a Hypothesis, got None"),
+    (StatsOptions, {"alpha": "0.05"}, "alpha must be a finite number, got '0.05'"),
+    (StatsOptions, {"power": math.nan}, "power must be a finite number, got nan"),
+    (StatsOptions, {"visibility": True}, "visibility must be a finite number, got True"),
+    (StatsOptions, {"background": (1e-3, math.inf)},
+     "background must be a finite number, got inf"),
+    (StatsOptions, {"method": 5}, "method must be a Method, got 5"),
 ])
-def test_stats_options_check_their_types(kwargs, message):
-    # each used to construct, and replicates = 1.5 reached the stats layer
-    with pytest.raises(DomainError, match=re.escape(message)):
-        StatsOptions(**kwargs)
+def test_config_records_check_their_types(cls, kwargs, message):
+    # each StatsOptions value used to construct, and replicates = 1.5 reached the stats layer
+    good = cls(**GOOD_FIELDS[cls])
+    forged = object.__new__(cls)  # holds the bad value unchecked, to be pickled
+    forged.__dict__.update(good.__getstate__(), **kwargs)
+    for make in (lambda: cls(**{**GOOD_FIELDS[cls], **kwargs}), lambda: good.replace(**kwargs),
+                 lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_records_built_from_lists_hash_and_equal_tuple_built_ones():
+    # StatsOptions kept a list, so hashing it raised TypeError
+    for from_list, from_tuple in (
+        (StatsOptions(counts=[1, 2], background=[0.5]),
+         StatsOptions(counts=(1, 2), background=(0.5,))),
+        (StatsOptions(counts=np.array([1, 2])), StatsOptions(counts=(1, 2))),
+        (SectorSpace([2, 1]), SectorSpace((2, 1))),
+        (CountTable(1, 2, 3, labels=list(PHOTON_LABELS)),
+         CountTable(1, 2, 3, labels=PHOTON_LABELS)),
+    ):
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert repr(from_list) == repr(from_tuple)
+
+
+def test_a_log_likelihood_ratio_may_be_infinite_but_a_p_value_must_be_finite():
+    # a category impossible under one model decides the test outright
+    assert DiscriminationReport(math.inf, 0.0, "favor_H1").log_likelihood_ratio == math.inf
+    assert DiscriminationReport(-math.inf, 1.0, "favor_H0").log_likelihood_ratio == -math.inf
+    with pytest.raises(DomainError, match="^p_value_h0 must be a finite number, got nan$"):
+        DiscriminationReport(0.0, math.nan, "inconclusive")

@@ -54,9 +54,10 @@ class TestSectorSpace:
         with pytest.raises(DomainError):
             SectorSpace((40, 40))
 
-    @pytest.mark.parametrize("dims", [(1.5, 1), (True, 1), (1, 2.0), ("2", 1)])
-    def test_rejects_a_dimension_that_is_not_an_integer(self, dims):
-        with pytest.raises(DomainError, match="sector dimensions must be integers"):
+    @pytest.mark.parametrize("dims, bad", [
+        ((1.5, 1), "1.5"), ((True, 1), "True"), ((1, 2.0), "2.0"), (("2", 1), "'2'")])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dims, bad):
+        with pytest.raises(DomainError, match=f"^sector_dims must be an integer, got {bad}$"):
             SectorSpace(dims)
 
     def test_accepts_numpy_integers_as_ints(self):

@@ -12,8 +12,12 @@ cap.  An explicit ``h0`` is never set together with ``visibility``,
 except as a defect: one ``[stats]`` section in ten carries exactly one
 defect (a bad ``alpha``, ``power``, ``visibility``, ``replicates``,
 ``counts``, ``background`` or ``method``, ``h0`` beside
-``visibility``, or an unknown key), so the refusals' stderr is
-compared as well.
+``visibility``, or an unknown key).  One request in ten also carries
+one defect in its ``[experiment]``, ``[simulation]`` or ``[fringes]``
+section (``SECTION_DEFECTS``: a bad number, integer, hypothesis or
+pattern, or a value out of range), drawn from a third generator, seeded
+with ``"S defects"``, so they do not move the other configurations a
+seed draws.  The refusals' stderr is compared as well.
 A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
 log-uniform, each half the time, over a window of up to about 500
 fringe periods.
@@ -82,6 +86,18 @@ DEFECTS = {
     "method": lambda ncat: ["fast", "exact", "Auto"],
     "h0": lambda ncat: ["pos"],
     "seed": lambda ncat: ["3"],
+}
+# bad values per key of the other record-backed sections; a key the section
+# lacks is added only to [simulation], whose keys all have defaults
+SECTION_DEFECTS = {
+    "experiment": {"n0": ["1.5", "x", "-3", "1e400"], "hypothesis": ["bogus", "POS"],
+                   "epsilon": ["nan", "1.5"], "lambda": ["-1", "inf"], "t": ["-0.5"],
+                   "mu": ["0", "1.5", "nan"], "lambda_prime": ["-2", "x"],
+                   "t1": ["inf"], "d": ["2"], "u": ["-0.1", "nan"]},
+    "simulation": {"seed": ["-1", "1.5", str(2**64)], "chunk_size": ["2.5", "0"],
+                   "workers": ["0", "2.5"]},
+    "fringes": {"n_points": ["2.5", "1", "x"], "wavelength": ["inf", "-5e-7"],
+                "x_min": ["nan", "1"], "source_separation": ["0"], "pattern": ["striped"]},
 }
 
 
@@ -211,6 +227,18 @@ def _flags(rng, command: str, json_format: bool) -> list[str]:
     return flags
 
 
+def _add_defect(rng, sections) -> None:
+    """One time in ten, set one key of one of ``sections`` to a bad value."""
+    names = sorted(set(sections) & set(SECTION_DEFECTS))
+    if not names or rng.random() >= DEFECT_SHARE:
+        return
+    name = rng.choice(names)
+    entries = sections[name]
+    key = rng.choice(sorted(k for k in SECTION_DEFECTS[name]
+                            if k in entries or name == "simulation"))
+    entries[key] = rng.choice(SECTION_DEFECTS[name][key])
+
+
 def requests(seed: int, count: int):
     """``count`` (command, config text, flags) triples drawn from ``seed``.
 
@@ -218,6 +246,7 @@ def requests(seed: int, count: int):
     configurations whatever flags are drawn.
     """
     rng, flag_rng = random.Random(seed), random.Random(f"{seed} flags")
+    defect_rng = random.Random(f"{seed} defects")
     out = []
     for _ in range(count):
         command = rng.choices(COMMANDS, WEIGHTS)[0]
@@ -244,6 +273,7 @@ def requests(seed: int, count: int):
             elif command in ("discriminate", "plan"):
                 sections["stats"] = _stats(rng, command, e)
                 sections["simulation"] = {"seed": rng.randrange(2**32)}
+        _add_defect(defect_rng, sections)
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
                        for name, entries in sections.items())
         out.append((command, text or None, flags))
@@ -353,7 +383,7 @@ def main(argv=None) -> int:
             shape = ("visibility" if "visibility" in stats
                      else "background" if "background" in stats else "neither")
             designs[f"{command} {text.split()[3]} {shape}"] += 1
-            designs[f"{command} exit {b[2]}"] += 1
+        designs[f"{command} exit {b[2]}"] += 1
         if b[4] is not None:
             designs[f"discriminate {b[4][0]} pooled cells, {b[4][1]} possible under both"] += 1
             designs["discriminate above the exact cap"] += b[4][2]
