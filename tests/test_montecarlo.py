@@ -383,6 +383,26 @@ class TestSampler:
 
         check()
 
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.integers(0, 10**7),
+           steps=st.lists(st.tuples(st.none() | st.integers(0, 10**7),
+                                    st.floats(min_value=15.0, max_value=60.0), st.booleans()),
+                          min_size=3, max_size=6),
+           state=st.integers(0, 2**128 - 1), inc=st.integers(0, 2**127 - 1))
+    def test_chained_binomials_are_numpy_s(self, first, steps, state, inc):
+        # as a kernel draws: each n the last draw or a fresh one, n * p near 30 so
+        # that the draws switch between BTPE and inversion, p either side of 0.5
+        inc = inc << 1 | 1
+        ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
+        last = first
+        for fresh, mean, reflect in steps:
+            n = last if fresh is None else fresh
+            p = min(1.0, mean / n) if n else 0.5
+            p = 1.0 - p if reflect else p
+            last = ours.binomial(n, p)
+            assert last == ref.binomial(n, p), (n, p)
+        assert ours.state == ref.bit_generator.state["state"]["state"]
+
     # BTPE's squeeze adds n + 1 - m and n - y + 1 in doubles, which an int64
     # sum rounds differently above 2**53: draws found by a random search
     @pytest.mark.parametrize(
@@ -497,6 +517,66 @@ def test_golden_stream_across_state_blocks(key):
     params = params.replace(n0=_BLOCK_RUNS[chunk_size])
     cfg = SimConfig(seed=seed, chunk_size=chunk_size)
     assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_BLOCKS[key]
+
+
+# the edges of the chunk loop: 1024 chunks of 100 (two full state blocks, no
+# remainder), one partial chunk of 3000 below 4096, and 600 chunks of one event
+_EDGE_RUNS = {100: 1024 * 100, 4096: 3000, 1: 600}
+_GOLDEN_EDGES = {
+    ("excitation", "POS", 100, 0): (92240, 10160, 0, 0),
+    ("excitation", "POS", 100, 2**64 - 1): (92068, 10332, 0, 0),
+    ("excitation", "POS", 4096, 0): (2741, 259, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (2690, 310, 0, 0),
+    ("excitation", "POS", 1, 0): (547, 53, 0, 0),
+    ("excitation", "POS", 1, 2**64 - 1): (541, 59, 0, 0),
+    ("excitation", "CCQI", 100, 0): (87131, 5054, 5109, 5106),
+    ("excitation", "CCQI", 100, 2**64 - 1): (86923, 5239, 5145, 5093),
+    ("excitation", "CCQI", 4096, 0): (2611, 128, 130, 131),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (2541, 146, 149, 164),
+    ("excitation", "CCQI", 1, 0): (511, 28, 36, 25),
+    ("excitation", "CCQI", 1, 2**64 - 1): (517, 23, 24, 36),
+    ("decay", "POS", 100, 0): (51375, 51025, 0, 0),
+    ("decay", "POS", 100, 2**64 - 1): (51729, 50671, 0, 0),
+    ("decay", "POS", 4096, 0): (1530, 1470, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (1528, 1472, 0, 0),
+    ("decay", "POS", 1, 0): (289, 311, 0, 0),
+    ("decay", "POS", 1, 2**64 - 1): (326, 274, 0, 0),
+    ("decay", "CCQI", 100, 0): (33293, 51025, 18082, 0),
+    ("decay", "CCQI", 100, 2**64 - 1): (33452, 50671, 18277, 0),
+    ("decay", "CCQI", 4096, 0): (990, 1470, 540, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (1005, 1472, 523, 0),
+    ("decay", "CCQI", 1, 0): (184, 311, 105, 0),
+    ("decay", "CCQI", 1, 2**64 - 1): (216, 274, 110, 0),
+    ("decay", "MODIFIED_RATE", 100, 0): (71567, 30833, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (71633, 30767, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (2043, 957, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2109, 891, 0, 0),
+    ("decay", "MODIFIED_RATE", 1, 0): (436, 164, 0, 0),
+    ("decay", "MODIFIED_RATE", 1, 2**64 - 1): (399, 201, 0, 0),
+    ("photon", "POS", 100, 0): (56534, 15226, 30640),
+    ("photon", "POS", 100, 2**64 - 1): (56279, 15258, 30863),
+    ("photon", "POS", 4096, 0): (1710, 459, 831),
+    ("photon", "POS", 4096, 2**64 - 1): (1676, 432, 892),
+    ("photon", "POS", 1, 0): (327, 91, 182),
+    ("photon", "POS", 1, 2**64 - 1): (302, 88, 210),
+    ("photon", "CCQI", 100, 0): (35625, 35854, 30921),
+    ("photon", "CCQI", 100, 2**64 - 1): (35844, 35717, 30839),
+    ("photon", "CCQI", 4096, 0): (1014, 1019, 967),
+    ("photon", "CCQI", 4096, 2**64 - 1): (1064, 1026, 910),
+    ("photon", "CCQI", 1, 0): (208, 224, 168),
+    ("photon", "CCQI", 1, 2**64 - 1): (238, 201, 161),
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_EDGES),
+                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
+def test_golden_stream_at_the_chunk_loop_edges(key):
+    """Runs without a remainder chunk, of one partial chunk, or of one-event chunks."""
+    name, hypothesis, chunk_size, seed = key
+    simulate, params = _GOLDEN_PARAMS[name]
+    params = params.replace(n0=_EDGE_RUNS[chunk_size])
+    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
+    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_EDGES[key]
 
 
 JOINT_SEEDS = 3000
