@@ -239,6 +239,13 @@ def _check_unit_interval(name: str, value) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_iterable(name: str, value):
+    try:
+        return iter(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an iterable, got {value!r}") from None
+
+
 def _check_member(name: str, value, kind: type):
     if not isinstance(value, kind):
         raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -253,7 +260,7 @@ def _type_check(annotation):
         return check and (lambda name, value: value if value is None else check(name, value))
     if getattr(annotation, "__origin__", None) is tuple:  # tuple[X, ...]
         each = _type_check(args[0]) or (lambda name, value: value)
-        return lambda name, value: tuple(each(name, v) for v in value)
+        return lambda name, value: tuple(each(name, v) for v in _check_iterable(name, value))
     if isinstance(annotation, enum.EnumMeta):
         return lambda name, value: _check_member(name, value, annotation)
     return {int: _check_integer, float: _check_finite}.get(annotation)

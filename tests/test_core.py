@@ -512,6 +512,7 @@ GOOD_FIELDS = {
     FringeGeometry: dict(source_separation=1e-3, wavelength=5e-7, screen_distance=1.0,
                          x_min=-1e-3, x_max=1e-3, n_points=11),
     StatsOptions: {},
+    CountTable: dict(labels=()),
 }
 
 
@@ -551,6 +552,10 @@ GOOD_FIELDS = {
     (StatsOptions, {"background": (1e-3, math.inf)},
      "background must be a finite number, got inf"),
     (StatsOptions, {"method": 5}, "method must be a Method, got 5"),
+    # a tuple field given a value that is not iterable raised a bare TypeError
+    (StatsOptions, {"counts": 5}, "counts must be an iterable, got 5"),
+    (StatsOptions, {"background": 0.5}, "background must be an iterable, got 0.5"),
+    (CountTable, {"labels": 5}, "labels must be an iterable, got 5"),
 ])
 def test_config_records_check_their_types(cls, kwargs, message):
     # each StatsOptions value used to construct, and replicates = 1.5 reached the stats layer
