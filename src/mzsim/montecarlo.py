@@ -24,17 +24,20 @@ stream does not depend on the installed numpy.  The chunk states are
 derived a block of chunks at a time: each ``SeedSequence`` hash and mix
 runs once over a block, on one Python int that holds a chunk per 64-bit
 lane.  They are loaded one after another into a single
-:class:`_Sampler`, and chunk tallies are summed, so the result is a
-pure function of ``(seed, chunk_size, parameters)``.  The per-``(n,
-p)`` binomial set-ups are cached across chunks; the cache holds the
-window of ``n`` that a run's nested draws visit, so each set-up is
-computed about once per run.  :class:`SimConfig` lives in
+:class:`_Sampler`, and each kernel adds up its chunks' draws, so the
+result is a pure function of ``(seed, chunk_size, parameters)``.  A
+draw is one Python call: :meth:`_Sampler.binomial` steps PCG64 inline
+and returns from inversion or BTPE's fast region itself.  A run's
+sampler keeps its per-``(n, p)`` set-ups by p, then n; they hold the
+window of ``n`` that the nested draws visit, so each set-up is
+computed once per run.  :class:`SimConfig` lives in
 :mod:`mzsim.core` so that parsing a configuration needs no sampler; it
 is re-exported here.
 """
 
 import struct
-from functools import lru_cache
+from collections import defaultdict
+from itertools import chain, repeat
 from math import exp, floor, log, log1p, sqrt
 
 from .core import (
@@ -71,13 +74,15 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M53 = 2**53 - 1
 _M64 = 2**64 - 1
 _M128 = 2**128 - 1
+_ROTATE = 2**64 + 1
 _INT64 = 2**63
 # chunk states are derived this many chunks at a time, one 64-bit lane each
 _STATE_BLOCK = 512
-# per-(n, p) binomial set-ups kept: a run's nested draws take n from a window
-# around each branch's mean that grows as sqrt(chunk_size); 3000 decay-CCQI
-# chunks of 2**20 need 4201 set-ups, ~2.8 MB, so a full cache stays near 11 MB
-_SETUP_CACHE = 2**14
+# binomial set-ups a run keeps per p, of which it draws at most four: its nested
+# draws take n from a window around each branch's mean that grows as sqrt(chunk_size);
+# 3000 decay-CCQI chunks of 2**20 need 4190 set-ups, at most 1540 for one p, ~2.8 MB,
+# so four full tables stay near 11 MB
+_SETUP_CACHE = 2**12
 
 
 def _hash(value: int, xor: int, mult: int) -> int:
@@ -166,7 +171,6 @@ def _wrap64(x: int) -> int:
     return (x + _INT64 & _M64) - _INT64
 
 
-@lru_cache(maxsize=_SETUP_CACHE)
 def _inversion_setup(n: int, p: float):
     """numpy's per-(n, p) inversion constants: q, q**n and the search bound."""
     q = 1.0 - p
@@ -176,9 +180,9 @@ def _inversion_setup(n: int, p: float):
     return q, exp(n * log1p(-p)), n if n < bound else int(bound)
 
 
-@lru_cache(maxsize=_SETUP_CACHE)
 def _btpe_setup(n: int, p: float):
-    """numpy's per-(n, p) BTPE constants, including ``s`` and ``a = s * (n + 1)``.
+    """numpy's per-(n, p) BTPE constants: ``p1``, ``xm`` and ``p4`` for the fast
+    region, then the tuple :func:`_btpe_tail` takes, with ``a = s * (n + 1)``.
 
     ``p <= 0.5``, so numpy's ``r = min(p, 1 - p)`` is ``p``.
     """
@@ -200,127 +204,143 @@ def _btpe_setup(n: int, p: float):
     p4 = p3 + c / lamr
     s = r / q
     # int64 n + 1 wraps at n = 2**63 - 1
-    return (r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, n * r * q, s,
-            s * _wrap64(n + 1))
+    return p1, xm, p4, (r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, n * r * q, s,
+                        s * _wrap64(n + 1))
+
+
+def _setup(table: dict, n: int, p: float):
+    """Compute the set-up of Bin(n, p), p <= 0.5, and keep it in ``table[n]``."""
+    if len(table) >= _SETUP_CACHE:
+        table.clear()
+    table[n] = setup = _inversion_setup(n, p) if p * n <= 30.0 else _btpe_setup(n, p)
+    return setup
+
+
+def _btpe_tail(n: int, u: float, v: float, setup: tuple):
+    """BTPE's draw from a proposal ``(u, v)`` outside its fast region, or None
+    if it is rejected: numpy's C code, int64 wraps included; p <= 0.5."""
+    r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, nrq, s, a = setup
+    if u <= p2:
+        x = xl + (u - p1) / c
+        v = v * c + 1.0 - abs(m - x + 0.5) / p1
+        if v > 1.0:
+            return None
+        y = floor(x)
+    elif u <= p3:
+        if v == 0.0:
+            return None
+        y = floor(xl + log(v) / laml)
+        if y < 0:
+            return None
+        v = v * (u - p2) * laml
+    else:
+        if v == 0.0:
+            return None
+        y = floor(xr - log(v) / lamr)
+        if y > n:
+            return None
+        v = v * (u - p3) * lamr
+    k = abs(y - m)
+    if not (k > 20 and k < nrq / 2.0 - 1):
+        f = 1.0
+        if m < y:
+            for i in range(m + 1, y + 1):
+                f *= a / i - s
+        elif m > y:
+            for i in range(y + 1, m + 1):
+                f /= a / i - s
+        return None if v > f else y
+    # C takes log(v) of v <= 0 as -inf or NaN, and both accept
+    if v <= 0.0:
+        return y
+    rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+    # int64 -k*k wraps for k above 2**31.5
+    t = _wrap64(-k * k) / (2 * nrq)
+    big_a = log(v)
+    if big_a < t - rho:
+        return y
+    if big_a > t + rho:
+        return None
+    # numpy adds these in doubles, n + 1 included
+    x1 = y + 1.0
+    f1 = m + 1.0
+    z = float(n) + 1.0 - m
+    w = float(n) - y + 1.0
+    x2 = x1 * x1
+    f2 = f1 * f1
+    z2 = z * z
+    w2 = w * w
+    return None if big_a > (
+        xm * log(f1 / x1)
+        + (n - m + 0.5) * log(z / w)
+        + (y - m) * log(w * r / (x1 * q))
+        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / f2) / f2) / f2) / f2) / f1 / 166320.0
+        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / z2) / z2) / z2) / z2) / z / 166320.0
+        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x1 / 166320.0
+        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / w2) / w2) / w2) / w2) / w / 166320.0
+    ) else y
 
 
 class _Sampler:
     """A PCG64 generator whose ``binomial`` is numpy's, draw for draw.
 
     ``state`` and ``inc`` are the 128-bit PCG64 state and increment, as
-    ``np.random.PCG64().state["state"]`` holds them.
+    ``np.random.PCG64().state["state"]`` holds them.  ``setups`` maps
+    each reflected p and n to the draw's set-up (:func:`_setup`).
     """
 
-    __slots__ = ("state", "inc")
+    __slots__ = ("state", "inc", "setups")
 
     def __init__(self, state: int = 0, inc: int = 1):
         self.state = state
         self.inc = inc
-
-    def next_double(self) -> float:
-        """One LCG step, the XSL-RR output, and its top 53 bits as a double in [0, 1)."""
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
-        x = (state >> 64 ^ state) & _M64
-        # rotate right by the top 6 bits, then keep the top 53 of the 64
-        return ((x | x << 64) >> (state >> 122) + 11 & _M53) * 2.0**-53
+        self.setups = defaultdict(dict)
 
     def binomial(self, n: int, p: float) -> int:
-        """numpy's ``random_binomial(n, p)``: reflect p > 0.5, then inversion or BTPE."""
+        """numpy's ``random_binomial(n, p)``: reflect p > 0.5, then inversion or BTPE.
+
+        The PCG64 steps run inline on a local state: one LCG step, the
+        XSL-RR output (``x * (2**64 + 1)`` is ``x | x << 64``, rotated
+        right by the top 6 bits), and its top 53 bits as a double in [0, 1).
+        Only BTPE's proposals outside its fast region call :func:`_btpe_tail`.
+        """
         if n == 0 or p == 0.0:
             return 0
-        if p <= 0.5:
-            return self._inversion(n, p) if p * n <= 30.0 else self._btpe(n, p)
-        q = 1.0 - p
-        return n - (self._inversion(n, q) if q * n <= 30.0 else self._btpe(n, q))
-
-    def _inversion(self, n: int, p: float) -> int:
-        q, qn, bound = _inversion_setup(n, p)
-        x = 0
-        px = qn
-        u = self.next_double()
-        while u > px:
-            x += 1
-            if x > bound:
-                x = 0
-                px = qn
-                u = self.next_double()
-            else:
-                u -= px
-                px = ((n - x + 1) * p * px) / (x * q)
-        return x
-
-    def _btpe(self, n: int, p: float) -> int:
-        """BTPE as numpy's C code runs it, int64 wraps included; p <= 0.5."""
-        r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, p4, nrq, s, a = _btpe_setup(n, p)
-        next_double = self.next_double
+        flip = p > 0.5
+        if flip:
+            p = 1.0 - p
+        table = self.setups[p]
+        setup = table.get(n) or _setup(table, n, p)
+        state, inc = self.state, self.inc
+        inversion = p * n <= 30.0
         while True:
-            u = next_double() * p4
-            v = next_double()
+            state = state * _PCG_MULT + inc & _M128
+            xsl = (state >> 64 ^ state) & _M64
+            u = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
+            if inversion:
+                # search up from 0; past the bound, start again with a new u
+                q, px, bound = setup
+                x = 0
+                while u > px and x < bound:
+                    x += 1
+                    u -= px
+                    px = ((n - x + 1) * p * px) / (x * q)
+                if u <= px:
+                    break
+                continue
+            p1, xm, p4, tail = setup
+            u *= p4
+            state = state * _PCG_MULT + inc & _M128
+            xsl = (state >> 64 ^ state) & _M64
+            v = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
             if u <= p1:
-                return floor(xm - p1 * v + u)
-            if u <= p2:
-                x = xl + (u - p1) / c
-                v = v * c + 1.0 - abs(m - x + 0.5) / p1
-                if v > 1.0:
-                    continue
-                y = floor(x)
-            elif u <= p3:
-                if v == 0.0:
-                    continue
-                y = floor(xl + log(v) / laml)
-                if y < 0:
-                    continue
-                v = v * (u - p2) * laml
-            else:
-                if v == 0.0:
-                    continue
-                y = floor(xr - log(v) / lamr)
-                if y > n:
-                    continue
-                v = v * (u - p3) * lamr
-            k = abs(y - m)
-            if not (k > 20 and k < nrq / 2.0 - 1):
-                f = 1.0
-                if m < y:
-                    for i in range(m + 1, y + 1):
-                        f *= a / i - s
-                elif m > y:
-                    for i in range(y + 1, m + 1):
-                        f /= a / i - s
-                if v > f:
-                    continue
-                return y
-            # C takes log(v) of v <= 0 as -inf or NaN, and both accept
-            if v <= 0.0:
-                return y
-            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-            # int64 -k*k wraps for k above 2**31.5
-            t = _wrap64(-k * k) / (2 * nrq)
-            big_a = log(v)
-            if big_a < t - rho:
-                return y
-            if big_a > t + rho:
-                continue
-            # numpy adds these in doubles, n + 1 included
-            x1 = y + 1.0
-            f1 = m + 1.0
-            z = float(n) + 1.0 - m
-            w = float(n) - y + 1.0
-            x2 = x1 * x1
-            f2 = f1 * f1
-            z2 = z * z
-            w2 = w * w
-            if big_a > (
-                xm * log(f1 / x1)
-                + (n - m + 0.5) * log(z / w)
-                + (y - m) * log(w * r / (x1 * q))
-                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / f2) / f2) / f2) / f2) / f1 / 166320.0
-                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / z2) / z2) / z2) / z2) / z / 166320.0
-                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x1 / 166320.0
-                + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / w2) / w2) / w2) / w2) / w / 166320.0
-            ):
-                continue
-            return y
+                x = floor(xm - p1 * v + u)
+                break
+            x = _btpe_tail(n, u, v, tail)
+            if x is not None:
+                break
+        self.state = state
+        return n - x if flip else x
 
 
 def chunk_rng(seed: int, index: int):
@@ -351,21 +371,16 @@ def chunk_rng(seed: int, index: int):
 def _run_chunked(name: str, h: Hypothesis, n0: int, cfg: SimConfig, kernel) -> CountTable:
     """Experiment ``name``'s count table for a run of ``n0`` particles under ``h``.
 
-    ``kernel(rng, size)`` tallies one chunk in the experiment's label
-    order; the tallies are summed one chunk at a time.
+    ``kernel(rng, chunks)`` returns the run's tallies in the experiment's
+    label order.  ``chunks`` yields each chunk's ``(size, (state, inc))``
+    in order; the kernel loads the state into the sampler ``rng`` and
+    adds up the chunk's draws.
     """
     EXPERIMENTS[name].check(h)
-    labels = EXPERIMENTS[name].labels
-    total = [0] * len(labels)
-    rng = _Sampler()
-    states = _pcg64_states(cfg.seed, 0, cfg.chunk_count(n0))
-    for index, (rng.state, rng.inc) in enumerate(states):
-        size = min(cfg.chunk_size, n0 - index * cfg.chunk_size)
-        tally = kernel(rng, size)
-        total = [a + b for a, b in zip(total, tally)]
-    table = CountTable(*total, labels=labels)
-    assert table.total == n0
-    return table
+    full, last = divmod(n0, cfg.chunk_size)
+    sizes = chain(repeat(cfg.chunk_size, full), [last] if last else [])
+    chunks = zip(sizes, _pcg64_states(cfg.seed, 0, cfg.chunk_count(n0)))
+    return CountTable(*kernel(_Sampler(), chunks), labels=EXPERIMENTS[name].labels)
 
 
 def simulate_excitation(
@@ -379,19 +394,21 @@ def simulate_excitation(
     routes 50/50 to either counter.  Excited survivors land in the "2"
     column of their counter, everything else in the "1" column.
     """
-    s = survival_fraction(p.lam, p.t)
+    n0, epsilon, s = p.n0, p.epsilon, survival_fraction(p.lam, p.t)
     collapse = h is Hypothesis.CCQI
 
-    def kernel(rng, size):
-        excited = rng.binomial(size, p.epsilon)
-        alive = rng.binomial(excited, s)
-        if not collapse:
-            return size - alive, alive, 0, 0
-        nb2 = rng.binomial(alive, 0.5)
-        nb1 = rng.binomial(excited - alive, 0.5)
-        return size - alive - nb1, alive - nb2, nb1, nb2
+    def kernel(rng, chunks):
+        alive = nb1 = nb2 = 0
+        for size, (rng.state, rng.inc) in chunks:
+            excited = rng.binomial(size, epsilon)
+            survivors = rng.binomial(excited, s)
+            alive += survivors
+            if collapse:
+                nb2 += rng.binomial(survivors, 0.5)
+                nb1 += rng.binomial(excited - survivors, 0.5)
+        return n0 - alive - nb1, alive - nb2, nb1, nb2
 
-    return _run_chunked("excitation", h, p.n0, cfg, kernel)
+    return _run_chunked("excitation", h, n0, cfg, kernel)
 
 
 def simulate_decay(
@@ -415,15 +432,19 @@ def simulate_decay(
     s1 = survival_fraction(p.lam, p.t1)
     s2 = survival_fraction(p.lam_prime if modified else p.lam, p.t2)
     s3 = survival_fraction(p.lam, p.t3)
+    n0 = p.n0
 
-    def kernel(rng, size):
-        entered = rng.binomial(size, s1)
-        left = rng.binomial(entered, s2)
-        na2 = rng.binomial(left, s3)
-        nb1 = rng.binomial(entered - left, 0.5) if collapse else 0
-        return size - na2 - nb1, na2, nb1, 0
+    def kernel(rng, chunks):
+        na2 = nb1 = 0
+        for size, (rng.state, rng.inc) in chunks:
+            entered = rng.binomial(size, s1)
+            left = rng.binomial(entered, s2)
+            na2 += rng.binomial(left, s3)
+            if collapse:
+                nb1 += rng.binomial(entered - left, 0.5)
+        return n0 - na2 - nb1, na2, nb1, 0
 
-    return _run_chunked("decay", h, p.n0, cfg, kernel)
+    return _run_chunked("decay", h, n0, cfg, kernel)
 
 
 def simulate_photon(
@@ -441,18 +462,21 @@ def simulate_photon(
     the crystals with probability ``u*d`` or are lost; every surviving
     photon then routes 50/50 at the exit splitter.
     """
-    ud = p.u * p.d
+    n0, ud = p.n0, p.u * p.d
     coherent = h is Hypothesis.POS
 
-    def kernel(rng, size):
-        if coherent:
-            recombined = rng.binomial(size, ud)
-            lost = rng.binomial(size - recombined, 0.5)
-            stray = rng.binomial(size - recombined - lost, 0.5)
-            return recombined + stray, size - recombined - lost - stray, lost
-        device = rng.binomial(size, 0.5)
-        survivors = size - device + rng.binomial(device, ud)
-        counter1 = rng.binomial(survivors, 0.5)
-        return counter1, survivors - counter1, size - survivors
+    def kernel(rng, chunks):
+        counter1 = lost = 0
+        for size, (rng.state, rng.inc) in chunks:
+            if coherent:
+                recombined = rng.binomial(size, ud)
+                missed = rng.binomial(size - recombined, 0.5)
+                counter1 += recombined + rng.binomial(size - recombined - missed, 0.5)
+            else:
+                device = rng.binomial(size, 0.5)
+                missed = device - rng.binomial(device, ud)
+                counter1 += rng.binomial(size - missed, 0.5)
+            lost += missed
+        return counter1, n0 - counter1 - lost, lost
 
-    return _run_chunked("photon", h, p.n0, cfg, kernel)
+    return _run_chunked("photon", h, n0, cfg, kernel)

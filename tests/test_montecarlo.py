@@ -267,42 +267,42 @@ class TestSetupCache:
     """A run computes each per-(n, p) binomial set-up once."""
 
     @staticmethod
-    def misses_and_keys(monkeypatch, setup_name, simulate, params, h, chunk_size=4096):
+    def calls_and_keys(monkeypatch, setup_name, simulate, params, h, chunk_size=4096):
+        # the set-ups are kept per run, so no earlier run or test can have cached one
         setup = getattr(montecarlo, setup_name)
-        keys = set()
+        calls = []
 
         def recording(n, p):
-            keys.add((n, p))
+            calls.append((n, p))
             return setup(n, p)
 
-        setup.cache_clear()
         monkeypatch.setattr(montecarlo, setup_name, recording)
         simulate(params, h, SimConfig(seed=2024, chunk_size=chunk_size))
-        return setup.cache_info().misses, len(keys)
+        return len(calls), len(set(calls))
 
     def test_btpe_set_ups_of_a_decay_ccqi_run(self, monkeypatch):
         # 2442 chunks; the nested draws take n from a window of hundreds of values
         p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
-        misses, keys = self.misses_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
-                                            Hypothesis.CCQI)
+        calls, keys = self.calls_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
+                                           Hypothesis.CCQI)
         assert keys > 300
-        assert misses == keys
+        assert calls == keys
 
     def test_btpe_set_ups_of_large_chunks(self, monkeypatch):
         # 3000 chunks of 65536: the window of nested n holds over a thousand values
         p = DecayParams(n0=3000 * 65536, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
-        misses, keys = self.misses_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
-                                            Hypothesis.CCQI, chunk_size=65536)
+        calls, keys = self.calls_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
+                                           Hypothesis.CCQI, chunk_size=65536)
         assert keys > 1024
-        assert misses == keys
+        assert calls == keys
 
     def test_inversion_set_ups_of_a_small_p_run(self, monkeypatch):
         # s2 and s3 near 1 reflect to p = 0.002, which inversion draws for every n
         p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.002, t3=0.002)
-        misses, keys = self.misses_and_keys(monkeypatch, "_inversion_setup", simulate_decay, p,
-                                            Hypothesis.POS)
+        calls, keys = self.calls_and_keys(monkeypatch, "_inversion_setup", simulate_decay, p,
+                                           Hypothesis.POS)
         assert keys > 100
-        assert misses == keys
+        assert calls == keys
 
 
 def _numpy_generator(state: int, inc: int) -> np.random.Generator:
@@ -403,6 +403,19 @@ class TestSampler:
             assert last == ref.binomial(n, p), (n, p)
         assert ours.state == ref.bit_generator.state["state"]["state"]
 
+    @pytest.mark.parametrize("n, p", [(1, 0.46), (2, 0.22), (5, 0.78), (12, 0.9), (60, 0.22)])
+    def test_inversion_past_its_bound_draws_again(self, n, p):
+        # a state whose next double is 1 - 2**-53, above the pmf as inversion sums
+        # it, so the search passes its bound and starts again with the next double
+        inc = 2**90 + 1
+        hi = 0x0123_4567_89AB_CDEF  # top 6 bits 0: the output is not rotated
+        first = hi << 64 | hi ^ 2**64 - 1
+        state = (first - inc) * pow(montecarlo._PCG_MULT, -1, 2**128) % 2**128
+        ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
+        assert ours.binomial(n, p) == ref.binomial(n, p)
+        assert ours.state == ref.bit_generator.state["state"]["state"]
+        assert ours.state == (first * montecarlo._PCG_MULT + inc) % 2**128
+
     # BTPE's squeeze adds n + 1 - m and n - y + 1 in doubles, which an int64
     # sum rounds differently above 2**53: draws found by a random search
     @pytest.mark.parametrize(
@@ -416,10 +429,6 @@ class TestSampler:
     )
     def test_binomial_squeeze_rounds_as_numpy(self, n, p, state, inc):
         assert _Sampler(state, inc).binomial(n, p) == _numpy_generator(state, inc).binomial(n, p)
-
-    def test_next_double_is_numpy_s(self):
-        ours, ref = _Sampler(2**127 + 5, 2**90 + 1), _numpy_generator(2**127 + 5, 2**90 + 1)
-        assert [ours.next_double() for _ in range(1000)] == ref.random(1000).tolist()
 
 
 _N0 = 10**6 + 7  # leaves a remainder chunk at both chunk sizes
