@@ -18,6 +18,12 @@ section (``SECTION_DEFECTS``: a bad number, integer, hypothesis or
 pattern, or a value out of range), drawn from a third generator, seeded
 with ``"S defects"``, so they do not move the other configurations a
 seed draws.  The refusals' stderr is compared as well.
+A ``simulate`` request draws ``n0`` log-uniform below 10**6 and a
+chunk size of 999, 4096, 65536 or 10**6; a fifth of them are moved to
+an edge of the chunk loop (``EDGE_SHARE``) by a fourth generator,
+seeded with ``"S edges"``: half get an ``n0`` that is an exact multiple
+of the chunk size, of one chunk to past two 512-chunk state blocks, and
+half chunks of 1 to 8 events with ``n0`` up to 3000.
 A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
 log-uniform, each half the time, over a window of up to about 500
 fringe periods.
@@ -87,6 +93,10 @@ DEFECTS = {
     "h0": lambda ncat: ["pos"],
     "seed": lambda ncat: ["3"],
 }
+# the share of simulate requests moved to an edge of the chunk loop, and the
+# chunk counts drawn for an n0 that is an exact multiple of the chunk size
+EDGE_SHARE = 0.2
+EDGE_CHUNKS = (1, 2, 3, 511, 512, 513, 1024, 1025)
 # bad values per key of the other record-backed sections; a key the section
 # lacks is added only to [simulation], whose keys all have defaults
 SECTION_DEFECTS = {
@@ -239,6 +249,17 @@ def _add_defect(rng, sections) -> None:
     entries[key] = rng.choice(SECTION_DEFECTS[name][key])
 
 
+def _add_edge(rng, experiment: dict, simulation: dict) -> None:
+    """One time in five, move a simulate request to an edge of the chunk loop."""
+    if rng.random() >= EDGE_SHARE:
+        return
+    if rng.random() < 0.5:
+        experiment["n0"] = simulation["chunk_size"] * rng.choice(EDGE_CHUNKS)
+    else:
+        simulation["chunk_size"] = rng.randint(1, 8)
+        experiment["n0"] = rng.randint(0, 3000)
+
+
 def requests(seed: int, count: int):
     """``count`` (command, config text, flags) triples drawn from ``seed``.
 
@@ -247,6 +268,7 @@ def requests(seed: int, count: int):
     """
     rng, flag_rng = random.Random(seed), random.Random(f"{seed} flags")
     defect_rng = random.Random(f"{seed} defects")
+    edge_rng = random.Random(f"{seed} edges")
     out = []
     for _ in range(count):
         command = rng.choices(COMMANDS, WEIGHTS)[0]
@@ -270,6 +292,7 @@ def requests(seed: int, count: int):
             if command == "simulate":
                 sections["simulation"] = {"seed": rng.randrange(2**64),
                                           "chunk_size": rng.choice([999, 4096, 65536, 10**6])}
+                _add_edge(edge_rng, e, sections["simulation"])
             elif command in ("discriminate", "plan"):
                 sections["stats"] = _stats(rng, command, e)
                 sections["simulation"] = {"seed": rng.randrange(2**32)}
