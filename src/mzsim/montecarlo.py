@@ -327,18 +327,18 @@ class _Sampler:
                     px = ((n - x + 1) * p * px) / (x * q)
                 if u <= px:
                     break
-                continue
-            p1, xm, p4, tail = setup
-            u *= p4
-            state = state * _PCG_MULT + inc & _M128
-            xsl = (state >> 64 ^ state) & _M64
-            v = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
-            if u <= p1:
-                x = floor(xm - p1 * v + u)
-                break
-            x = _btpe_tail(n, u, v, tail)
-            if x is not None:
-                break
+            else:
+                p1, xm, p4, tail = setup
+                u *= p4
+                state = state * _PCG_MULT + inc & _M128
+                xsl = (state >> 64 ^ state) & _M64
+                v = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
+                if u <= p1:
+                    x = floor(xm - p1 * v + u)
+                    break
+                x = _btpe_tail(n, u, v, tail)
+                if x is not None:
+                    break
         self.state = state
         return n - x if flip else x
 
