@@ -28,8 +28,9 @@ from it.  None of the four imports numpy then:
 ``fringes`` computes its profiles in pure Python and loads numpy only
 for a ``FringeProfile``'s ``positions`` and ``intensity`` arrays and
 for :func:`~mzsim.fringes.coherent_intensity` of an array,
-``montecarlo`` samples in pure Python and loads numpy only in
-``chunk_rng``, which returns a numpy generator, ``sectors`` keeps its
+``montecarlo`` samples in pure Python, each run from one PCG64 state,
+and loads numpy only in ``chunk_rng``, which returns the numpy
+generator that starts from that state, ``sectors`` keeps its
 matrices as Python complex numbers and loads numpy only for their
 ``matrix`` and ``amplitudes`` arrays, sector labels and its ``random_*``
 builders, and ``stats`` loads it only for a

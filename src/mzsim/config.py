@@ -21,9 +21,10 @@ experiment's params record, :class:`~mzsim.core.SimConfig`,
 field without a default is a required key; the others default to the
 record's own defaults.
 
-``[simulation]`` holds ``seed`` and ``chunk_size``.  A legacy
-``workers`` key must be an integer >= 1 and is otherwise ignored: the
-count-level sampler has no worker pool.  ``[stats]`` holds ``alpha``,
+``[simulation]`` holds ``seed`` and two legacy keys, each checked and
+otherwise ignored: ``chunk_size`` (1 to 2**63 - 1; a run draws from
+the one state its seed gives, whatever the chunk size) and ``workers``
+(an integer >= 1: the count-level sampler has no worker pool).  ``[stats]`` holds ``alpha``,
 ``power``, ``h0``/``h1`` hypothesis names (defaults pos/ccqi),
 ``counts`` (comma-separated observed tallies), ``background`` (scalar
 or per-category comma list), ``visibility``, ``replicates`` (1 to

@@ -461,20 +461,15 @@ _MAX_SEED = 2**64
 # numpy's binomial sampler takes an int64 trial count; mzsim.montecarlo
 # ports it, int64 overflows included, and matches it up to this n
 _MAX_CHUNK = 2**63 - 1
-# chunks run one after another in pure Python (substream set-up and
-# binomial draws).  CPU time per chunk of 4, over the seven experiment and
-# hypothesis pairs on a shared 2-core host: 10-17 us at 2**12 chunks,
-# 10-13 us at 2**16 and 12-16 us at 2**20 (12-16 s a run; numpy's sampler
-# took 5-10 us); chunks of 4096 take 13-32 us (BTPE draws).  A run needing
-# more must use larger chunks
-_MAX_CHUNKS = 2**20
 
 
 class SimConfig(_Record):
     """Reproducibility contract for a simulation run.
 
-    ``chunk_size`` fixes the substream layout: changing it changes the
-    sampled tallies.  A run may span at most 2**20 chunks.
+    A run's tallies are a pure function of ``seed`` and the parameters:
+    every run draws from the one PCG64 state its seed gives.
+    ``chunk_size`` is a legacy field, range-checked and otherwise
+    ignored: it does not change the sampled tallies.
     """
 
     seed: int = 0
@@ -485,17 +480,6 @@ class SimConfig(_Record):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 1 <= self.chunk_size <= _MAX_CHUNK:
             raise DomainError(f"chunk_size must be in [1, 2**63 - 1], got {self.chunk_size}")
-
-    def chunk_count(self, n0: int) -> int:
-        """Number of chunks a run of ``n0`` particles spans, at most 2**20."""
-        chunks = -(-n0 // self.chunk_size)
-        if chunks > _MAX_CHUNKS:
-            raise DomainError(
-                f"n0 = {n0} at chunk_size = {self.chunk_size} needs {chunks} chunks, "
-                f"more than the limit of 2**20; raise chunk_size to at least "
-                f"{-(-n0 // _MAX_CHUNKS)}"
-            )
-        return chunks
 
 
 # screen_distance must exceed source_separation by this factor so the

@@ -163,6 +163,14 @@ class TestSimulate:
         assert out_flag_seed == out_flag_again
         assert out_flag_seed != out_config_seed
 
+    def test_n0_at_the_int64_bound_is_simulated(self, write_config, capsys):
+        # 2**63 - 1, the most trials numpy's binomial takes; 2**63 exits 2 (CONFIG_ERRORS)
+        config = EXCITATION.replace("n0 = 10000", f"n0 = {2**63 - 1}")
+        code, out, _ = run_cli(capsys, "simulate", "--config", write_config(config),
+                               "--format", "json")
+        assert code == 0
+        assert sum(json.loads(out)["simulated"].values()) == 2**63 - 1
+
 
 class TestFringes:
     def test_csv_profile(self, write_config, capsys):
@@ -340,6 +348,17 @@ class TestPlumbing:
         assert run_cli(capsys, "simulate", "--config", cfg1, "--out", str(a))[0] == 0
         assert run_cli(capsys, "simulate", "--config", cfg8, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_chunk_size_does_not_change_output(self, write_config, tmp_path, capsys):
+        base = EXCITATION + "\n[simulation]\nseed = 3\n{chunk}"
+        outputs = []
+        for i, chunk in enumerate(["", "chunk_size = 1\n", "chunk_size = 4096\n",
+                                   f"chunk_size = {2**63 - 1}\n"]):
+            out = tmp_path / f"c{i}.csv"
+            config = write_config(base.format(chunk=chunk), f"c{i}.cfg")
+            assert run_cli(capsys, "simulate", "--config", config, "--out", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert len(set(outputs)) == 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -583,7 +602,7 @@ CONFIG_ERRORS = [
     ),
     (
         "simulate",
-        EXCITATION.replace("n0 = 10000", "n0 = 1000000000000000"),
+        EXCITATION.replace("n0 = 10000", f"n0 = {2**63}"),
         "n0",
     ),
     ("predict", HUGE_N0, "n0"),

@@ -143,12 +143,12 @@ GOLDEN = {
     "predict-decay-pos-mu-csv": ("34a8374500404073d899381d8a8f114d229e2d2433706c3fc88fdbbc8a7dc27c", 0),
     "predict-decay-modified_rate-mu-json": ("e51f7a6802440ea44276207395995522db9d584caed708684bd6a83d8f74894d", 0),
     "predict-photon-pos-csv": ("e877a36e82801b0d51a82f6d0c989d27729f7058ce8b32829708273464587987", 0),
-    "simulate-excitation-ccqi-csv": ("6bad43de8db034abe7cac58ffb3051363cad13c230ace97ac2b7eb7dc7fc8b71", 0),
-    "simulate-excitation-pos-json": ("cbd27b2951011eec65a52aebadb62b4e78734725f32277500b36292a36918eec", 0),
-    "simulate-decay-ccqi-mu-csv": ("43b169a0a56e7963053872f574a41956656466a94575fadb3ebe20d46efcb78b", 0),
-    "simulate-decay-modified_rate-mu-json": ("da256d09953fc119c6a85dc0c94bbe50e2ad2994eddd0e06e5c295b005eebb57", 0),
-    "simulate-photon-pos-json": ("75e5a77b05a98f6a4320918f3da2c916d7b35208257e63b490f31961707f9fe3", 0),
-    "simulate-photon-ccqi-csv": ("1b3f54097b4765fff7f50fa6fb430f7b8c59f674cad885541a149dbc4f024d41", 0),
+    "simulate-excitation-ccqi-csv": ("5bc17180ac979748bb8a2685417e07f6b53fa214f5827661f8805db97e9d66db", 0),
+    "simulate-excitation-pos-json": ("6f96b410bf63c094d5b766745135863489ba7c197da4dcc2865c08d32c2fefe1", 0),
+    "simulate-decay-ccqi-mu-csv": ("1fa12ae24ef530583393c66dcf852b23eb4af012c2fd64b7246f9968fa9c6455", 0),
+    "simulate-decay-modified_rate-mu-json": ("85335358c32dbc1904f723b0c350b7362046fa237f157b3ac185541bf2f37512", 0),
+    "simulate-photon-pos-json": ("e3083efe2e1d1e0c53cc90123e6127f465d3ce31bb22737676f6393d058c503a", 0),
+    "simulate-photon-ccqi-csv": ("36c05142844619dfc35a9477de9b42cce05f1518696d65eafd91135ac287001f", 0),
     "fringes-coherent-csv": ("77100498eb2de9b507f585618494870507a8963a28e07e5eaf877f3a669a4b3d", 0),
     "fringes-incoherent-json": ("1f96e883a94151ef407efd82287117a26683c6870947d1aa42e1ca2c5515c403", 0),
     "sectors-demo": ("bc605d2fb7b1bc59126fbec507970591b050fdbda8cb0eaae8dbfb6064f60dcc", 0),

@@ -1,21 +1,19 @@
 import itertools
 import math
-import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from mzsim import montecarlo
-from mzsim.core import DecayParams, ExcitationParams, Hypothesis, PhotonParams
+from mzsim.core import EXPERIMENTS, DecayParams, ExcitationParams, Hypothesis, PhotonParams
 from mzsim.errors import DomainError, UnsupportedHypothesisError
 from mzsim.montecarlo import (
-    _STATE_BLOCK,
     SimConfig,
-    _pcg64_states,
+    _run_state,
     _Sampler,
     _seed_pool,
     chunk_rng,
@@ -60,20 +58,12 @@ class TestSimConfig:
     def test_numpy_integers_become_ints(self):
         cfg = SimConfig(seed=np.uint64(7), chunk_size=np.uint64(5))
         assert cfg == SimConfig(seed=7, chunk_size=5)
-        assert cfg.chunk_count(11) == 3
-
-    def test_chunk_count_is_capped(self):
-        cfg = SimConfig(chunk_size=3)
-        assert cfg.chunk_count(0) == 0
-        assert cfg.chunk_count(3 * 2**20) == 2**20
-        with pytest.raises(DomainError, match="chunk_size"):
-            cfg.chunk_count(3 * 2**20 + 1)
 
     def test_chunk_rng_is_a_pure_function(self):
-        a = chunk_rng(42, 3).random(8)
-        b = chunk_rng(42, 3).random(8)
+        a = chunk_rng(42).random(8)
+        b = chunk_rng(42).random(8)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, chunk_rng(42, 4).random(8))
+        assert not np.array_equal(a, chunk_rng(43).random(8))
 
 
 class TestExcitationSim:
@@ -188,121 +178,21 @@ class TestReproducibility:
         assert all(isinstance(v, int) for v in table.values())
 
     @pytest.mark.parametrize(
-        "simulate, params",
+        "simulate, params, h",
         [
-            (simulate_excitation, ExcitationParams(n0=2**22 + 1, epsilon=0.2, lam=1.0, t=LN2)),
-            (simulate_decay, DecayParams(n0=2**22 + 1, lam=1.0, t1=0.1, t2=0.5, t3=0.1)),
-            (simulate_photon, PhotonParams(n0=2**22 + 1, d=0.5, u=0.5)),
+            (simulate_excitation, ExcitationParams(n0=1, epsilon=0.2, lam=1.0, t=LN2),
+             Hypothesis.CCQI),
+            (simulate_decay, DecayParams(n0=1, lam=1.0, t1=0.1, t2=0.5, t3=0.1, lam_prime=2.0),
+             Hypothesis.MODIFIED_RATE),
+            (simulate_photon, PhotonParams(n0=1, d=0.5, u=0.5), Hypothesis.POS),
         ],
     )
-    def test_more_than_2_to_the_20_chunks_are_refused(self, simulate, params):
-        # 2**20 + 1 chunks of 4; chunks of 5 would need only 838861
-        with pytest.raises(DomainError, match=r"n0.*chunk_size.*at least 5\b"):
-            simulate(params, Hypothesis.POS, SimConfig(chunk_size=4))
-
-
-class TestSubstreams:
-    """Chunk states derived in pure Python equal numpy's per-chunk SeedSequence ones."""
-
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(12345)]
-    # 2**32 - 1 is the widest lane value that chunk_rng accepts
-    INDICES = [0, 1, 4095, 4096, 2**20 - 1, 2**32 - 1]
-
-    @staticmethod
-    def numpy_state(seed, index):
-        state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))).state
-        return state["state"]["state"], state["state"]["inc"]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_seed_sequence(self, seed):
-        for index in self.INDICES:
-            assert next(_pcg64_states(seed, index, index + 1)) == self.numpy_state(seed, index)
-        # a range, in one pass
-        start = 4093
-        expected = [self.numpy_state(seed, i) for i in range(start, start + 6)]
-        assert list(_pcg64_states(seed, start, start + 6)) == expected
-
-    @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), length=st.integers(_STATE_BLOCK + 1, 3 * _STATE_BLOCK),
-           start=st.integers(0, 2**32 - 1))
-    @example(seed=2**64 - 1, length=2 * _STATE_BLOCK + 3, start=2**32 - 1)
-    def test_ranges_across_blocks_match_seed_sequence(self, seed, length, start):
-        # a range of more than one block, starting anywhere, ending at 2**32 at most
-        start = min(start, 2**32 - length)
-        expected = [self.numpy_state(seed, i) for i in range(start, start + length)]
-        assert list(_pcg64_states(seed, start, start + length)) == expected
-
-    def test_chunk_rng_is_the_seed_sequence_generator(self):
-        for seed in (0, 2**64 - 1, np.uint64(5)):
-            ours = chunk_rng(seed, 7).binomial(1000, 0.3, size=16)
-            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-            assert np.array_equal(ours, ref.binomial(1000, 0.3, size=16))
-
-    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**32)])
-    def test_chunk_rng_rejects_out_of_range(self, seed, index):
-        with pytest.raises(DomainError):
-            chunk_rng(seed, index)
-
-    def test_run_of_no_chunks(self):
-        assert list(_pcg64_states(3, 0, 0)) == []
-        p = PhotonParams(n0=0, d=0.5, u=0.5)
-        assert simulate_photon(p, Hypothesis.CCQI, SimConfig(seed=3)).values() == (0, 0, 0)
-
-    def test_memory_does_not_grow_with_the_chunk_count(self):
-        def peak(chunks):
-            tracemalloc.start()
-            try:
-                deque(_pcg64_states(2**64 - 1, 0, chunks), maxlen=0)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        # 2**16 chunks against 2**12; tracemalloc traces every int the block
-        # derivation makes, so these two take ~4 s
-        small, large = peak(2**12), peak(2**16)
-        assert large < 1.1 * small
-
-
-class TestSetupCache:
-    """A run computes each per-(n, p) binomial set-up once."""
-
-    @staticmethod
-    def calls_and_keys(monkeypatch, setup_name, simulate, params, h, chunk_size=4096):
-        # the set-ups are kept per run, so no earlier run or test can have cached one
-        setup = getattr(montecarlo, setup_name)
-        calls = []
-
-        def recording(n, p):
-            calls.append((n, p))
-            return setup(n, p)
-
-        monkeypatch.setattr(montecarlo, setup_name, recording)
-        simulate(params, h, SimConfig(seed=2024, chunk_size=chunk_size))
-        return len(calls), len(set(calls))
-
-    def test_btpe_set_ups_of_a_decay_ccqi_run(self, monkeypatch):
-        # 2442 chunks; the nested draws take n from a window of hundreds of values
-        p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
-        calls, keys = self.calls_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
-                                           Hypothesis.CCQI)
-        assert keys > 300
-        assert calls == keys
-
-    def test_btpe_set_ups_of_large_chunks(self, monkeypatch):
-        # 3000 chunks of 65536: the window of nested n holds over a thousand values
-        p = DecayParams(n0=3000 * 65536, lam=1.0, t1=0.1, t2=0.5, t3=0.1)
-        calls, keys = self.calls_and_keys(monkeypatch, "_btpe_setup", simulate_decay, p,
-                                           Hypothesis.CCQI, chunk_size=65536)
-        assert keys > 1024
-        assert calls == keys
-
-    def test_inversion_set_ups_of_a_small_p_run(self, monkeypatch):
-        # s2 and s3 near 1 reflect to p = 0.002, which inversion draws for every n
-        p = DecayParams(n0=10**7, lam=1.0, t1=0.1, t2=0.002, t3=0.002)
-        calls, keys = self.calls_and_keys(monkeypatch, "_inversion_setup", simulate_decay, p,
-                                           Hypothesis.POS)
-        assert keys > 100
-        assert calls == keys
+    def test_n0_up_to_the_int64_bound(self, simulate, params, h):
+        # numpy's binomial takes at most 2**63 - 1 trials; one more is refused
+        table = simulate(params.replace(n0=2**63 - 1), h, SimConfig(seed=2**64 - 1))
+        assert table.total == 2**63 - 1
+        with pytest.raises(DomainError, match=r"^n0 must be at most 2\*\*63 - 1"):
+            simulate(params.replace(n0=2**63), h)
 
 
 def _numpy_generator(state: int, inc: int) -> np.random.Generator:
@@ -376,7 +266,7 @@ class TestSampler:
             n, p = case
             inc = inc << 1 | 1
             ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
-            # repeats reuse the cached per-(n, p) set-up
+            # four draws in a row on one state
             draws = [(ours.binomial(n, p), ref.binomial(n, p)) for _ in range(4)]
             assert all(a == b for a, b in draws), (n, p, draws)
             assert ours.state == ref.bit_generator.state["state"]["state"]
@@ -431,7 +321,91 @@ class TestSampler:
         assert _Sampler(state, inc).binomial(n, p) == _numpy_generator(state, inc).binomial(n, p)
 
 
-_N0 = 10**6 + 7  # leaves a remainder chunk at both chunk sizes
+_SIMULATE = {"excitation": simulate_excitation, "decay": simulate_decay,
+             "photon": simulate_photon}
+_PAIRS = [(name, h) for name, e in EXPERIMENTS.items() for h in e.hypotheses]
+_N0S = st.integers(1, _INT64_MAX) | st.integers(1, 10**6)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=5.0)
+_PARAMS = {
+    "excitation": st.builds(ExcitationParams, n0=_N0S, epsilon=_UNIT, lam=_NONNEGATIVE,
+                            t=_NONNEGATIVE),
+    # lam > 0, so that a purity below 1 folds into a finite t1
+    "decay": st.builds(DecayParams, n0=_N0S, lam=st.floats(min_value=0.01, max_value=5.0),
+                       t1=_NONNEGATIVE, t2=_NONNEGATIVE, t3=_NONNEGATIVE,
+                       lam_prime=_NONNEGATIVE,
+                       mu=st.just(1.0) | st.floats(min_value=0.05, max_value=1.0)),
+    "photon": st.builds(PhotonParams, n0=_N0S, d=_UNIT, u=_UNIT),
+}
+
+
+def _numpy_chain(name, params, h, seed):
+    """A run's tallies drawn by numpy: each experiment's branch chain, depth
+    first, on one ``np.random.default_rng(seed)``."""
+    draw = np.random.default_rng(seed).binomial
+    n0 = params.n0
+    if name == "excitation":
+        excited = draw(n0, params.epsilon)
+        alive = draw(excited, math.exp(-params.lam * params.t))
+        nb2 = draw(alive, 0.5) if h is Hypothesis.CCQI else 0
+        nb1 = draw(excited - alive, 0.5) if h is Hypothesis.CCQI else 0
+        counts = (n0 - alive - nb1, alive - nb2, nb1, nb2)
+    elif name == "decay":
+        p = params.with_purity_folded()
+        in_arm = p.lam_prime if h is Hypothesis.MODIFIED_RATE else p.lam
+        entered = draw(n0, math.exp(-p.lam * p.t1))
+        left = draw(entered, math.exp(-in_arm * p.t2))
+        na2 = draw(left, math.exp(-p.lam * p.t3))
+        nb1 = draw(entered - left, 0.5) if h is Hypothesis.CCQI else 0
+        counts = (n0 - na2 - nb1, na2, nb1, 0)
+    elif h is Hypothesis.POS:
+        recombined = draw(n0, params.u * params.d)
+        lost = draw(n0 - recombined, 0.5)
+        counter1 = recombined + draw(n0 - recombined - lost, 0.5)
+        counts = (counter1, n0 - counter1 - lost, lost)
+    else:
+        device = draw(n0, 0.5)
+        lost = device - draw(device, params.u * params.d)
+        # photon CCQI's merge node: both arms' survivors meet the exit splitter
+        counter1 = draw(n0 - lost, 0.5)
+        counts = (counter1, n0 - counter1 - lost, lost)
+    return tuple(map(int, counts))
+
+
+class TestRunStream:
+    """A run draws its branches, depth first, from ``np.random.default_rng(seed)``'s state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    def test_run_state_is_default_rng_s(self, seed):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert _run_state(seed) == (state["state"], state["inc"])
+
+    def test_chunk_rng_is_default_rng(self):
+        for seed in (0, 2**64 - 1, np.uint64(5)):
+            ours = chunk_rng(seed).binomial(1000, 0.3, size=16)
+            assert np.array_equal(ours, np.random.default_rng(seed).binomial(1000, 0.3, size=16))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_chunk_rng_rejects_out_of_range(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            chunk_rng(seed)
+
+    def test_run_of_no_particles(self):
+        p = PhotonParams(n0=0, d=0.5, u=0.5)
+        assert simulate_photon(p, Hypothesis.CCQI, SimConfig(seed=3)).values() == (0, 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("name, h", _PAIRS, ids=lambda x: getattr(x, "name", x))
+    def test_tallies_are_the_numpy_chain(self, name, h, seed):
+        @settings(max_examples=60, deadline=None)
+        @given(params=_PARAMS[name], chunk_size=st.integers(1, _INT64_MAX))
+        def check(params, chunk_size):
+            table = _SIMULATE[name](params, h, SimConfig(seed=seed, chunk_size=chunk_size))
+            assert table.values() == _numpy_chain(name, params, h, seed)
+
+        check()
+
+
+_N0 = 10**6 + 7
 _GOLDEN_PARAMS = {
     "excitation": (simulate_excitation, ExcitationParams(n0=_N0, epsilon=0.2, lam=1.0, t=LN2)),
     "decay": (
@@ -440,152 +414,47 @@ _GOLDEN_PARAMS = {
     ),
     "photon": (simulate_photon, PhotonParams(n0=_N0, d=0.5, u=0.8)),
 }
-# tallies of the count-level sampler on its per-chunk SeedSequence substreams
+# tallies of the count-level sampler on the state of default_rng(seed); the chunk
+# size is ignored, so both chunk sizes pin the same tallies
 _GOLDEN = {
-    ("excitation", "POS", 4096, 0): (900338, 99669, 0, 0),
-    ("excitation", "POS", 4096, 2**64 - 1): (899761, 100246, 0, 0),
-    ("excitation", "POS", 65536, 0): (899475, 100532, 0, 0),
-    ("excitation", "POS", 65536, 2**64 - 1): (900006, 100001, 0, 0),
-    ("excitation", "CCQI", 4096, 0): (850618, 49749, 49720, 49920),
-    ("excitation", "CCQI", 4096, 2**64 - 1): (849597, 49880, 50164, 50366),
-    ("excitation", "CCQI", 65536, 0): (849304, 50239, 50171, 50293),
-    ("excitation", "CCQI", 65536, 2**64 - 1): (849900, 49803, 50106, 50198),
-    ("decay", "POS", 4096, 0): (503385, 496622, 0, 0),
-    ("decay", "POS", 4096, 2**64 - 1): (503658, 496349, 0, 0),
-    ("decay", "POS", 65536, 0): (504456, 495551, 0, 0),
-    ("decay", "POS", 65536, 2**64 - 1): (503555, 496452, 0, 0),
-    ("decay", "CCQI", 4096, 0): (324961, 496622, 178424, 0),
-    ("decay", "CCQI", 4096, 2**64 - 1): (325094, 496349, 178564, 0),
-    ("decay", "CCQI", 65536, 0): (325837, 495551, 178619, 0),
-    ("decay", "CCQI", 65536, 2**64 - 1): (326026, 496452, 177529, 0),
-    ("decay", "MODIFIED_RATE", 4096, 0): (698378, 301629, 0, 0),
-    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (699043, 300964, 0, 0),
-    ("decay", "MODIFIED_RATE", 65536, 0): (698307, 301700, 0, 0),
-    ("decay", "MODIFIED_RATE", 65536, 2**64 - 1): (699492, 300515, 0, 0),
-    ("photon", "POS", 4096, 0): (549048, 150151, 300808),
-    ("photon", "POS", 4096, 2**64 - 1): (551058, 149345, 299604),
-    ("photon", "POS", 65536, 0): (550235, 149587, 300185),
-    ("photon", "POS", 65536, 2**64 - 1): (550775, 149680, 299552),
-    ("photon", "CCQI", 4096, 0): (350611, 350183, 299213),
-    ("photon", "CCQI", 4096, 2**64 - 1): (350558, 349011, 300438),
-    ("photon", "CCQI", 65536, 0): (350075, 349997, 299935),
-    ("photon", "CCQI", 65536, 2**64 - 1): (350288, 349249, 300470),
+    ("excitation", "POS", 4096, 0): (899737, 100270, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (900414, 99593, 0, 0),
+    ("excitation", "POS", 65536, 0): (899737, 100270, 0, 0),
+    ("excitation", "POS", 65536, 2**64 - 1): (900414, 99593, 0, 0),
+    ("excitation", "CCQI", 4096, 0): (849694, 50109, 50043, 50161),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (849979, 49847, 50435, 49746),
+    ("excitation", "CCQI", 65536, 0): (849694, 50109, 50043, 50161),
+    ("excitation", "CCQI", 65536, 2**64 - 1): (849979, 49847, 50435, 49746),
+    ("decay", "POS", 4096, 0): (503689, 496318, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (502553, 497454, 0, 0),
+    ("decay", "POS", 65536, 0): (503689, 496318, 0, 0),
+    ("decay", "POS", 65536, 2**64 - 1): (502553, 497454, 0, 0),
+    ("decay", "CCQI", 4096, 0): (325868, 496318, 177821, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (324606, 497454, 177947, 0),
+    ("decay", "CCQI", 65536, 0): (325868, 496318, 177821, 0),
+    ("decay", "CCQI", 65536, 2**64 - 1): (324606, 497454, 177947, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (698926, 301081, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (699572, 300435, 0, 0),
+    ("decay", "MODIFIED_RATE", 65536, 0): (698926, 301081, 0, 0),
+    ("decay", "MODIFIED_RATE", 65536, 2**64 - 1): (699572, 300435, 0, 0),
+    ("photon", "POS", 4096, 0): (550493, 149787, 299727),
+    ("photon", "POS", 4096, 2**64 - 1): (550334, 150450, 299223),
+    ("photon", "POS", 65536, 0): (550493, 149787, 299727),
+    ("photon", "POS", 65536, 2**64 - 1): (550334, 150450, 299223),
+    ("photon", "CCQI", 4096, 0): (349897, 349760, 300350),
+    ("photon", "CCQI", 4096, 2**64 - 1): (349514, 349785, 300708),
+    ("photon", "CCQI", 65536, 0): (349897, 349760, 300350),
+    ("photon", "CCQI", 65536, 2**64 - 1): (349514, 349785, 300708),
 }
 
 
 @pytest.mark.parametrize("key", list(_GOLDEN), ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
 def test_golden_stream(key):
-    """The sample stream is pinned: same (seed, chunk_size, parameters), same tallies."""
+    """The sample stream is pinned: same (seed, parameters), same tallies."""
     name, hypothesis, chunk_size, seed = key
     simulate, params = _GOLDEN_PARAMS[name]
     cfg = SimConfig(seed=seed, chunk_size=chunk_size)
     assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN[key]
-
-
-# runs of several state blocks that end in a remainder chunk: 733 chunks of 4096
-# and 3001 chunks of 100
-_BLOCK_RUNS = {4096: 3 * 10**6 + 7, 100: 3 * 10**5 + 7}
-_GOLDEN_BLOCKS = {
-    ("excitation", "POS", 4096, 0): (2700758, 299249, 0, 0),
-    ("excitation", "POS", 4096, 2**64 - 1): (2699716, 300291, 0, 0),
-    ("excitation", "POS", 100, 0): (269745, 30262, 0, 0),
-    ("excitation", "POS", 100, 2**64 - 1): (269946, 30061, 0, 0),
-    ("excitation", "CCQI", 4096, 0): (2551278, 149529, 149480, 149720),
-    ("excitation", "CCQI", 4096, 2**64 - 1): (2549653, 149833, 150063, 150458),
-    ("excitation", "CCQI", 100, 0): (254776, 15068, 14969, 15194),
-    ("excitation", "CCQI", 100, 2**64 - 1): (254908, 15034, 15038, 15027),
-    ("decay", "POS", 4096, 0): (1508911, 1491096, 0, 0),
-    ("decay", "POS", 4096, 2**64 - 1): (1509559, 1490448, 0, 0),
-    ("decay", "POS", 100, 0): (151192, 148815, 0, 0),
-    ("decay", "POS", 100, 2**64 - 1): (151105, 148902, 0, 0),
-    ("decay", "CCQI", 4096, 0): (974014, 1491096, 534897, 0),
-    ("decay", "CCQI", 4096, 2**64 - 1): (975783, 1490448, 533776, 0),
-    ("decay", "CCQI", 100, 0): (97671, 148815, 53521, 0),
-    ("decay", "CCQI", 100, 2**64 - 1): (97676, 148902, 53429, 0),
-    ("decay", "MODIFIED_RATE", 4096, 0): (2096312, 903695, 0, 0),
-    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2096890, 903117, 0, 0),
-    ("decay", "MODIFIED_RATE", 100, 0): (209563, 90444, 0, 0),
-    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (210005, 90002, 0, 0),
-    ("photon", "POS", 4096, 0): (1648409, 450858, 900740),
-    ("photon", "POS", 4096, 2**64 - 1): (1650497, 450007, 899503),
-    ("photon", "POS", 100, 0): (165014, 44537, 90456),
-    ("photon", "POS", 100, 2**64 - 1): (164998, 44954, 90055),
-    ("photon", "CCQI", 4096, 0): (1050205, 1050819, 898983),
-    ("photon", "CCQI", 4096, 2**64 - 1): (1050298, 1049355, 900354),
-    ("photon", "CCQI", 100, 0): (104669, 105150, 90188),
-    ("photon", "CCQI", 100, 2**64 - 1): (104906, 104840, 90261),
-}
-
-
-@pytest.mark.parametrize("key", list(_GOLDEN_BLOCKS),
-                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
-def test_golden_stream_across_state_blocks(key):
-    """Runs whose chunk states span several derivation blocks keep their tallies."""
-    name, hypothesis, chunk_size, seed = key
-    simulate, params = _GOLDEN_PARAMS[name]
-    params = params.replace(n0=_BLOCK_RUNS[chunk_size])
-    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
-    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_BLOCKS[key]
-
-
-# the edges of the chunk loop: 1024 chunks of 100 (two full state blocks, no
-# remainder), one partial chunk of 3000 below 4096, and 600 chunks of one event
-_EDGE_RUNS = {100: 1024 * 100, 4096: 3000, 1: 600}
-_GOLDEN_EDGES = {
-    ("excitation", "POS", 100, 0): (92240, 10160, 0, 0),
-    ("excitation", "POS", 100, 2**64 - 1): (92068, 10332, 0, 0),
-    ("excitation", "POS", 4096, 0): (2741, 259, 0, 0),
-    ("excitation", "POS", 4096, 2**64 - 1): (2690, 310, 0, 0),
-    ("excitation", "POS", 1, 0): (547, 53, 0, 0),
-    ("excitation", "POS", 1, 2**64 - 1): (541, 59, 0, 0),
-    ("excitation", "CCQI", 100, 0): (87131, 5054, 5109, 5106),
-    ("excitation", "CCQI", 100, 2**64 - 1): (86923, 5239, 5145, 5093),
-    ("excitation", "CCQI", 4096, 0): (2611, 128, 130, 131),
-    ("excitation", "CCQI", 4096, 2**64 - 1): (2541, 146, 149, 164),
-    ("excitation", "CCQI", 1, 0): (511, 28, 36, 25),
-    ("excitation", "CCQI", 1, 2**64 - 1): (517, 23, 24, 36),
-    ("decay", "POS", 100, 0): (51375, 51025, 0, 0),
-    ("decay", "POS", 100, 2**64 - 1): (51729, 50671, 0, 0),
-    ("decay", "POS", 4096, 0): (1530, 1470, 0, 0),
-    ("decay", "POS", 4096, 2**64 - 1): (1528, 1472, 0, 0),
-    ("decay", "POS", 1, 0): (289, 311, 0, 0),
-    ("decay", "POS", 1, 2**64 - 1): (326, 274, 0, 0),
-    ("decay", "CCQI", 100, 0): (33293, 51025, 18082, 0),
-    ("decay", "CCQI", 100, 2**64 - 1): (33452, 50671, 18277, 0),
-    ("decay", "CCQI", 4096, 0): (990, 1470, 540, 0),
-    ("decay", "CCQI", 4096, 2**64 - 1): (1005, 1472, 523, 0),
-    ("decay", "CCQI", 1, 0): (184, 311, 105, 0),
-    ("decay", "CCQI", 1, 2**64 - 1): (216, 274, 110, 0),
-    ("decay", "MODIFIED_RATE", 100, 0): (71567, 30833, 0, 0),
-    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (71633, 30767, 0, 0),
-    ("decay", "MODIFIED_RATE", 4096, 0): (2043, 957, 0, 0),
-    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2109, 891, 0, 0),
-    ("decay", "MODIFIED_RATE", 1, 0): (436, 164, 0, 0),
-    ("decay", "MODIFIED_RATE", 1, 2**64 - 1): (399, 201, 0, 0),
-    ("photon", "POS", 100, 0): (56534, 15226, 30640),
-    ("photon", "POS", 100, 2**64 - 1): (56279, 15258, 30863),
-    ("photon", "POS", 4096, 0): (1710, 459, 831),
-    ("photon", "POS", 4096, 2**64 - 1): (1676, 432, 892),
-    ("photon", "POS", 1, 0): (327, 91, 182),
-    ("photon", "POS", 1, 2**64 - 1): (302, 88, 210),
-    ("photon", "CCQI", 100, 0): (35625, 35854, 30921),
-    ("photon", "CCQI", 100, 2**64 - 1): (35844, 35717, 30839),
-    ("photon", "CCQI", 4096, 0): (1014, 1019, 967),
-    ("photon", "CCQI", 4096, 2**64 - 1): (1064, 1026, 910),
-    ("photon", "CCQI", 1, 0): (208, 224, 168),
-    ("photon", "CCQI", 1, 2**64 - 1): (238, 201, 161),
-}
-
-
-@pytest.mark.parametrize("key", list(_GOLDEN_EDGES),
-                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
-def test_golden_stream_at_the_chunk_loop_edges(key):
-    """Runs without a remainder chunk, of one partial chunk, or of one-event chunks."""
-    name, hypothesis, chunk_size, seed = key
-    simulate, params = _GOLDEN_PARAMS[name]
-    params = params.replace(n0=_EDGE_RUNS[chunk_size])
-    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
-    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_EDGES[key]
 
 
 JOINT_SEEDS = 3000
@@ -614,7 +483,7 @@ class TestJointLaw:
         ],
     )
     def test_tables_follow_the_multinomial_pmf(self, simulate, predict, params, h):
-        # n0 = 3 with chunk_size = 2 crosses a chunk boundary in every run
+        # chunk_size is ignored: every run draws n0 = 3 from its seed's one state
         n0 = params.n0
         probs = np.array(predict(params, h).values()) / n0
         seen = Counter(

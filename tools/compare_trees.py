@@ -19,11 +19,11 @@ pattern, or a value out of range), drawn from a third generator, seeded
 with ``"S defects"``, so they do not move the other configurations a
 seed draws.  The refusals' stderr is compared as well.
 A ``simulate`` request draws ``n0`` log-uniform below 10**6 and a
-chunk size of 999, 4096, 65536 or 10**6; a fifth of them are moved to
-an edge of the chunk loop (``EDGE_SHARE``) by a fourth generator,
-seeded with ``"S edges"``: half get an ``n0`` that is an exact multiple
-of the chunk size, of one chunk to past two 512-chunk state blocks, and
-half chunks of 1 to 8 events with ``n0`` up to 3000.
+chunk size of 999, 4096, 65536 or 10**6; a fifth of them get an
+``n0`` at an edge of the sampler (``EDGE_SHARE``, ``N0_EDGES``) from a
+fourth generator, seeded with ``"S edges"``: 0, 1, log-uniform up to
+2**63 - 1, 2**63 - 1 itself (the most trials numpy's binomial takes),
+or 2**63, which is refused.
 A ``fringes`` profile has 1000 to 10**4 points, uniform, or 2 to 10**4,
 log-uniform, each half the time, over a window of up to about 500
 fringe periods.
@@ -93,10 +93,10 @@ DEFECTS = {
     "h0": lambda ncat: ["pos"],
     "seed": lambda ncat: ["3"],
 }
-# the share of simulate requests moved to an edge of the chunk loop, and the
-# chunk counts drawn for an n0 that is an exact multiple of the chunk size
+# the share of simulate requests given an n0 at an edge of the sampler, and the
+# edges: None stands for log-uniform up to the int64 bound 2**63 - 1
 EDGE_SHARE = 0.2
-EDGE_CHUNKS = (1, 2, 3, 511, 512, 513, 1024, 1025)
+N0_EDGES = (0, 1, None, 2**63 - 1, 2**63)
 # bad values per key of the other record-backed sections; a key the section
 # lacks is added only to [simulation], whose keys all have defaults
 SECTION_DEFECTS = {
@@ -249,15 +249,13 @@ def _add_defect(rng, sections) -> None:
     entries[key] = rng.choice(SECTION_DEFECTS[name][key])
 
 
-def _add_edge(rng, experiment: dict, simulation: dict) -> None:
-    """One time in five, move a simulate request to an edge of the chunk loop."""
+def _add_edge(rng, experiment: dict) -> None:
+    """One time in five, move a simulate request's ``n0`` to an edge of the sampler."""
     if rng.random() >= EDGE_SHARE:
         return
-    if rng.random() < 0.5:
-        experiment["n0"] = simulation["chunk_size"] * rng.choice(EDGE_CHUNKS)
-    else:
-        simulation["chunk_size"] = rng.randint(1, 8)
-        experiment["n0"] = rng.randint(0, 3000)
+    n0 = rng.choice(N0_EDGES)
+    # exp(log(2**63 - 1)) rounds up to 2**63
+    experiment["n0"] = min(_log_uniform_int(rng, 1, 2**63 - 1), 2**63 - 1) if n0 is None else n0
 
 
 def requests(seed: int, count: int):
@@ -292,7 +290,7 @@ def requests(seed: int, count: int):
             if command == "simulate":
                 sections["simulation"] = {"seed": rng.randrange(2**64),
                                           "chunk_size": rng.choice([999, 4096, 65536, 10**6])}
-                _add_edge(edge_rng, e, sections["simulation"])
+                _add_edge(edge_rng, e)
             elif command in ("discriminate", "plan"):
                 sections["stats"] = _stats(rng, command, e)
                 sections["simulation"] = {"seed": rng.randrange(2**32)}
