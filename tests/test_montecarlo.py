@@ -457,6 +457,115 @@ def test_golden_stream(key):
     assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN[key]
 
 
+# larger and smaller runs at the chunk sizes that once split them into several
+# PCG64 state blocks (733 chunks of 4096, 3001 of 100); the chunk size is now
+# ignored, so these pin the one-tree stream at those n0
+_BLOCK_RUNS = {4096: 3 * 10**6 + 7, 100: 3 * 10**5 + 7}
+_GOLDEN_BLOCKS = {
+    ("excitation", "POS", 4096, 0): (2699539, 300468, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (2700715, 299292, 0, 0),
+    ("excitation", "POS", 100, 0): (269859, 30148, 0, 0),
+    ("excitation", "POS", 100, 2**64 - 1): (270229, 29778, 0, 0),
+    ("excitation", "CCQI", 4096, 0): (2549466, 150190, 150073, 150278),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (2549960, 149735, 150755, 149557),
+    ("excitation", "CCQI", 100, 0): (254835, 15060, 15024, 15088),
+    ("excitation", "CCQI", 100, 2**64 - 1): (254991, 14917, 15238, 14861),
+    ("decay", "POS", 4096, 0): (1510719, 1489288, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (1508747, 1491260, 0, 0),
+    ("decay", "POS", 100, 0): (151176, 148831, 0, 0),
+    ("decay", "POS", 100, 2**64 - 1): (150556, 149451, 0, 0),
+    ("decay", "CCQI", 4096, 0): (977015, 1489288, 533704, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (974823, 1491260, 533924, 0),
+    ("decay", "CCQI", 100, 0): (97876, 148831, 53300, 0),
+    ("decay", "CCQI", 100, 2**64 - 1): (97187, 149451, 53369, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (2096621, 903386, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2097743, 902264, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 0): (209710, 90297, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (210063, 89944, 0, 0),
+    ("photon", "POS", 4096, 0): (1650853, 449630, 899524),
+    ("photon", "POS", 4096, 2**64 - 1): (1650577, 450780, 898650),
+    ("photon", "POS", 100, 0): (165272, 44884, 89851),
+    ("photon", "POS", 100, 2**64 - 1): (165185, 45246, 89576),
+    ("photon", "CCQI", 4096, 0): (1049818, 1049583, 900606),
+    ("photon", "CCQI", 4096, 2**64 - 1): (1049155, 1049624, 901228),
+    ("photon", "CCQI", 100, 0): (104945, 104870, 90192),
+    ("photon", "CCQI", 100, 2**64 - 1): (104736, 104883, 90388),
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_BLOCKS),
+                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
+def test_golden_stream_across_state_blocks(key):
+    """Runs that once spanned several state blocks keep their one-tree tallies."""
+    name, hypothesis, chunk_size, seed = key
+    simulate, params = _GOLDEN_PARAMS[name]
+    params = params.replace(n0=_BLOCK_RUNS[chunk_size])
+    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
+    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_BLOCKS[key]
+
+
+# the runs that once sat at the chunk loop's edges: 1024 full chunks of 100, one
+# partial chunk of 3000 below 4096, and 600 chunks of one event; each is now one
+# tree whatever its chunk size
+_EDGE_RUNS = {100: 1024 * 100, 4096: 3000, 1: 600}
+_GOLDEN_EDGES = {
+    ("excitation", "POS", 100, 0): (92074, 10326, 0, 0),
+    ("excitation", "POS", 100, 2**64 - 1): (92289, 10111, 0, 0),
+    ("excitation", "POS", 4096, 0): (2685, 315, 0, 0),
+    ("excitation", "POS", 4096, 2**64 - 1): (2719, 281, 0, 0),
+    ("excitation", "POS", 1, 0): (544, 56, 0, 0),
+    ("excitation", "POS", 1, 2**64 - 1): (547, 53, 0, 0),
+    ("excitation", "CCQI", 100, 0): (86940, 5154, 5134, 5172),
+    ("excitation", "CCQI", 100, 2**64 - 1): (87030, 5071, 5259, 5040),
+    ("excitation", "CCQI", 4096, 0): (2529, 152, 156, 163),
+    ("excitation", "CCQI", 4096, 2**64 - 1): (2543, 142, 176, 139),
+    ("excitation", "CCQI", 1, 0): (512, 25, 32, 31),
+    ("excitation", "CCQI", 1, 2**64 - 1): (524, 26, 23, 27),
+    ("decay", "POS", 100, 0): (51636, 50764, 0, 0),
+    ("decay", "POS", 100, 2**64 - 1): (51274, 51126, 0, 0),
+    ("decay", "POS", 4096, 0): (1523, 1477, 0, 0),
+    ("decay", "POS", 4096, 2**64 - 1): (1505, 1495, 0, 0),
+    ("decay", "POS", 1, 0): (312, 288, 0, 0),
+    ("decay", "POS", 1, 2**64 - 1): (303, 297, 0, 0),
+    ("decay", "CCQI", 100, 0): (33468, 50764, 18168, 0),
+    ("decay", "CCQI", 100, 2**64 - 1): (33067, 51126, 18207, 0),
+    ("decay", "CCQI", 4096, 0): (994, 1477, 529, 0),
+    ("decay", "CCQI", 4096, 2**64 - 1): (945, 1495, 560, 0),
+    ("decay", "CCQI", 1, 0): (202, 288, 110, 0),
+    ("decay", "CCQI", 1, 2**64 - 1): (199, 297, 104, 0),
+    ("decay", "MODIFIED_RATE", 100, 0): (71595, 30805, 0, 0),
+    ("decay", "MODIFIED_RATE", 100, 2**64 - 1): (71800, 30600, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 0): (2111, 889, 0, 0),
+    ("decay", "MODIFIED_RATE", 4096, 2**64 - 1): (2081, 919, 0, 0),
+    ("decay", "MODIFIED_RATE", 1, 0): (416, 184, 0, 0),
+    ("decay", "MODIFIED_RATE", 1, 2**64 - 1): (419, 181, 0, 0),
+    ("photon", "POS", 100, 0): (56476, 15292, 30632),
+    ("photon", "POS", 100, 2**64 - 1): (56425, 15502, 30473),
+    ("photon", "POS", 4096, 0): (1679, 436, 885),
+    ("photon", "POS", 4096, 2**64 - 1): (1669, 472, 859),
+    ("photon", "POS", 1, 0): (349, 78, 173),
+    ("photon", "POS", 1, 2**64 - 1): (306, 105, 189),
+    ("photon", "CCQI", 100, 0): (35807, 35762, 30831),
+    ("photon", "CCQI", 100, 2**64 - 1): (35685, 35770, 30945),
+    ("photon", "CCQI", 4096, 0): (1046, 1036, 918),
+    ("photon", "CCQI", 4096, 2**64 - 1): (1025, 1038, 937),
+    ("photon", "CCQI", 1, 0): (210, 201, 189),
+    ("photon", "CCQI", 1, 2**64 - 1): (231, 201, 168),
+}
+
+
+@pytest.mark.parametrize("key", list(_GOLDEN_EDGES),
+                         ids=lambda k: "-".join(map(str, k[:3])) + f"-{k[3]:x}")
+def test_golden_stream_at_the_chunk_loop_edges(key):
+    """Runs of n0 = 102400, 3000 and 600 keep their one-tree tallies, even with
+    a chunk size of one event."""
+    name, hypothesis, chunk_size, seed = key
+    simulate, params = _GOLDEN_PARAMS[name]
+    params = params.replace(n0=_EDGE_RUNS[chunk_size])
+    cfg = SimConfig(seed=seed, chunk_size=chunk_size)
+    assert simulate(params, Hypothesis[hypothesis], cfg).values() == _GOLDEN_EDGES[key]
+
+
 JOINT_SEEDS = 3000
 _EXC = ExcitationParams(n0=3, epsilon=0.9, lam=1.0, t=2 * LN2)
 _DEC = DecayParams(n0=3, lam=1.0, t1=0.1, t2=1.5, t3=0.1, lam_prime=0.5)
