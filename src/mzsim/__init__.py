@@ -36,7 +36,8 @@ matrices as Python complex numbers and loads numpy only for their
 builders, and ``stats`` loads it only for a
 ``CategoryModel.probabilities`` array and for its seeded simulations.
 So of the CLI's requests only ``plan`` with ``method = simulation`` and
-the seeded tests above ``stats.ROW_CAP`` import numpy.
+the seeded tests above ``stats.ROW_CAP`` import numpy.  None imports
+:mod:`json`: :mod:`mzsim.cli` writes its JSON itself.
 """
 
 import importlib.util

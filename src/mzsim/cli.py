@@ -37,9 +37,10 @@ value provokes downstream), 3 runtime error: identical models, a
 search cap, or an I/O failure.  A
 configuration error names the config key (``lambda``), also where the
 message comes from a parameter record's field (``lam``).  Data
-goes to stdout or ``--out``; diagnostics go to stderr.  Floats are
-emitted with 17 significant digits so identical configurations yield
-byte-identical output.
+goes to stdout or ``--out``; diagnostics go to stderr.  CSV writes
+floats with 17 significant digits, and JSON with Python's shortest
+round-trip ``repr``, as ``json.dumps`` does, so identical
+configurations yield byte-identical output.
 
 Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`: they
 build their models with ``stats.build_model`` and call
@@ -56,7 +57,10 @@ and :mod:`~mzsim.sectors` compute in pure Python, so only ``plan`` with
 ``method = simulation`` and the seeded tests above ``ROW_CAP`` load numpy.
 The package binds those layers, :mod:`~mzsim.montecarlo` and
 :mod:`~mzsim.stats` lazily, and this module calls them through their
-module objects.
+module objects.  This module writes its JSON reports itself, byte for
+byte what ``json.dumps`` writes, so no request loads :mod:`json`; and
+the exact engine keeps its binomial tails in lists, so ``discriminate``
+and ``plan`` below ``ROW_CAP`` load no :mod:`array` either.
 """
 
 import math
@@ -102,9 +106,55 @@ def _csv(header: tuple[str, ...], rows) -> str:
 
 
 def _json(payload) -> str:
-    import json  # loaded only by a request that writes JSON
+    """``json.dumps(payload, allow_nan=False) + "\\n"``, byte for byte, for a
+    payload of dicts with str keys, lists, tuples, strings, numbers, bools
+    and None, without importing json, which takes longer than the writing.
 
-    return json.dumps(payload, allow_nan=False) + "\n"
+    The parts are joined once, as json joins its chunks, so a fringes
+    profile is held at most twice while it is written.
+    """
+    parts = []
+    _json_parts(payload, parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_parts(v, write) -> None:
+    if isinstance(v, str):
+        if v.isascii() and v.isprintable() and '"' not in v and "\\" not in v:
+            write('"' + v + '"')
+        else:  # a string json escapes, which no report holds
+            import json
+
+            write(json.dumps(v))
+    elif v is None or isinstance(v, bool):
+        write("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        write(int.__repr__(v))
+    elif isinstance(v, float) or isinstance(v, (list, tuple)) and {*map(type, v)} <= {float}:
+        # a list of floats only, such as a fringes profile, is list.__repr__'s text
+        text = float.__repr__(v) if isinstance(v, float) else repr(list(v))
+        if "n" in text:  # inf or nan: no finite float's repr holds an n
+            raise ValueError("Out of range float values are not JSON compliant")
+        write(text)
+    elif isinstance(v, (list, tuple)):
+        sep = "["
+        for item in v:
+            write(sep)
+            _json_parts(item, write)
+            sep = ", "
+        write("]")  # an empty list holds no non-float
+    elif isinstance(v, dict):
+        sep = "{"
+        for key, item in v.items():
+            write(sep)
+            _json_parts(key, write)
+            write(": ")
+            _json_parts(item, write)
+            sep = ", "
+        write("}" if v else "{}")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _finite(x: float):

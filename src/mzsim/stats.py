@@ -45,7 +45,8 @@ the rows whose mass is at least ``2**-64`` of the largest.  What lies
 outside is bounded, and summed as well wherever the bound could move
 the answer by more than about ``2**-52`` of it.
 
-This module imports no numpy.  :class:`CategoryModel` keeps plain
+This module imports no numpy, and no array: the binomial tables are
+lists.  :class:`CategoryModel` keeps plain
 floats, and numpy loads only on the first read of its
 ``probabilities`` array and in the seeded simulations: a test or probe
 above ``ROW_CAP``, and ``method = "simulation"``.  The category
@@ -57,7 +58,6 @@ numpy sums vectors of fewer than eight values.
 
 import math
 import numbers
-from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cached_property
@@ -355,12 +355,13 @@ def _pooled(p, groups) -> list[float]:
     return sums
 
 
-def _size(n: int, p0, p1) -> int:
+def _size(n: int, p0, p1, groups=None) -> int:
     """Size of ``RowTest(n, p0, p1)``, its rows times ``isqrt(n) + 1``.
 
-    The rows are the outcomes of all its cells but two.
+    The rows are the outcomes of all its cells but two.  ``groups``,
+    if given, are the pooled cells, ``_pooled_cells(n, p0, p1)``.
     """
-    groups = _pooled_cells(n, p0, p1)
+    groups = _pooled_cells(n, p0, p1) if groups is None else groups
     finite = sum(a > 0 and b > 0 for a, b in zip(_pooled(p0, groups), _pooled(p1, groups)))
     outer = max(finite - 2, 0)
     return math.comb(n + outer, outer) * (math.isqrt(n) + 1)
@@ -373,7 +374,7 @@ class _Binomial:
     r / (1 - r)`` up and its inverse down while the terms stay at least
     ``2**-64``, and is scaled to sum to 1, so a tail's rounding grows
     with its steps from the mode, not with ``m``.  Below the window a
-    tail is the whole table; above it :meth:`tail_sum` bounds the tail by
+    tail is the whole table; above it :meth:`total` bounds the tail by
     the table's last one and, where the bound could move the total, sums
     it term by term, stepping on from the first term past the window.
     """
@@ -381,15 +382,18 @@ class _Binomial:
     def __init__(self, r: float):
         self.r = r
         self._odds = r / (1.0 - r) if r < 1.0 else math.inf
+        # log r and log(1 - r); r is positive, as the share of a cell possible under both
+        self._logs = (math.log(r), math.log1p(-r)) if r < 1.0 else None
         self._tables = {}
         self._past = {}  # m: (hi + 1, the scaled pmf there) for a window that stops below m
 
     def log_pmf(self, m: int, x: int) -> float:
-        r, lgamma = self.r, math.lgamma
-        if r == 1.0:
+        if self._logs is None:  # r = 1
             return 0.0 if x == m else -math.inf
+        log_r, log_s = self._logs
+        lgamma = math.lgamma
         return (lgamma(m + 1) - lgamma(x + 1) - lgamma(m - x + 1)
-                + x * math.log(r) + (m - x) * math.log1p(-r))
+                + x * log_r + (m - x) * log_s)
 
     def table(self, m: int):
         """``(lo, tails)``: ``tails[i]`` is P(X >= lo + i) for the counts
@@ -416,7 +420,7 @@ class _Binomial:
             if past is not None:
                 above = self.upper(m, past, term)
                 self._past[m] = (past, term / total)
-            tails = array("d", accumulate((p / total for p in pmf), initial=above / total))
+            tails = [*accumulate((p / total for p in pmf), initial=above / total)]
             tails.reverse()
             table = self._tables[m] = (mode + 1 - len(down), tails)
         return table
@@ -434,17 +438,10 @@ class _Binomial:
             x += 1
         return total
 
-    def tail_sum(self, cuts) -> float:
-        """``sum(mass * P(X >= x))`` over ``(mass, m, x)``, to about 2**-52 relative;
-        under h1 at the cuts of the null's critical statistic, it is the power."""
-        terms, late = [], []
-        for mass, m, x in cuts:
-            lo, tails = self.table(m)
-            i = x - lo
-            if i < len(tails):
-                terms.append(mass * tails[i if i > 0 else 0])
-            elif x <= m:
-                late.append((mass, m, x, mass * tails[-1]))
+    def total(self, terms, late) -> float:
+        """``terms``, each a row's mass times a tail read in its table, plus the
+        tails past the window, ``late``'s ``(mass, m, x, bound)``, summed term
+        by term where their bounds could move the total; to about 2**-52 relative."""
         total = math.fsum(terms)
         if math.fsum(bound for *_, bound in late) > total * 2.0**-52:
             total = math.fsum([*terms, *(mass * self.upper(m, x, self._pmf_past(m, x))
@@ -477,13 +474,14 @@ class RowTest:
     A p-value is a null tail sum over the rows, and the power is the h1
     tail sum at the null's critical statistic.  ``binomials`` keeps the
     binomial tables, keyed by ``r``, for the next test that needs them;
-    a power search passes one dict to all its probes.
+    a power search passes one dict to all its probes.  ``groups``, if
+    given, are the pooled cells, as :func:`_size` takes them.
     """
 
-    def __init__(self, n: int, p0, p1, binomials: dict | None = None):
+    def __init__(self, n: int, p0, p1, binomials: dict | None = None, groups=None):
         binomials = {} if binomials is None else binomials
         self.n = n
-        self.groups = _pooled_cells(n, p0, p1)
+        self.groups = _pooled_cells(n, p0, p1) if groups is None else groups
         q0, q1 = _pooled(p0, self.groups), _pooled(p1, self.groups)
         self._w = w = _llr_weights(q0, q1)[0]
         # without draws there may be no finite cell; one possible under h0 stands in
@@ -509,7 +507,7 @@ class RowTest:
         e2 = sum(q0[k] * w[k] ** 2 for k in finite)
         self._mean, self._sd = n * e1, math.sqrt(max(n * (e2 - e1 * e1), 0.0))
 
-        # each prefix branches into left + 1 prefixes, one per count of the
+        # each prefix branches into left + 1 prefixes, one per count c of the
         # next outer cell; the pair takes the draws left at the end
         log_fact = [math.lgamma(c + 1) for c in range(n + 1)] if outer else []
         log_mass, llr, left = [math.lgamma(n + 1)], [0.0], [n]
@@ -517,12 +515,12 @@ class RowTest:
             log_q, weight = math.log(q0[k]), w[k]
             table0 = [c * log_q - f for c, f in enumerate(log_fact)]
             table = [c * weight for c in range(n + 1)]
-            log_mass = [a + table0[c] for a, r in zip(log_mass, left) for c in range(r + 1)]
-            llr = [a + table[c] for a, r in zip(llr, left) for c in range(r + 1)]
-            left = [r - c for r in left for c in range(r + 1)]
+            log_mass = [a + t for a, r in zip(log_mass, left) for t in table0[:r + 1]]
+            llr = [a + t for a, r in zip(llr, left) for t in table[:r + 1]]
+            left = [rest for r in left for rest in range(r, -1, -1)]  # r - c
         log_pair = math.log(pair0)
-        self._log_mass = [a + (m * log_pair - math.lgamma(m + 1))
-                          for a, m in zip(log_mass, left)]
+        pair = {m: m * log_pair - math.lgamma(m + 1) for m in set(left)}
+        self._log_mass = [a + pair[m] for a, m in zip(log_mass, left)]
         self._mass0 = list(map(math.exp, self._log_mass))
         self._a, self._m = llr, left
 
@@ -538,38 +536,51 @@ class RowTest:
 
     def _rows(self, rows) -> tuple:
         """``(a, m, mass0)`` of the rows at the indices ``rows``."""
-        return tuple([r[i] for i in rows] for r in (self._a, self._m, self._mass0))
+        return tuple(list(map(r.__getitem__, rows)) for r in (self._a, self._m, self._mass0))
 
-    def _cuts(self, t: float, rows) -> list[int]:
-        """Per row ``(a, m)``, the least ``x`` in ``0 .. m + 1`` whose statistic is at least ``t``."""
-        wu, wv, d = self._wu, self._wv, self._d
-        cuts = []
-        for a, m in zip(rows[0], rows[1]):
-            x = math.ceil((t - (a + m * wv)) / d)
+    def _tail(self, binom: _Binomial, t: float, a_, m_, masses, cuts=None) -> float:
+        """``sum(mass * P(X >= x))`` over the rows ``(a, m)`` and their ``masses``,
+        ``X`` being ``binom``'s count of ``m`` draws and ``x`` the row's cut: the
+        least count in ``0 .. m + 1`` whose statistic is at least ``t``.
+
+        Each row is cut and its tail read in one pass; the cuts are
+        appended to ``cuts`` if it is given.
+        """
+        wu, wv, d, ceil = self._wu, self._wv, self._d, math.ceil
+        tables, terms, late = binom._tables, [], []
+        for a, m, mass in zip(a_, m_, masses):
+            x = ceil((t - (a + m * wv)) / d)
             x = 0 if x < 0 else m + 1 if x > m + 1 else x
             # the division can miss by one; the statistic itself decides
             while x > 0 and (a + (m - x + 1) * wv) + (x - 1) * wu >= t:
                 x -= 1
             while x <= m and (a + (m - x) * wv) + x * wu < t:
                 x += 1
-            cuts.append(x)
-        return cuts
+            if cuts is not None:
+                cuts.append(x)
+            lo, tails = tables.get(m) or binom.table(m)
+            i = x - lo
+            if i < len(tails):
+                terms.append(mass * tails[i if i > 0 else 0])
+            elif x <= m:
+                late.append((mass, m, x, mass * tails[-1]))
+        return binom.total(terms, late)
 
     def p_value(self, observed: float) -> float:
         """Null mass of the outcomes whose statistic ties or beats ``observed``."""
         t, log_mass, binom = _tie_floor(observed), self._log_mass, self._binom0
 
         def upper(rows):
-            a, m, mass = rows = self._rows(rows)
-            return binom.tail_sum(zip(mass, m, self._cuts(t, rows)))
+            return self._tail(binom, t, *self._rows(rows))
 
-        floor = max(log_mass) - _WINDOW_LOG
-        rows = range(len(log_mass))
-        total = upper([i for i in rows if log_mass[i] >= floor])
+        # the rows heaviest first; a sum of tails does not depend on their order
+        rows = sorted(range(len(log_mass)), key=log_mass.__getitem__, reverse=True)
+        floor = log_mass[rows[0]] - _WINDOW_LOG
+        heavy = bisect_left(rows, True, key=lambda i: log_mass[i] < floor)
+        total = upper(rows[:heavy])
         # the lighter rows join, heaviest first and in doubling batches, while
         # their null mass could move the total
-        rest = sorted((i for i in rows if log_mass[i] < floor), key=log_mass.__getitem__,
-                      reverse=True)
+        rest = rows[heavy:]
         left = [*accumulate(map(self._mass0.__getitem__, reversed(rest)), initial=0.0)][::-1]
         done, batch = 0, 1
         while left[done] > total * 2.0**-52:
@@ -595,11 +606,14 @@ class RowTest:
         keep = [x >= floor0 or y >= floor1 for x, y in zip(self._log_mass, log_mass1)]
 
         def tail1(rows):
-            s = self._critical(alpha, cut_rows := self._rows(rows))
-            return 0.0 if s is None else self._binom1.tail_sum(
-                zip([math.exp(log_mass1[i]) for i in rows], cut_rows[1], self._cuts(s, cut_rows)))
+            cut_rows = self._rows(rows)
+            s = self._critical(alpha, cut_rows)
+            if s is None:
+                return 0.0
+            mass1 = list(map(math.exp, map(log_mass1.__getitem__, rows)))
+            return self._tail(self._binom1, s, *cut_rows[:2], mass1)
 
-        result = tail1([i for i, k in enumerate(keep) if k])
+        result = tail1(list(compress(range(len(keep)), keep)))
         drop = [not k for k in keep]
         if (math.fsum(compress(self._mass0, drop)) > alpha * 2.0**-52
                 or math.fsum(map(math.exp, compress(log_mass1, drop))) > result * 2.0**-52):
@@ -616,16 +630,17 @@ class RowTest:
         of the bracket are then listed with their exact statistics and
         null masses, and ``s*`` is found among them.
         """
-        wu, wv, d, binom0 = self._wu, self._wv, self._d, self._binom0
+        wu, wv, d, binom0, ceil = self._wu, self._wv, self._d, self._binom0, math.ceil
         a_, m_, mass0 = rows
         tables0 = {m: binom0.table(m) for m in set(m_)}
+        row_tables0 = [tables0[m] for m in m_]
         bases = [a + m * wv for a, m in zip(a_, m_)]
 
         def rejects(s: float) -> bool:
             t = _tie_floor(s)
             total = 0.0
-            for b, (lo, tails), mass in zip(bases, map(tables0.get, m_), mass0):
-                i = math.ceil((t - b) / d) - lo
+            for b, (lo, tails), mass in zip(bases, row_tables0, mass0):
+                i = ceil((t - b) / d) - lo
                 if i <= 0:
                     total += mass * tails[0]
                 elif i < len(tails):
@@ -660,12 +675,14 @@ class RowTest:
         # the tie band below them
         margin = 1e-12 * (1.0 + self.n * max(abs(wu), abs(wv)))
         bottom, top = _tie_floor(lo) - 2.0 * margin, math.nextafter(hi + margin, math.inf)
-        cuts = self._cuts(top, rows)
-        p_above = binom0.tail_sum(zip(mass0, m_, cuts))
+        cuts = []
+        p_above = self._tail(binom0, top, a_, m_, mass0, cuts)
         listed, s_next = [], math.inf
         for a, m, x, mass in zip(a_, m_, cuts, mass0):
             if x <= m:
-                s_next = min(s_next, (a + (m - x) * wv) + x * wu)
+                s = (a + (m - x) * wv) + x * wu
+                if s < s_next:
+                    s_next = s
             while x > 0:
                 x -= 1
                 s = (a + (m - x) * wv) + x * wu
@@ -758,8 +775,9 @@ def discriminate(
         return DiscriminationReport(-math.inf, 1.0, "favor_H0")
     llr = ll1 - ll0
     n = sum(values)
-    if _size(n, p0, p1) <= ROW_CAP:
-        test = RowTest(n, p0, p1)
+    groups = _pooled_cells(n, p0, p1)
+    if _size(n, p0, p1, groups) <= ROW_CAP:
+        test = RowTest(n, p0, p1, groups=groups)
         # the row sums can differ from ll1 - ll0 in the last bits, so the
         # observed statistic is summed as they sum it before ties are counted
         p_value = test.p_value(test.statistic(values))
@@ -807,8 +825,9 @@ def _rejection_rate(
     ``alpha`` below that is refused: it would read 0 at every ``n``.
     """
     p0, p1 = model_h0._p, model_h1._p
-    if _size(n, p0, p1) <= ROW_CAP:
-        return RowTest(n, p0, p1, binomials).power(alpha)
+    groups = _pooled_cells(n, p0, p1)
+    if _size(n, p0, p1, groups) <= ROW_CAP:
+        return RowTest(n, p0, p1, binomials, groups).power(alpha)
     if alpha < 1 / (replicates + 1):
         raise DomainError(
             f"alpha = {alpha} is below 1 / (replicates + 1) = {1 / (replicates + 1)}, "

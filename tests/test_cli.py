@@ -1,7 +1,9 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,12 +12,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mzsim
-from mzsim.cli import _COMMANDS, _parse_args, _z_score, main
+from mzsim.cli import _COMMANDS, _json, _parse_args, _z_score, main
 from mzsim.config import parse_config
+from mzsim.core import Method
 from mzsim.errors import MzsimError
 
 LN2 = "0.6931471805599453"
@@ -693,14 +696,16 @@ def test_plan_refusals_keep_their_bytes(write_config, capsys, config, code, mess
 # named in argv), answer every request given on stdin, then report the exit
 # codes, whether numpy and numpy.random loaded, and which mzsim submodules
 # ran; a lazily bound module counts once its code has executed, not when bound
+# the requests and the report pass as Python literals, so that json and array
+# in the report are modules that mzsim loaded
 GUARD_SCRIPT = """
-import contextlib, importlib, importlib.util, io, json, os, sys, tempfile
+import ast, contextlib, importlib, importlib.util, io, os, sys, tempfile
 for name in sys.argv[1:] or ["mzsim", "mzsim.cli"]:
     getattr(importlib.import_module(name), "__all__")  # runs a lazily bound module
 codes = []
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "run.cfg")
-    for command, config, *flags in json.load(sys.stdin):
+    for command, config, *flags in ast.literal_eval(sys.stdin.read()):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(config)
         with contextlib.redirect_stdout(io.StringIO()), \\
@@ -711,25 +716,26 @@ executed = sorted(
     name for name, module in list(sys.modules.items())
     if name.startswith("mzsim.") and type(module) is not importlib.util._LazyModule
 )
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "numpy_random": "numpy.random" in sys.modules, "executed": executed,
-                  "dataclasses": "dataclasses" in sys.modules,
-                  "inspect": "inspect" in sys.modules,
-                  "argparse": "argparse" in sys.modules,
-                  "gettext": "gettext" in sys.modules}))
+print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
+            "numpy_random": "numpy.random" in sys.modules, "executed": executed,
+            "dataclasses": "dataclasses" in sys.modules,
+            "inspect": "inspect" in sys.modules,
+            "argparse": "argparse" in sys.modules,
+            "gettext": "gettext" in sys.modules,
+            "json": "json" in sys.modules, "array": "array" in sys.modules}))
 """
 
 def run_guard(requests, *modules) -> dict:
     src = os.path.dirname(os.path.dirname(mzsim.__file__))
     result = subprocess.run(
         [sys.executable, "-c", GUARD_SCRIPT, *modules],
-        input=json.dumps(requests),
+        input=repr(requests),
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    return json.loads(result.stdout)
+    return ast.literal_eval(result.stdout)
 
 
 # at t = 0.7 nb1 and nb2 do not tie, so a background design keeps four pooled cells
@@ -778,7 +784,7 @@ def test_predict_and_config_errors_do_not_import_numpy():
 def test_a_closed_form_plan_runs_stats_without_numpy():
     report = run_guard(CLOSED_FORM_PLANS)
     assert report["codes"] == [0] * len(CLOSED_FORM_PLANS)
-    assert report["numpy"] is False
+    assert report["numpy"] is False and report["array"] is False
     assert STATS_LAYERS <= set(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
     assert report["argparse"] is False and report["gettext"] is False
@@ -804,7 +810,8 @@ def test_stats_requests_below_the_cap_do_not_import_numpy():
     ]
     report = run_guard(CLOSED_FORM_PLANS + exact + errors)
     assert report["codes"] == [0] * len(CLOSED_FORM_PLANS + exact) + [2] * len(errors)
-    assert report["numpy"] is False
+    # the binomial tails are lists
+    assert report["numpy"] is False and report["array"] is False
     assert report["dataclasses"] is False and report["inspect"] is False
     assert report["argparse"] is False and report["gettext"] is False
 
@@ -815,7 +822,7 @@ def test_simulate_does_not_import_numpy():
     pairs = [("excitation", "pos"), ("excitation", "ccqi"), ("decay", "pos"),
              ("decay", "ccqi"), ("decay", "modified_rate"), ("photon", "pos"),
              ("photon", "ccqi")]
-    # n0 = 10000, 1000 and 16000 in chunks of 300 each end on a chunk of 100
+    # n0 = 10000, 1000 and 16000, with a chunk_size that is checked and ignored
     sim = "[simulation]\nseed = 11\nchunk_size = 300\n"
     requests = [
         ["simulate", re.sub("hypothesis = .*", f"hypothesis = {h}", experiments[e]) + sim,
@@ -855,6 +862,7 @@ def test_importing_the_cli_does_not_load_the_exact_engine():
         "executed": ["mzsim.cli", "mzsim.config", "mzsim.core", "mzsim.errors",
                      "mzsim.predict"],
         "dataclasses": False, "inspect": False, "argparse": False, "gettext": False,
+        "json": False, "array": False,
     }
 
 
@@ -875,6 +883,25 @@ def test_one_process_runs_every_light_path_without_dataclasses_or_inspect():
     assert {"mzsim.montecarlo", "mzsim.stats"} <= set(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
     assert report["argparse"] is False and report["gettext"] is False
+
+
+def test_no_request_loads_json():
+    # each subcommand in either format; discriminate and plan refuse csv
+    requests = [
+        [command, config, "--format", fmt]
+        for command, config in [
+            ["predict", PHOTON],
+            ["simulate", EXCITATION + "[simulation]\nseed = 3\n"],
+            ["fringes", FRINGES],
+            ["discriminate", FOUR_CELLS + "counts = 62,12,3,3\n"],
+            ["plan", FOUR_CELLS + "power = 0.9\n"],
+            CLOSED_FORM_PLANS[0],
+        ]
+        for fmt in ("csv", "json")
+    ] + [["sectors-demo", ""]]
+    report = run_guard(requests)
+    assert report["codes"] == [0] * 6 + [2, 0] * 3 + [0]
+    assert report["json"] is False
 
 
 def test_usage_errors_and_help_load_neither_argparse_nor_gettext():
@@ -1003,3 +1030,34 @@ def test_random_configs_run_or_exit_with_a_config_error(command, text):
         assert message.startswith("mzsim: config error:") and out.getvalue() == ""
     else:
         assert code == 3 and ("identical" in message or "cap" in message), message
+
+
+class _Float(float):
+    """A float subclass with a repr of its own, which json does not use."""
+
+    def __repr__(self):
+        return "not json"
+
+
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\b\f\ré') | st.characters(
+    exclude_categories=()))  # surrogates included
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**4000), 2**4000)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 2.0**-1030, 1e308, math.inf, math.nan])
+    | st.floats().map(_Float) | st.sampled_from(list(Method)) | JSON_TEXT
+)
+JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_TEXT, inner)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=JSON_PAYLOADS)
+@example(payload={"methods": [*Method], "edges": (True, False, -0.0, 5e-324, 1e308, 2**4000)})
+def test_json_reports_are_the_bytes_json_dumps_writes(payload):
+    try:
+        want = json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float
+        with pytest.raises(ValueError):
+            _json(payload)
+    else:
+        assert _json(payload) == want

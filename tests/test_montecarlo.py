@@ -171,7 +171,7 @@ class TestReproducibility:
         b = simulate_photon(p, Hypothesis.CCQI, SimConfig(seed=2))
         assert a.values() != b.values()
 
-    def test_conservation_with_remainder_chunk(self):
+    def test_tallies_are_ints_that_sum_to_n0(self):
         p = ExcitationParams(n0=100_001, epsilon=0.4, lam=0.3, t=0.5)
         table = simulate_excitation(p, Hypothesis.CCQI, SimConfig(seed=9, chunk_size=65536))
         assert table.total == p.n0
