@@ -18,10 +18,11 @@ the config then refuses), and ``-h``/``--help`` before or after the
 subcommand.  ``discriminate`` and ``plan`` also take ``--format``,
 and ``sectors-demo`` an optional ``--config``.  Help goes to stdout
 with exit 0.  A usage error (no or an unknown subcommand, an unknown
-option or stray argument, a missing value, a ``--format`` other than
-csv or json, a ``--seed`` that is not an integer, no ``--config``)
-writes a usage line and ``mzsim: error: ...`` to stderr, nothing to
-stdout, and exits 2.
+option or stray argument, a missing value, a ``--format`` that is no
+:class:`~mzsim.core.Format`, a ``--seed`` that is not an integer, no
+``--config``) writes a usage line and ``mzsim: error: ...`` to stderr,
+nothing to stdout, and exits 2.  The config file is read as UTF-8, a
+leading byte-order mark dropped.
 
 ``predict`` emits the expected count table for the configured
 experiment and hypothesis.  ``simulate`` emits three rows under the
@@ -69,6 +70,7 @@ import sys
 
 from . import fringes, montecarlo, predict, sectors, stats
 from .config import _FIELD_KEYS, RunConfig, parse_config
+from .core import Format
 from .errors import (
     ConfigError,
     DomainError,
@@ -176,7 +178,7 @@ def _cmd_predict(cfg: RunConfig) -> str:
     kind, params = _experiment_inputs(cfg)
     _require(cfg.hypothesis is not None, "predict needs a hypothesis")
     table = getattr(predict, f"predict_{kind}")(params, cfg.hypothesis)
-    if (cfg.output_format or "csv") == "json":
+    if cfg.output_format is Format.JSON:
         return _json(table.as_dict())
     return _csv(table.labels, [table.values()])
 
@@ -199,7 +201,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
         _z_score(float(tally), prob, params.n0)
         for tally, prob in zip(sampled.values(), probs)
     ]
-    if (cfg.output_format or "csv") == "json":
+    if cfg.output_format is Format.JSON:
         return _json(
             {
                 "simulated": sampled.as_dict(),
@@ -213,14 +215,9 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 def _cmd_fringes(cfg: RunConfig) -> str:
     _require(cfg.geometry is not None, "fringes needs a [fringes] section")
-    pattern = (
-        fringes.coherent_pattern
-        if cfg.fringe_pattern == "coherent"
-        else fringes.incoherent_pattern
-    )
-    profile = pattern(cfg.geometry)
+    profile = getattr(fringes, f"{cfg.fringe_pattern.value}_pattern")(cfg.geometry)
     x, y = profile._positions, profile._intensity
-    if (cfg.output_format or "csv") == "json":
+    if cfg.output_format is Format.JSON:
         return _json({"position": x.tolist(), "intensity": y.tolist()})
     # the rows _csv writes, without its per-value type check
     return "position,intensity\n" + "".join(map("{:.17g},{:.17g}\n".format, x, y))
@@ -240,7 +237,7 @@ def _stats_models(cfg: RunConfig):
 
 
 def _cmd_discriminate(cfg: RunConfig) -> str:
-    _require(cfg.output_format != "csv", "discriminate emits JSON; remove format = csv")
+    _require(cfg.output_format is not Format.CSV, "discriminate emits JSON; remove format = csv")
     _require(cfg.stats.counts is not None, "discriminate needs counts in [stats]")
     _require(cfg.stats.alpha is not None, "discriminate needs alpha in [stats]")
     report = stats.discriminate(
@@ -260,7 +257,7 @@ def _cmd_discriminate(cfg: RunConfig) -> str:
 
 
 def _cmd_plan(cfg: RunConfig) -> str:
-    _require(cfg.output_format != "csv", "plan emits JSON; remove format = csv")
+    _require(cfg.output_format is not Format.CSV, "plan emits JSON; remove format = csv")
     _require(cfg.stats.power is not None, "plan needs power in [stats]")
     opts = cfg.stats
     n = stats.min_sample_size(
@@ -321,7 +318,7 @@ _OPTIONS = {
     "plan": ("--config", "--out", "--format", "--seed"),
     "sectors-demo": ("--config", "--out"),
 }
-_FORMATS = ("csv", "json")
+_FORMATS = tuple(f.value for f in Format)
 # (metavar, help) of each option
 _OPTION_HELP = {
     "--config": ("CONFIG", "path to the run configuration file"),
@@ -485,14 +482,15 @@ def _load_config(options: dict) -> RunConfig:
         cfg = RunConfig()
     else:
         try:
-            # utf-8-sig drops the byte-order mark some editors write first
-            with open(options["config"], encoding="utf-8-sig") as fh:
-                text = fh.read()
+            with open(options["config"], "rb") as fh:
+                data = fh.read()
+            # the utf-8-sig codec would cost every request its import
+            text = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = parse_config(text)
     if options["format"] is not None:
-        cfg.output_format = options["format"]
+        cfg.output_format = Format(options["format"])
     if options["out"] is not None:
         cfg.output_path = options["out"]
     if options["seed"] is not None:

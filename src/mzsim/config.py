@@ -15,11 +15,11 @@ The ``[experiment]`` section names the experiment and its parameters::
     lambda = 1.0                   # decay: lambda, lambda_prime, t1, t2, t3, mu
     t = 0.693                      # photon: d, u
 
-Every section but ``[output]`` takes its keys from a record: the
-experiment's params record, :class:`~mzsim.core.SimConfig`,
-:class:`StatsOptions` and :class:`~mzsim.core.FringeGeometry`.  A
-field without a default is a required key; the others default to the
-record's own defaults.
+Every section takes its keys from a record: the experiment's params
+record, :class:`~mzsim.core.SimConfig`, :class:`StatsOptions`,
+:class:`~mzsim.core.FringeGeometry` and ``_Output``.  A field without a
+default is a required key; the others default to the record's own
+defaults.
 
 ``[simulation]`` holds ``seed`` and two legacy keys, each checked and
 otherwise ignored: ``chunk_size`` (1 to 2**63 - 1; a run draws from
@@ -35,8 +35,9 @@ the rules of the test: p-values and power are exact while a test's size,
 over the categories left after pooling those whose likelihood ratios tie,
 is at most ``stats.ROW_CAP``, and ``replicates`` draws and ``seed`` enter
 only above it and for ``method = simulation``.
-``[fringes]`` holds the screen geometry plus ``pattern`` (coherent |
-incoherent).  ``[output]`` holds ``format`` (csv | json) and ``path``.
+``[fringes]`` holds the screen geometry plus ``pattern``, a
+:class:`~mzsim.core.Pattern` (coherent | incoherent).  ``[output]``
+holds ``format``, a :class:`~mzsim.core.Format` (csv | json), and ``path``.
 """
 
 import enum
@@ -44,14 +45,17 @@ import math
 
 from .core import (
     EXPERIMENTS,
-    MAX_REPLICATES,
     DecayParams,
     ExcitationParams,
+    Format,
     FringeGeometry,
     Hypothesis,
     Method,
+    Pattern,
     PhotonParams,
     SimConfig,
+    _check_open_unit,
+    _check_replicates,
     _Record,
 )
 from .errors import ConfigError, DomainError, GeometryError
@@ -62,7 +66,6 @@ _SECTIONS = ("experiment", "simulation", "stats", "fringes", "output")
 
 # config keys that differ from the parameter-record field they set
 _FIELD_KEYS = {"lam": "lambda", "lam_prime": "lambda_prime"}
-_OUTPUT_KEYS = ("format", "path")
 
 
 class StatsOptions(_Record):
@@ -79,20 +82,24 @@ class StatsOptions(_Record):
     method: Method = Method.AUTO
 
     def __post_init__(self):
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.power is not None and not 0.0 < self.power < 1.0:
-            raise DomainError(f"power must be in (0, 1), got {self.power}")
+        for name in ("alpha", "power"):
+            if getattr(self, name) is not None:
+                _check_open_unit(name, getattr(self, name))
         if self.counts is not None and any(c < 0 for c in self.counts):
             raise DomainError(f"counts must be non-negative integers, got {self.counts}")
         if self.background is not None and any(b < 0 for b in self.background):
             raise DomainError("background probabilities must be >= 0")
         if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
             raise DomainError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.replicates is not None and not 1 <= self.replicates <= MAX_REPLICATES:
-            raise DomainError(
-                f"replicates must be in [1, {MAX_REPLICATES}], got {self.replicates}"
-            )
+        if self.replicates is not None:
+            _check_replicates(self.replicates)
+
+
+class _Output(_Record):
+    """Validated contents of the ``[output]`` section."""
+
+    format: Format | None = None
+    path: str | None = None
 
 
 class RunConfig:
@@ -109,8 +116,8 @@ class RunConfig:
         self.sim = SimConfig()
         self.stats = StatsOptions()
         self.geometry: FringeGeometry | None = None
-        self.fringe_pattern = "coherent"
-        self.output_format: str | None = None  # None means the subcommand default
+        self.fringe_pattern = Pattern.COHERENT
+        self.output_format: Format | None = None  # None means the subcommand default
         self.output_path: str | None = None
 
 
@@ -148,15 +155,6 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _reject_unknown(section: str, entries: dict, allowed: tuple[str, ...]) -> None:
-    for key, (_, lineno) in entries.items():
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section}]; allowed: {', '.join(allowed)}",
-                lineno,
-            )
-
-
 def _as_float(entries: dict, key: str) -> float | None:
     if key not in entries:
         return None
@@ -180,10 +178,11 @@ def _as_int(entries: dict, key: str) -> int | None:
         raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
 
 
-def _as_choice(entries: dict, key: str, choices: tuple[str, ...], kind=str):
+def _as_member(entries: dict, key: str, kind: type[enum.Enum]):
     if key not in entries:
         return None
     value, lineno = entries[key]
+    choices = [member.value for member in kind]
     if value not in choices:
         raise ConfigError(
             f"{key} must be one of {', '.join(choices)}, got {value!r}", lineno
@@ -203,9 +202,8 @@ def _parser(annotation):
     if args:  # tuple[X, ...]
         return lambda entries, key: _parse_number_list(entries, key, args[0])
     if isinstance(annotation, enum.EnumMeta):
-        values = tuple(m.value for m in annotation)
-        return lambda entries, key: _as_choice(entries, key, values, annotation)
-    return _as_int if annotation is int else _as_float
+        return lambda entries, key: _as_member(entries, key, annotation)
+    return {int: _as_int, str: _as_text}.get(annotation, _as_float)
 
 
 def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
@@ -218,7 +216,12 @@ def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
     Returns the record and the parsed extras by key.
     """
     fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
-    _reject_unknown(section, entries, (*parsers, *fields))
+    allowed = (*parsers, *fields)
+    for key, (_, lineno) in entries.items():
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}]; allowed: {', '.join(allowed)}", lineno
+            )
     for key, name in fields.items():
         if name not in cls._defaults and key not in entries:
             raise ConfigError(f"[{section}] requires key {key!r}")
@@ -277,16 +280,10 @@ def _parse_stats(entries: dict, cfg: RunConfig) -> None:
 
 
 def _parse_fringes(entries: dict, cfg: RunConfig) -> None:
-    patterns = ("coherent", "incoherent")
-    extras = {"pattern": lambda entries, key: _as_choice(entries, key, patterns)}
+    extras = {"pattern": _parser(Pattern)}
     cfg.geometry, parsed = _record("fringes", FringeGeometry, entries, extras)
     cfg.fringe_pattern = parsed["pattern"] or cfg.fringe_pattern
 
-
-def _parse_output(entries: dict, cfg: RunConfig) -> None:
-    _reject_unknown("output", entries, _OUTPUT_KEYS)
-    cfg.output_format = _as_choice(entries, "format", ("csv", "json"))
-    cfg.output_path = _as_text(entries, "path")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -309,7 +306,8 @@ def parse_config(text: str) -> RunConfig:
     if "fringes" in sections:
         _parse_fringes(sections["fringes"], cfg)
     if "output" in sections:
-        _parse_output(sections["output"], cfg)
+        output, _ = _record("output", _Output, sections["output"], {})
+        cfg.output_format, cfg.output_path = output.format, output.path
     if cfg.experiment is not None:
         expected = len(EXPERIMENTS[cfg.experiment].labels)
         counts, background = cfg.stats.counts, cfg.stats.background

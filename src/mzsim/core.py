@@ -14,6 +14,7 @@ import enum
 import math
 import numbers
 import sys
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -53,22 +54,26 @@ class _Record:
     and compare and hash by type and field values.  Construction,
     :meth:`replace`, pickle and copies all end in ``__setstate__``, which
     checks each field's type and then runs ``__post_init__``, the one
-    place a record checks ranges.  A record that holds arrays sets
-    ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__`` to
-    compare by identity instead.
+    place a record checks ranges.  A record whose ``_views`` maps a name
+    to ``(field, dtype)`` takes that name as the field's argument, in
+    :meth:`replace` too; it reads as a read-only numpy array of ``dtype``,
+    built from the field on first access, and the record compares and
+    hashes by identity.
 
     Each field's annotation sets its type check, and :mod:`mzsim.config`
     parses its key by the same rules: ``int`` takes an integer, kept as an
     ``int``; ``float`` a finite number (a field that may be infinite is a
-    ``numbers.Real``); an :class:`enum.Enum` subclass one of its members;
-    ``tuple[X, ...]`` an iterable of ``X``, kept as a tuple; ``X | None``
-    None or an ``X``.  No bool is a number; other annotations are not
-    checked.  A refusal is a :class:`DomainError` naming the field.
+    ``numbers.Real``); ``str`` a string; an :class:`enum.Enum` subclass
+    one of its members; ``tuple[X, ...]`` an iterable of ``X``, kept as a
+    tuple; ``X | None`` None or an ``X``.  No bool is a number; other
+    annotations are not checked.  A refusal is a :class:`DomainError`
+    naming the field.
     """
 
     _fields = {}
     _defaults = {}
     _checks = {}
+    _views = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -76,23 +81,31 @@ class _Record:
         cls._fields = {**cls._fields, **own}
         cls._defaults = {**cls._defaults, **{k: cls.__dict__[k] for k in own if k in cls.__dict__}}
         cls._checks = {**cls._checks, **{k: c for k, a in own.items() if (c := _type_check(a))}}
+        names = {field: name for name, (field, _) in cls._views.items()}
+        cls._arguments = {names.get(field, field): field for field in cls._fields}
+        for name, (field, dtype) in cls.__dict__.get("_views", {}).items():
+            view = cached_property(lambda self, f=field, t=dtype: _readonly(self.__dict__[f], t))
+            view.__set_name__(cls, name)
+            setattr(cls, name, view)
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
-        cls, fields = type(self), self._fields
-        if len(args) > len(fields):
+        cls, arguments = type(self), self._arguments
+        if len(args) > len(arguments):
             raise TypeError(
-                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"{cls.__name__}() takes {len(arguments)} positional arguments "
                 f"but {len(args)} were given"
             )
-        values = dict(zip(fields, args))
+        values = dict(zip(arguments.values(), args))
         for name, value in kwargs.items():
-            if name not in fields:
+            field = arguments.get(name)
+            if field is None:
                 raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
-            if name in values:
+            if field in values:
                 raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-            values[name] = value
-        for name in fields:
-            value = values.setdefault(name, self._defaults.get(name, _MISSING))
+            values[field] = value
+        for name, field in arguments.items():
+            value = values.setdefault(field, self._defaults.get(field, _MISSING))
             if value is _MISSING:
                 raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
         self.__setstate__(values)
@@ -134,7 +147,8 @@ class _Record:
     def replace(self, **changes):
         """A copy with ``changes`` applied, checked like a new record."""
         copy = object.__new__(type(self))
-        _Record.__init__(copy, **{**self.__getstate__(), **changes})
+        state = {name: self.__dict__[field] for name, field in self._arguments.items()}
+        _Record.__init__(copy, **{**state, **changes})
         return copy
 
 
@@ -166,6 +180,20 @@ class Method(str, enum.Enum):
     AUTO = "auto"
     CLOSED_FORM = "closed_form"
     SIMULATION = "simulation"
+
+
+class Format(str, enum.Enum):
+    """The CLI's output formats; a member equals its value."""
+
+    CSV = "csv"
+    JSON = "json"
+
+
+class Pattern(str, enum.Enum):
+    """The fringe pattern ``mzsim fringes`` writes; a member equals its value."""
+
+    COHERENT = "coherent"
+    INCOHERENT = "incoherent"
 
 
 def survival_fraction(lam: float, dt: float) -> float:
@@ -239,6 +267,17 @@ def _check_unit_interval(name: str, value) -> None:
         raise DomainError(f"{name} must be in [0, 1], got {value}")
 
 
+def _check_open_unit(name: str, value) -> None:
+    _check_finite(name, value)
+    if not 0 < value < 1:
+        raise DomainError(f"{name} must be in (0, 1), got {value}")
+
+
+def _check_replicates(value) -> None:
+    if not 1 <= _check_integer("replicates", value) <= MAX_REPLICATES:
+        raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {value}")
+
+
 def _check_iterable(name: str, value):
     try:
         return iter(value)
@@ -261,7 +300,7 @@ def _type_check(annotation):
     if getattr(annotation, "__origin__", None) is tuple:  # tuple[X, ...]
         each = _type_check(args[0]) or (lambda name, value: value)
         return lambda name, value: tuple(each(name, v) for v in _check_iterable(name, value))
-    if isinstance(annotation, enum.EnumMeta):
+    if isinstance(annotation, enum.EnumMeta) or annotation is str:
         return lambda name, value: _check_member(name, value, annotation)
     return {int: _check_integer, float: _check_finite}.get(annotation)
 
@@ -369,8 +408,8 @@ class PhotonParams(_Record):
         _check_unit_interval("u", self.u)
 
 
-def _readonly(values, dtype=float):
-    """A read-only copy of ``values`` as a numpy array, float64 by default."""
+def _readonly(values, dtype):
+    """A read-only copy of ``values`` as a numpy array of ``dtype``."""
     import numpy as np
 
     out = np.array(values, dtype=dtype)

@@ -21,9 +21,8 @@ floats.
 import math
 import numbers
 from array import array
-from functools import cached_property
 
-from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _readonly, _Record
+from .core import FAR_FIELD_RATIO, MAX_FRINGE_POINTS, FringeGeometry, _Record
 from .errors import DomainError, StructureError
 
 __all__ = [
@@ -62,21 +61,11 @@ def _floats(values) -> array | None:
 
 
 class FringeProfile(_Record):
-    """Sampled screen intensity in single-source units.
-
-    The samples are checked and kept as floats; ``positions`` and
-    ``intensity`` give them as read-only float64 arrays, built on first
-    access.
-    """
+    """Sampled screen intensity in single-source units, kept as floats."""
 
     _positions: array
     _intensity: array
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, positions, intensity):
-        super().__init__(positions, intensity)
+    _views = {"positions": ("_positions", float), "intensity": ("_intensity", float)}
 
     def __post_init__(self):
         x, y = _floats(self._positions), _floats(self._intensity)
@@ -88,18 +77,6 @@ class FringeProfile(_Record):
             raise DomainError("intensity must be finite and >= 0 everywhere")
         object.__setattr__(self, "_positions", x)
         object.__setattr__(self, "_intensity", y)
-
-    def replace(self, **changes):
-        """A copy with ``positions`` or ``intensity`` replaced, checked anew."""
-        return super().replace(**{"_" + name: value for name, value in changes.items()})
-
-    @cached_property
-    def positions(self):
-        return _readonly(self._positions)
-
-    @cached_property
-    def intensity(self):
-        return _readonly(self._intensity)
 
 
 def _coherent(a: float, b: float, x: float) -> float:

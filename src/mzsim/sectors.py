@@ -18,10 +18,9 @@ tolerances below are calibrated for total dimensions up to ``MAX_DIM``.
 """
 
 import math
-from functools import cached_property
 from operator import mul
 
-from .core import _check_integer, _readonly, _Record
+from .core import _check_integer, _Record
 from .errors import ContractError, DomainError, StructureError
 
 __all__ = [
@@ -136,14 +135,6 @@ def _square(matrix, space: SectorSpace, record: str) -> tuple:
     return rows
 
 
-def _field_names(changes: dict) -> dict:
-    """``replace`` changes with the public ``matrix`` and ``amplitudes`` as their fields."""
-    return {
-        "_" + name if name in ("matrix", "amplitudes") else name: value
-        for name, value in changes.items()
-    }
-
-
 def _hermitian(rows: tuple) -> bool:
     """Whether ``rows`` equals its conjugate transpose within ``HERMITIAN_TOL``."""
     return all(
@@ -189,18 +180,12 @@ class SectorObservable(_Record):
     respects the grading is a separate, checked predicate
     (:func:`is_valid_observable`), so invalid observables can be built
     and interrogated.  The entries are kept as rows of Python complex
-    numbers; ``matrix`` gives them as a read-only complex128 array,
-    built on first access.
+    numbers.
     """
 
     _matrix: tuple
     space: SectorSpace
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, matrix, space):
-        super().__init__(matrix, space)
+    _views = {"matrix": ("_matrix", complex)}
 
     def __post_init__(self):
         rows = _square(self._matrix, self.space, "SectorObservable")
@@ -208,30 +193,13 @@ class SectorObservable(_Record):
             raise DomainError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
         object.__setattr__(self, "_matrix", rows)
 
-    def replace(self, **changes):
-        """A copy with ``matrix`` or ``space`` replaced, checked anew."""
-        return super().replace(**_field_names(changes))
-
-    @cached_property
-    def matrix(self):
-        return _readonly(self._matrix, complex)
-
 
 class StateVector(_Record):
-    """Unit-norm complex amplitude vector over the graded basis.
-
-    The amplitudes are kept as Python complex numbers; ``amplitudes``
-    gives them as a read-only complex128 array, built on first access.
-    """
+    """Unit-norm amplitude vector over the graded basis, kept as Python complex numbers."""
 
     _amplitudes: tuple
     space: SectorSpace
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, amplitudes, space):
-        super().__init__(amplitudes, space)
+    _views = {"amplitudes": ("_amplitudes", complex)}
 
     def __post_init__(self):
         a = _complexes(self._amplitudes)
@@ -248,30 +216,13 @@ class StateVector(_Record):
             raise DomainError(f"state vector must have unit norm within {NORM_TOL:g}")
         object.__setattr__(self, "_amplitudes", a)
 
-    def replace(self, **changes):
-        """A copy with ``amplitudes`` or ``space`` replaced, checked anew."""
-        return super().replace(**_field_names(changes))
-
-    @cached_property
-    def amplitudes(self):
-        return _readonly(self._amplitudes, complex)
-
 
 class DensityMatrix(_Record):
-    """Hermitian, positive semidefinite, unit-trace matrix.
-
-    Kept like :class:`SectorObservable`: rows of Python complex numbers,
-    with ``matrix`` a read-only complex128 array built on first access.
-    """
+    """Hermitian, positive semidefinite, unit-trace matrix, kept like :class:`SectorObservable`."""
 
     _matrix: tuple
     space: SectorSpace
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, matrix, space):
-        super().__init__(matrix, space)
+    _views = {"matrix": ("_matrix", complex)}
 
     def __post_init__(self):
         rows = _square(self._matrix, self.space, "DensityMatrix")
@@ -285,14 +236,6 @@ class DensityMatrix(_Record):
                 f"density matrix must be positive semidefinite within {EIGENVALUE_TOL:g}"
             )
         object.__setattr__(self, "_matrix", rows)
-
-    def replace(self, **changes):
-        """A copy with ``matrix`` or ``space`` replaced, checked anew."""
-        return super().replace(**_field_names(changes))
-
-    @cached_property
-    def matrix(self):
-        return _readonly(self._matrix, complex)
 
 
 def is_valid_observable(a: SectorObservable, atol: float = BLOCK_TOL) -> bool:

@@ -60,20 +60,18 @@ import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Sequence
-from functools import cached_property
 from itertools import accumulate, compress
 
 from . import predict
 from .core import (
     EXPERIMENTS,
-    MAX_REPLICATES,
     CountTable,
     Hypothesis,
     Method,
     SimConfig,
-    _check_integer,
+    _check_open_unit,
+    _check_replicates,
     _check_unit_interval,
-    _readonly,
     _Record,
 )
 from .errors import (
@@ -111,21 +109,11 @@ _WINDOW_LOG = 64 * math.log(2.0)
 
 
 class CategoryModel(_Record):
-    """Per-category detection probabilities for one experiment setup.
-
-    The probabilities are checked and kept as plain floats;
-    ``probabilities`` gives them as a read-only float64 array, built on
-    first access.
-    """
+    """Per-category detection probabilities for one experiment setup, kept as floats."""
 
     labels: tuple[str, ...]
     _p: tuple
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, labels, probabilities):
-        super().__init__(labels, probabilities)
+    _views = {"probabilities": ("_p", float)}
 
     def __post_init__(self):
         try:
@@ -142,10 +130,6 @@ class CategoryModel(_Record):
                 f"probabilities must sum to 1 within {PROBABILITY_SUM_TOL:g}, got {total!r}"
             )
         object.__setattr__(self, "_p", p)
-
-    @cached_property
-    def probabilities(self):
-        return _readonly(self._p)
 
 
 class DiscriminationReport(_Record):
@@ -302,9 +286,7 @@ def _check_comparable(model_h0: CategoryModel, model_h1: CategoryModel) -> None:
 
 def _check_sampling(replicates: int, seed: int) -> None:
     """Refuse what the seeded simulation above ``ROW_CAP`` could not take, at any n."""
-    _check_integer("replicates", replicates)
-    if not 1 <= replicates <= MAX_REPLICATES:
-        raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}], got {replicates}")
+    _check_replicates(replicates)
     SimConfig(seed=seed)  # a Monte Carlo run's seed range, [0, 2**64)
 
 
@@ -761,8 +743,7 @@ def discriminate(
     sample size.
     """
     _check_comparable(model_h0, model_h1)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    _check_open_unit("alpha", alpha)
     _check_sampling(replicates, seed)
     p0, p1 = model_h0._p, model_h1._p
     values = _count_values(counts, model_h0.labels)
@@ -899,10 +880,9 @@ def min_sample_size(
     whichever path answers.
     """
     _check_comparable(model_h0, model_h1)
-    if not 0.0 < power < 1.0:
-        raise DomainError(f"power must be in (0, 1), got {power}")
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    _check_open_unit("power", power)
+    if alpha is not None:
+        _check_open_unit("alpha", alpha)
     _check_sampling(replicates, seed)
     if method not in tuple(Method):
         raise DomainError(f"unknown method {method!r}")

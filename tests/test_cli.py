@@ -326,6 +326,27 @@ class TestPlumbing:
         results = [run_cli(capsys, "predict", "--config", str(path)) for path in (plain, marked)]
         assert results[0] == results[1] == (0, "na1,na2,nb1,nb2\n9000,1000,0,0\n", "")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbf[experiment]\nexperiment = excitation\xff\n",
+         "byte 0xff in position 36: invalid start byte"),
+        (b"[experiment]\r\nexperiment = excitation\r\n\xff\r\n",
+         "byte 0xff in position 39: invalid start byte"),
+        (b"\xef\xbb\xbf[experiment]\r\nexperiment = excitation\r\n\xfe\r\n",
+         "byte 0xfe in position 39: invalid start byte"),
+        (b"\xef\xbb\xbf# " + b"x" * 9990 + b"\n\xc3\x28\n",
+         "byte 0xc3 in position 9993: invalid continuation byte"),
+        (b"\xef\xbb[experiment]\n", "bytes in position 0-1: invalid continuation byte"),
+    ])
+    def test_an_undecodable_byte_is_refused_at_its_offset_past_the_mark(
+        self, tmp_path, capsys, data, message
+    ):
+        # the offsets a text-mode utf-8-sig read gave: past the mark, before
+        # CRLF line ends are translated
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        assert run_cli(capsys, "predict", "--config", str(path)) == (
+            2, "", f"mzsim: config error: cannot read config: 'utf-8' codec can't decode {message}\n")
+
     def test_out_flag_writes_file_and_keeps_stdout_clean(
         self, write_config, tmp_path, capsys
     ):
@@ -722,7 +743,8 @@ print(repr({"codes": codes, "numpy": "numpy" in sys.modules,
             "inspect": "inspect" in sys.modules,
             "argparse": "argparse" in sys.modules,
             "gettext": "gettext" in sys.modules,
-            "json": "json" in sys.modules, "array": "array" in sys.modules}))
+            "json": "json" in sys.modules, "array": "array" in sys.modules,
+            "utf_8_sig": "encodings.utf_8_sig" in sys.modules}))
 """
 
 def run_guard(requests, *modules) -> dict:
@@ -862,7 +884,7 @@ def test_importing_the_cli_does_not_load_the_exact_engine():
         "executed": ["mzsim.cli", "mzsim.config", "mzsim.core", "mzsim.errors",
                      "mzsim.predict"],
         "dataclasses": False, "inspect": False, "argparse": False, "gettext": False,
-        "json": False, "array": False,
+        "json": False, "array": False, "utf_8_sig": False,
     }
 
 
@@ -883,6 +905,8 @@ def test_one_process_runs_every_light_path_without_dataclasses_or_inspect():
     assert {"mzsim.montecarlo", "mzsim.stats"} <= set(report["executed"])
     assert report["dataclasses"] is False and report["inspect"] is False
     assert report["argparse"] is False and report["gettext"] is False
+    # reading a config drops a byte-order mark without the utf-8-sig codec
+    assert report["utf_8_sig"] is False
 
 
 def test_no_request_loads_json():

@@ -176,6 +176,9 @@ class TestErrors:
         "text, message",
         [
             ("[stats]\npower = 1.5\n", r"^power must be in \(0, 1\), got 1\.5$"),
+            ("[stats]\nalpha = 1\n", r"^alpha must be in \(0, 1\), got 1\.0$"),
+            ("[stats]\nreplicates = 0\n", r"^replicates must be in \[1, 2097152\], got 0$"),
+            ("[stats]\nreplicates = 1.5\n", "^line 2: replicates must be an integer, got '1.5'$"),
             ("[stats]\ncounts = 1,2,-3,4\n",
              r"^counts must be non-negative integers, got \(1, 2, -3, 4\)$"),
             ("[stats]\nbackground = -1e-3\n", "^background probabilities must be >= 0$"),
@@ -197,8 +200,20 @@ class TestErrors:
         assert parse_config("[stats]\nvisibility = 0.9\n").stats.visibility == 0.9
 
     def test_bad_output_format(self):
-        with pytest.raises(ConfigError, match="format must be one of"):
-            parse_config("[output]\nformat = xml\n")
+        # the [output] and pattern refusals, line number included
+        fringes = ("[fringes]\nsource_separation = 1e-3\nwavelength = 5e-7\n"
+                   "screen_distance = 1.0\nx_min = -0.01\nx_max = 0.01\nn_points = 11\n")
+        for text, message in [
+            ("[output]\nformat = xml\n", "line 2: format must be one of csv, json, got 'xml'"),
+            (MINIMAL_EXCITATION + "[output]\npath = out.csv\nformat = JSON\n",
+             "line 11: format must be one of csv, json, got 'JSON'"),
+            ("[output]\npath = out.csv\nfoo = 1\n",
+             "line 3: unknown key 'foo' in [output]; allowed: format, path"),
+            (fringes + "pattern = striped\n",
+             "line 8: pattern must be one of coherent, incoherent, got 'striped'"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                parse_config(text)
 
     def test_far_field_violation_is_a_config_error(self):
         with pytest.raises(ConfigError, match="far-field"):

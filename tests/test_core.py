@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mzsim.config import StatsOptions
+from mzsim.config import StatsOptions, _Output
 from mzsim.core import (
     ATOM_LABELS,
     EXPERIMENTS,
@@ -16,6 +16,7 @@ from mzsim.core import (
     DecayParams,
     ExcitationParams,
     Experiment,
+    Format,
     FringeGeometry,
     Hypothesis,
     PhotonParams,
@@ -278,6 +279,22 @@ class TestCountTables:
 
 
 EXCITATION = ExcitationParams(n0=1000, epsilon=0.2, lam=1.0, t=0.5)
+SPACE = SectorSpace((1, 1))
+# each record that keeps a view: its arguments, a view, its dtype and a new value for it
+VIEW_RECORDS = [
+    (CategoryModel, {"labels": ("a", "b"), "probabilities": (0.25, 0.75)},
+     "probabilities", np.float64, [0.5, 0.5]),
+    (FringeProfile, {"positions": np.array([0.0, 1.0]), "intensity": [1.0, 2.0]},
+     "positions", np.float64, [0.0, 2.0]),
+    (FringeProfile, {"positions": [0.0, 1.0], "intensity": np.array([1.0, 2.0])},
+     "intensity", np.float64, [2.0, 1.0]),
+    (SectorObservable, {"matrix": np.eye(2), "space": SPACE},
+     "matrix", np.complex128, [[0.0, 1j], [-1j, 0.0]]),
+    (StateVector, {"amplitudes": [0.6, 0.8j], "space": SPACE},
+     "amplitudes", np.complex128, [0.8, 0.6]),
+    (DensityMatrix, {"matrix": np.eye(2) / 2, "space": SPACE},
+     "matrix", np.complex128, [[1.0, 0.0], [0.0, 0.0]]),
+]
 
 
 class TestRecords:
@@ -364,21 +381,29 @@ class TestRecords:
         # __post_init__ runs again: numpy integers become ints
         assert type(SimConfig().replace(seed=np.uint64(5)).seed) is int
 
-    def test_records_holding_arrays_compare_by_identity(self):
-        space = SectorSpace((1, 1))
-        x = np.array([0.0, 1.0])
-        records = [
-            lambda: CategoryModel(("a", "b"), (0.25, 0.75)),
-            lambda: FringeProfile(x, x),
-            lambda: SectorObservable(np.eye(2), space),
-            lambda: StateVector(np.array([1.0, 0.0]), space),
-            lambda: DensityMatrix(np.eye(2) / 2, space),
-        ]
-        for make in records:
-            a, b = make(), make()
-            assert a == a and a != b
-            assert hash(a) == object.__hash__(a)
-            assert len({a, b}) == 2
+    @pytest.mark.parametrize("cls, kwargs, name, dtype, new", VIEW_RECORDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, _, name, *_ in VIEW_RECORDS])
+    def test_records_holding_arrays_compare_by_identity(self, cls, kwargs, name, dtype, new):
+        a, b = cls(**kwargs), cls(*kwargs.values())
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b}) == 2
+        view = getattr(a, name)
+        assert type(view) is np.ndarray and view.dtype == dtype and not view.flags.writeable
+        assert view.tolist() == np.asarray(kwargs[name], dtype).tolist()
+        assert getattr(a, name) is view
+        # replace takes the view's name, not the field that keeps its values
+        moved = a.replace(**{name: new})
+        assert getattr(moved, name).tolist() == np.asarray(new, dtype).tolist()
+        assert not getattr(moved, name).flags.writeable
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{cls._views[name][0]}'"):
+            a.replace(**{cls._views[name][0]: new})
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied != a and repr(copied) == repr(a)
+            assert name not in copied.__dict__
+            array = getattr(copied, name)
+            assert array.tolist() == view.tolist() and array.dtype == dtype
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("record", [
         EXCITATION,
@@ -398,30 +423,7 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 copied.n0 = 1
 
-    def test_a_copied_record_rebuilds_its_cached_arrays_read_only(self):
-        x = np.array([0.0, 1.0])
-        for record, name in ((CategoryModel(("a", "b"), (0.25, 0.75)), "probabilities"),
-                             (FringeProfile(x, x), "intensity"),
-                             (SectorObservable(np.eye(2), SPACE), "matrix"),
-                             (StateVector([0.6, 0.8j], SPACE), "amplitudes"),
-                             (DensityMatrix(np.eye(2) / 2, SPACE), "matrix")):
-            assert not getattr(record, name).flags.writeable
-            for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
-                assert name not in copied.__dict__
-                array = getattr(copied, name)
-                assert array.tolist() == getattr(record, name).tolist()
-                assert not array.flags.writeable
 
-    def test_a_copied_array_record_keeps_its_arrays(self):
-        model = CategoryModel(("a", "b"), (0.25, 0.75))
-        assert model.probabilities.tolist() == [0.25, 0.75]
-        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
-            assert copied != model
-            assert (copied.labels, copied._p) == (model.labels, model._p)
-            assert copied.probabilities.tolist() == [0.25, 0.75]
-
-
-SPACE = SectorSpace((1, 1))
 # per record type: a record, changes for replace, the constructor call that
 # makes the changed record, and the error that call raises (None: it succeeds)
 RECORD_EXAMPLES = {
@@ -443,6 +445,8 @@ RECORD_EXAMPLES = {
                      lambda: FringeGeometry(1e-3, 5e-7, 1.0, -1e-3, 1e-3, 1), DomainError),
     StatsOptions: (lambda: StatsOptions(alpha=0.05, counts=(1, 2, 3, 4)), {"alpha": 1.5},
                    lambda: StatsOptions(alpha=1.5, counts=(1, 2, 3, 4)), DomainError),
+    _Output: (lambda: _Output(Format.JSON, "out.json"), {"format": "json"},
+              lambda: _Output("json", "out.json"), DomainError),
     CategoryModel: (lambda: CategoryModel(("a", "b"), (0.25, 0.75)), {"labels": ("a",)},
                     lambda: CategoryModel(("a",), (0.25, 0.75)), StructureError),
     DiscriminationReport: (lambda: DiscriminationReport(1.5, 0.25, "favor_H1"),
@@ -512,6 +516,7 @@ GOOD_FIELDS = {
     FringeGeometry: dict(source_separation=1e-3, wavelength=5e-7, screen_distance=1.0,
                          x_min=-1e-3, x_max=1e-3, n_points=11),
     StatsOptions: {},
+    _Output: {},
     CountTable: dict(labels=()),
 }
 
@@ -556,6 +561,9 @@ GOOD_FIELDS = {
     (StatsOptions, {"counts": 5}, "counts must be an iterable, got 5"),
     (StatsOptions, {"background": 0.5}, "background must be an iterable, got 0.5"),
     (CountTable, {"labels": 5}, "labels must be an iterable, got 5"),
+    (CountTable, {"labels": ("a", 1)}, "labels must be a str, got 1"),
+    (_Output, {"format": "csv"}, "format must be a Format, got 'csv'"),
+    (_Output, {"path": 5}, "path must be a str, got 5"),
 ])
 def test_config_records_check_their_types(cls, kwargs, message):
     # each StatsOptions value used to construct, and replicates = 1.5 reached the stats layer

@@ -456,16 +456,26 @@ class TestMinSampleSize:
         with pytest.raises(ResourceLimitError, match="no sample size up to the cap of 16 "):
             min_sample_size(pos_model(background=1e-3), ccqi_model(background=1e-3), 0.01, 0.9)
 
-    @pytest.mark.parametrize("alpha, power, method, message", [
-        (0.01, 0.0, "auto", "power must be in (0, 1), got 0.0"),
-        (0.01, 1.0, "auto", "power must be in (0, 1), got 1.0"),
-        (0.0, 0.9, "auto", "alpha must be in (0, 1), got 0.0"),
-        (1.5, 0.9, "auto", "alpha must be in (0, 1), got 1.5"),
-        (0.01, 0.9, "fast", "unknown method 'fast'"),
+    @pytest.mark.parametrize("alpha, power, kwargs, message", [
+        (0.01, 0.0, {}, "power must be in (0, 1), got 0.0"),
+        (0.01, 1.0, {}, "power must be in (0, 1), got 1.0"),
+        (0.0, 0.9, {}, "alpha must be in (0, 1), got 0.0"),
+        (1.5, 0.9, {}, "alpha must be in (0, 1), got 1.5"),
+        (1, 0.9, {}, "alpha must be in (0, 1), got 1"),
+        (0.01, 0.9, {"method": "fast"}, "unknown method 'fast'"),
+        (0.01, 0.9, {"replicates": 0}, f"replicates must be in [1, {MAX_REPLICATES}], got 0"),
+        (0.01, 0.9, {"replicates": MAX_REPLICATES + 1},
+         f"replicates must be in [1, {MAX_REPLICATES}], got {MAX_REPLICATES + 1}"),
+        (0.01, 0.9, {"replicates": 1.5}, "replicates must be an integer, got 1.5"),
     ])
-    def test_power_alpha_and_method_are_checked(self, alpha, power, method, message):
-        with pytest.raises(DomainError, match=re.escape(message)):
-            min_sample_size(pos_model(), ccqi_model(), alpha, power, method=method)
+    def test_power_alpha_and_method_are_checked(self, alpha, power, kwargs, message):
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(DomainError, match=match):
+            min_sample_size(pos_model(), ccqi_model(), alpha, power, **kwargs)
+        # discriminate takes no power or method, and checks alpha and replicates alike
+        if power == 0.9 and "method" not in kwargs:
+            with pytest.raises(DomainError, match=match):
+                discriminate((8999, 1000, 1, 0), pos_model(), ccqi_model(), alpha, **kwargs)
 
     def test_power_search_needs_alpha(self):
         a = pos_model(background=1e-3)

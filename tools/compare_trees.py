@@ -13,9 +13,10 @@ except as a defect: one ``[stats]`` section in ten carries exactly one
 defect (a bad ``alpha``, ``power``, ``visibility``, ``replicates``,
 ``counts``, ``background`` or ``method``, ``h0`` beside
 ``visibility``, or an unknown key).  One request in ten also carries
-one defect in its ``[experiment]``, ``[simulation]`` or ``[fringes]``
-section (``SECTION_DEFECTS``: a bad number, integer, hypothesis or
-pattern, or a value out of range), drawn from a third generator, seeded
+one defect in its ``[experiment]``, ``[simulation]``, ``[stats]`` or
+``[fringes]`` section, or in an added ``[output]`` (``SECTION_DEFECTS``:
+a bad number, integer, hypothesis, method, pattern or format, a value
+out of range, or an unknown key), drawn from a third generator, seeded
 with ``"S defects"``, so they do not move the other configurations a
 seed draws.  The refusals' stderr is compared as well.
 A ``simulate`` request draws ``n0`` log-uniform below 10**6 and a
@@ -97,8 +98,9 @@ DEFECTS = {
 # edges: None stands for log-uniform up to the int64 bound 2**63 - 1
 EDGE_SHARE = 0.2
 N0_EDGES = (0, 1, None, 2**63 - 1, 2**63)
-# bad values per key of the other record-backed sections; a key the section
-# lacks is added only to [simulation], whose keys all have defaults
+# bad values per key of the record-backed sections; a key the section lacks is
+# added only to the sections whose keys all have defaults, and [output], which
+# no request draws otherwise, is added to any request
 SECTION_DEFECTS = {
     "experiment": {"n0": ["1.5", "x", "-3", "1e400"], "hypothesis": ["bogus", "POS"],
                    "epsilon": ["nan", "1.5"], "lambda": ["-1", "inf"], "t": ["-0.5"],
@@ -108,7 +110,12 @@ SECTION_DEFECTS = {
                    "workers": ["0", "2.5"]},
     "fringes": {"n_points": ["2.5", "1", "x"], "wavelength": ["inf", "-5e-7"],
                 "x_min": ["nan", "1"], "source_separation": ["0"], "pattern": ["striped"]},
+    "stats": {"alpha": ["1.5"], "power": ["nan"], "replicates": ["0", "1.5"],
+              "method": ["fast"], "counts": ["-1,2,3,4"], "background": ["x"]},
+    "output": {"format": ["xml"], "foo": ["1"]},
 }
+# the sections a defect may add a key to
+OPEN_SECTIONS = ("simulation", "stats", "output")
 
 
 def _uniform(rng, lo, hi, digits=4):
@@ -238,14 +245,15 @@ def _flags(rng, command: str, json_format: bool) -> list[str]:
 
 
 def _add_defect(rng, sections) -> None:
-    """One time in ten, set one key of one of ``sections`` to a bad value."""
-    names = sorted(set(sections) & set(SECTION_DEFECTS))
-    if not names or rng.random() >= DEFECT_SHARE:
+    """One time in ten, set one key of one of ``sections``, or of an added
+    ``[output]``, to a bad value."""
+    names = sorted((set(sections) | {"output"}) & set(SECTION_DEFECTS))
+    if rng.random() >= DEFECT_SHARE:
         return
     name = rng.choice(names)
-    entries = sections[name]
+    entries = sections.setdefault(name, {})
     key = rng.choice(sorted(k for k in SECTION_DEFECTS[name]
-                            if k in entries or name == "simulation"))
+                            if k in entries or name in OPEN_SECTIONS))
     entries[key] = rng.choice(SECTION_DEFECTS[name][key])
 
 
