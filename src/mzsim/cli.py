@@ -41,7 +41,11 @@ message comes from a parameter record's field (``lam``).  Data
 goes to stdout or ``--out``; diagnostics go to stderr.  CSV writes
 floats with 17 significant digits, and JSON with Python's shortest
 round-trip ``repr``, as ``json.dumps`` does, so identical
-configurations yield byte-identical output.
+configurations yield byte-identical output.  A process that runs
+:func:`main` freezes its live objects at exit (``gc.freeze`` through
+:mod:`atexit`), so the interpreter's final garbage collections skip
+what the operating system frees anyway; output is written and flushed
+as before.
 
 Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`: they
 build their models with ``stats.build_model`` and call
@@ -64,6 +68,8 @@ the exact engine keeps its binomial tails in lists, so ``discriminate``
 and ``plan`` below ``ROW_CAP`` load no :mod:`array` either.
 """
 
+import atexit
+import functools
 import math
 import numbers
 import sys
@@ -498,7 +504,18 @@ def _load_config(options: dict) -> RunConfig:
     return cfg
 
 
+@functools.cache  # once per process, however often main runs
+def _freeze_at_exit() -> None:
+    """Have the interpreter move every live object to the permanent generation
+    as it exits, so that the final collections of its teardown walk none of
+    them; the operating system frees them anyway."""
+    import gc  # not loaded at start-up, so importing this module does not load it
+
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     try:
         command, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Exit as stop:

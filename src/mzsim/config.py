@@ -56,6 +56,7 @@ from .core import (
     SimConfig,
     _check_open_unit,
     _check_replicates,
+    _check_unit_interval,
     _Record,
 )
 from .errors import ConfigError, DomainError, GeometryError
@@ -89,8 +90,8 @@ class StatsOptions(_Record):
             raise DomainError(f"counts must be non-negative integers, got {self.counts}")
         if self.background is not None and any(b < 0 for b in self.background):
             raise DomainError("background probabilities must be >= 0")
-        if self.visibility is not None and not 0.0 <= self.visibility <= 1.0:
-            raise DomainError(f"visibility must be in [0, 1], got {self.visibility}")
+        if self.visibility is not None:
+            _check_unit_interval("visibility", self.visibility)
         if self.replicates is not None:
             _check_replicates(self.replicates)
 

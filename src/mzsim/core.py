@@ -141,7 +141,9 @@ class _Record:
         return hash((type(self), self._values()))
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        # the constructor's arguments: a view by its name, with its field's values
+        arguments = self._arguments.items()
+        body = ", ".join(f"{name}={self.__dict__[field]!r}" for name, field in arguments)
         return f"{type(self).__qualname__}({body})"
 
     def replace(self, **changes):
@@ -437,6 +439,10 @@ class CountTable(_Record):
 
     def __init__(self, *counts, labels: tuple[str, ...] = ATOM_LABELS):
         super().__init__(counts, labels)
+
+    def __repr__(self):
+        # the call that builds the table: its constructor takes the counts by position
+        return f"CountTable({', '.join(map(repr, self.counts))}, labels={self.labels!r})"
 
     def __post_init__(self):
         if len(self.counts) != len(self.labels):

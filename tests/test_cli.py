@@ -1085,3 +1085,71 @@ def test_json_reports_are_the_bytes_json_dumps_writes(payload):
             _json(payload)
     else:
         assert _json(payload) == want
+
+
+
+CONSOLE_SCRIPT = "import sys; from mzsim.cli import main; sys.exit(main())"
+STATS = EXCITATION + "[stats]\nalpha = 0.01\n"
+# each exit path: its command line, with {config} for a file holding the config
+# text and {out} for a file to write, the config text, and the exit status
+EXIT_PATHS = {
+    "predict csv": (["predict", "--config", "{config}"], EXCITATION, 0),
+    "predict json": (["predict", "--config", "{config}", "--format", "json"], PHOTON, 0),
+    "simulate": (["simulate", "--config", "{config}", "--seed", "3"], EXCITATION, 0),
+    "fringes": (["fringes", "--config", "{config}"], FRINGES, 0),
+    "discriminate": (["discriminate", "--config", "{config}"], STATS + "counts = 70,8,1,1\n", 0),
+    "plan": (["plan", "--config", "{config}"], EXCITATION + "[stats]\npower = 0.999\n", 0),
+    "sectors-demo": (["sectors-demo"], None, 0),
+    "--out": (["predict", "--config", "{config}", "--out", "{out}"], EXCITATION, 0),
+    "config error": (["predict", "--config", "{config}"], DECAY_WITHOUT_OFFSET, 2),
+    "runtime error": (["discriminate", "--config", "{config}"],
+                      STATS + "counts = 9000,1000,0,0\nh1 = pos\n", 3),
+    "usage error": (["simulate", "--bogus"], None, 2),
+    "help": (["plan", "-h"], None, 0),
+}
+
+
+def _child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mzsim.__file__))}
+
+
+@pytest.mark.parametrize("case", EXIT_PATHS)
+def test_a_process_exits_with_what_main_returns_and_writes(case, write_config, tmp_path):
+    argv, text, status = EXIT_PATHS[case]
+    config = write_config(text) if text else None
+    runs = []
+    for where in ("child", "in process"):
+        out = tmp_path / f"{where}.out"
+        args = [arg.format(config=config, out=out) for arg in argv]
+        if where == "child":
+            done = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *args],
+                                  capture_output=True, env=_child_env())
+            code, stdout, stderr = done.returncode, done.stdout, done.stderr
+        else:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(args)
+            stdout, stderr = stdout.getvalue().encode(), stderr.getvalue().encode()
+        runs.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == status
+    assert (runs[0][3] is not None) == (case == "--out")
+
+
+def test_main_registers_one_exit_hook_however_often_it_runs():
+    # count the freezes; a hook registered before main's runs after it
+    script = (
+        "import atexit, gc, sys\n"
+        "freeze, calls = gc.freeze, []\n"
+        "gc.freeze = lambda: calls.append(1) or freeze()\n"
+        "from mzsim.cli import main\n"
+        "atexit.register(lambda: print('freezes', len(calls), gc.get_freeze_count() > 0))\n"
+        "codes = [main(['-h']), main(['predict']), main(['sectors-demo'])]\n"
+        "print('codes', codes, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert done.returncode == 0
+    assert done.stderr.endswith("codes [0, 2, 0]\n")
+    assert done.stdout.startswith("usage: mzsim [-h]")
+    assert done.stdout.endswith("freezes 1 True\n")

@@ -183,6 +183,7 @@ class TestErrors:
              r"^counts must be non-negative integers, got \(1, 2, -3, 4\)$"),
             ("[stats]\nbackground = -1e-3\n", "^background probabilities must be >= 0$"),
             ("[stats]\nvisibility = 1.5\n", r"^visibility must be in \[0, 1\], got 1\.5$"),
+            ("[stats]\nvisibility = -3\n", r"^visibility must be a number >= 0, got -3\.0$"),
             ("[stats\nalpha = 0.01\n", r"^line 1: malformed section header '\[stats'$"),
             ("[stats]\nalpha =\n", "^line 2: expected 'key = value', got 'alpha ='$"),
             ("[stats]\ncounts = 1,x,3,4\n",

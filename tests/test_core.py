@@ -502,6 +502,21 @@ def test_every_record_checks_itself_however_it_is_made(cls, monkeypatch):
             assert not isinstance(value, np.ndarray) or not value.flags.writeable
 
 
+@pytest.mark.parametrize("cls", RECORD_EXAMPLES, ids=lambda cls: cls.__name__)
+def test_a_repr_names_the_constructor_arguments(cls):
+    record = RECORD_EXAMPLES[cls][0]()
+    values = list(record.__getstate__().values())
+    text = repr(record)
+    for value in values:  # a record in a field shows keywords of its own
+        if isinstance(value, _Record):
+            text = text.replace(repr(value), "...")
+    keywords = re.findall(r"(?:\(|, )(\w+)=", text)
+    args = values.pop(0) if cls is CountTable else ()  # the counts go by position
+    # the repr's keywords, given the fields' values in order, rebuild the record
+    rebuilt = cls(*args, **dict(zip(keywords, values, strict=True)))
+    assert repr(rebuilt) == repr(record)
+
+
 def test_stats_options_check_their_ranges():
     with pytest.raises(DomainError, match=re.escape("alpha must be in (0, 1), got 1.5")):
         StatsOptions(alpha=1.5)

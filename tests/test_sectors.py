@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mzsim import sectors
 from mzsim.errors import ContractError, DomainError, StructureError
 from mzsim.sectors import (
     EIGENVALUE_TOL,
@@ -340,6 +341,58 @@ def test_positivity_matches_the_smallest_eigenvalue_off_the_boundary(n):
         else:
             DensityMatrix(m, space)
     assert decided >= (40 if n <= 16 else 6)
+
+
+def _factored_sizes(monkeypatch) -> list:
+    """The size of every matrix the positivity check factors from here on."""
+    sizes, check = [], sectors._positive_semidefinite
+    monkeypatch.setattr(sectors, "_positive_semidefinite",
+                        lambda rows: sizes.append(len(rows)) or check(rows))
+    return sizes
+
+
+class TestBlockPositivity:
+    def test_a_block_diagonal_matrix_with_one_negative_block_is_refused(self, monkeypatch):
+        sizes = _factored_sizes(monkeypatch)
+        # the second block's eigenvalues are about 0.519 and -0.019
+        m = [[0.3, 0.1, 0, 0], [0.1, 0.2, 0, 0], [0, 0, 0.5, 0.1], [0, 0, 0.1, 0.0]]
+        with pytest.raises(DomainError) as refused:
+            DensityMatrix(m, SectorSpace((2, 2)))
+        assert str(refused.value) == "density matrix must be positive semidefinite within 1e-10"
+        assert sizes == [2, 2]
+
+    def test_a_tiny_entry_outside_the_blocks_takes_the_whole_factorisation(self, monkeypatch):
+        sizes = _factored_sizes(monkeypatch)
+        space = SectorSpace((1, 1))
+        DensityMatrix([[1.0, 0.0], [0.0, 0.0]], space)
+        assert sizes == [1, 1]
+        # each block alone is positive, but the whole has an eigenvalue of about -1e-8
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            DensityMatrix([[1.0, 1e-4], [1e-4, 0.0]], space)
+        assert sizes == [1, 1, 2]
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_block_by_block_positivity_decides_as_the_whole_factorisation(self, n):
+        rng = np.random.default_rng(4800 + n)
+        decisions = []
+        for _ in range(40 if n <= 16 else 8):
+            space = _sector_partition(n, rng)
+            m = np.zeros((n, n), dtype=complex)
+            # each block's smallest eigenvalue within 1e-6 of -EIGENVALUE_TOL
+            for sl, dim in zip(space.slices(), space.sector_dims):
+                offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.5, -6.0)
+                m[sl, sl] = _density_with_smallest_eigenvalue(dim, -EIGENVALUE_TOL + offset, rng)
+            m /= np.trace(m).real
+            whole = sectors._positive_semidefinite(tuple(map(tuple, m.tolist())))
+            try:
+                DensityMatrix(m, space)
+            except DomainError as exc:
+                assert "positive semidefinite" in str(exc)
+                decisions.append(False)
+            else:
+                decisions.append(True)
+            assert decisions[-1] is whole
+        assert True in decisions and False in decisions
 
 
 class TestSectorSupport:

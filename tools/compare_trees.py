@@ -19,6 +19,10 @@ a bad number, integer, hypothesis, method, pattern or format, a value
 out of range, or an unknown key), drawn from a third generator, seeded
 with ``"S defects"``, so they do not move the other configurations a
 seed draws.  The refusals' stderr is compared as well.
+A fifth of the requests carry an ``[output]`` section (``OUTPUT_SHARE``)
+with ``format = csv`` or ``json``, ``path`` to a file, or both, drawn
+from a generator seeded with ``"S output"``; a defect may then spoil
+that section too.
 A ``simulate`` request draws ``n0`` log-uniform below 10**6 and a
 chunk size of 999, 4096, 65536 or 10**6; a fifth of them get an
 ``n0`` at an edge of the sampler (``EDGE_SHARE``, ``N0_EDGES``) from a
@@ -116,6 +120,9 @@ SECTION_DEFECTS = {
 }
 # the sections a defect may add a key to
 OPEN_SECTIONS = ("simulation", "stats", "output")
+# the share of requests given an [output] section, and the keys it may hold
+OUTPUT_SHARE = 0.2
+OUTPUT_KEYS = (("format",), ("path",), ("format", "path"))
 
 
 def _uniform(rng, lo, hi, digits=4):
@@ -257,6 +264,16 @@ def _add_defect(rng, sections) -> None:
     entries[key] = rng.choice(SECTION_DEFECTS[name][key])
 
 
+def _add_output(rng, sections) -> None:
+    """One time in five, add an ``[output]`` section with a format, a path
+    to the worker's file (``{out}``), or both."""
+    if rng.random() >= OUTPUT_SHARE:
+        return
+    keys = rng.choice(OUTPUT_KEYS)
+    sections["output"] = {key: rng.choice(["csv", "json"]) if key == "format" else "{out}"
+                          for key in keys}
+
+
 def _add_edge(rng, experiment: dict) -> None:
     """One time in five, move a simulate request's ``n0`` to an edge of the sampler."""
     if rng.random() >= EDGE_SHARE:
@@ -275,6 +292,7 @@ def requests(seed: int, count: int):
     rng, flag_rng = random.Random(seed), random.Random(f"{seed} flags")
     defect_rng = random.Random(f"{seed} defects")
     edge_rng = random.Random(f"{seed} edges")
+    output_rng = random.Random(f"{seed} output")
     out = []
     for _ in range(count):
         command = rng.choices(COMMANDS, WEIGHTS)[0]
@@ -302,6 +320,7 @@ def requests(seed: int, count: int):
             elif command in ("discriminate", "plan"):
                 sections["stats"] = _stats(rng, command, e)
                 sections["simulation"] = {"seed": rng.randrange(2**32)}
+        _add_output(output_rng, sections)
         _add_defect(defect_rng, sections)
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
                        for name, entries in sections.items())
@@ -339,7 +358,7 @@ def _worker() -> None:
             argv = [command, *(flag.replace("{out}", out_path) for flag in flags)]
             if text is not None:
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.write(text.replace("{out}", out_path))
                 argv += ["--config", path]
             out, err = io.StringIO(), io.StringIO()
             start = time.perf_counter()
@@ -413,6 +432,10 @@ def main(argv=None) -> int:
                      else "background" if "background" in stats else "neither")
             designs[f"{command} {text.split()[3]} {shape}"] += 1
         designs[f"{command} exit {b[2]}"] += 1
+        if text and "[output]" in text:
+            output = text.split("[output]\n")[1]
+            keys = " and ".join(line.split(" =")[0] for line in output.splitlines())
+            designs[f"[output] with {keys}, exit {b[2]}"] += 1
         if b[4] is not None:
             designs[f"discriminate {b[4][0]} pooled cells, {b[4][1]} possible under both"] += 1
             designs["discriminate above the exact cap"] += b[4][2]
