@@ -37,39 +37,19 @@ builders, and ``stats`` loads it only for a
 ``CategoryModel.probabilities`` array and for its seeded simulations.
 So of the CLI's requests only ``plan`` with ``method = simulation`` and
 the seeded tests above ``stats.ROW_CAP`` import numpy.  None imports
-:mod:`json`: :mod:`mzsim.cli` writes its JSON itself.
+:mod:`json`: :mod:`mzsim.cli` writes its JSON itself, byte for byte
+what ``json.dumps`` writes.  And ``stats``' exact engine keeps its
+binomial tails in lists, so ``discriminate`` and ``plan`` below
+``ROW_CAP`` load no :mod:`array` either.
 """
 
 import importlib.util
 import sys
 
-from .core import (
-    ATOM_LABELS,
-    EXPERIMENTS,
-    PHOTON_LABELS,
-    CountTable,
-    DecayParams,
-    ExcitationParams,
-    Experiment,
-    FringeGeometry,
-    Hypothesis,
-    PhotonParams,
-    SimConfig,
-    purity_time_offset,
-    survival_fraction,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateComparisonError,
-    DomainError,
-    GeometryError,
-    MzsimError,
-    ResourceLimitError,
-    StructureError,
-    UnsupportedHypothesisError,
-)
-from .predict import predict_decay, predict_excitation, predict_photon
+# each standard-library layer's exports are the names its __all__ lists
+from .core import *
+from .errors import *
+from .predict import *
 from .config import RunConfig, parse_config
 from . import core, errors, predict
 

@@ -9,20 +9,20 @@ Subcommands::
     mzsim plan         --config FILE [--seed N] [--out PATH]
     mzsim sectors-demo [--out PATH]
 
-One table, ``_OPTIONS``, lists each subcommand's options, and a small
-parser reads the command line from it as argparse would: an option
-by its full name or a unique prefix (``--form json``), its value as
-the next argument or after ``=`` (``--format=json``), the last of a
-repeated option, a negative number as a value (``--seed -5``, which
-the config then refuses), and ``-h``/``--help`` before or after the
-subcommand.  ``discriminate`` and ``plan`` also take ``--format``,
-and ``sectors-demo`` an optional ``--config``.  Help goes to stdout
-with exit 0.  A usage error (no or an unknown subcommand, an unknown
-option or stray argument, a missing value, a ``--format`` that is no
-:class:`~mzsim.core.Format`, a ``--seed`` that is not an integer, no
-``--config``) writes a usage line and ``mzsim: error: ...`` to stderr,
-nothing to stdout, and exits 2.  The config file is read as UTF-8, a
-leading byte-order mark dropped.
+One table, ``_COMMANDS``, lists each subcommand's handler and options,
+and a small parser reads the command line from it as argparse would:
+an option by its full name or a unique prefix (``--form json``), its
+value as the next argument or after ``=`` (``--format=json``), the
+last of a repeated option, a negative number as a value
+(``--seed -5``, which the config then refuses), and ``-h``/``--help``
+before or after the subcommand.  ``discriminate`` and ``plan`` also
+take ``--format``, and ``sectors-demo`` an optional ``--config``.
+Help goes to stdout with exit 0.  A usage error (no or an unknown
+subcommand, an unknown option or stray argument, a missing value, a
+``--format`` that is no :class:`~mzsim.core.Format`, a ``--seed`` that
+is not an integer, no ``--config``) writes a usage line and
+``mzsim: error: ...`` to stderr, nothing to stdout, and exits 2.  The
+config file is read as UTF-8, a leading byte-order mark dropped.
 
 ``predict`` emits the expected count table for the configured
 experiment and hypothesis.  ``simulate`` emits three rows under the
@@ -47,25 +47,15 @@ configurations yield byte-identical output.  A process that runs
 what the operating system frees anyway; output is written and flushed
 as before.
 
-Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`: they
-build their models with ``stats.build_model`` and call
-``stats.discriminate`` and ``stats.min_sample_size``, after the
-config has been parsed and checked.  :mod:`~mzsim.stats`, which
-those requests alone load, holds every rule of the test, and it and
-its exact engine are pure Python: they load numpy only above its
-``ROW_CAP``, and ``plan`` also for ``method = simulation``; ``plan``'s
-zero-cell closed form never does.
-``simulate`` samples with :mod:`~mzsim.montecarlo`, whose PCG64 and
-binomial sampler are pure Python, so it never loads numpy.
-``fringes`` and ``sectors-demo`` format the numbers that :mod:`~mzsim.fringes`
-and :mod:`~mzsim.sectors` compute in pure Python, so only ``plan`` with
-``method = simulation`` and the seeded tests above ``ROW_CAP`` load numpy.
-The package binds those layers, :mod:`~mzsim.montecarlo` and
-:mod:`~mzsim.stats` lazily, and this module calls them through their
-module objects.  This module writes its JSON reports itself, byte for
-byte what ``json.dumps`` writes, so no request loads :mod:`json`; and
-the exact engine keeps its binomial tails in lists, so ``discriminate``
-and ``plan`` below ``ROW_CAP`` load no :mod:`array` either.
+Only ``discriminate`` and ``plan`` run :mod:`~mzsim.stats`, after the
+config has been parsed and checked: they build their models with
+``stats.build_model`` and call ``stats.discriminate`` and
+``stats.min_sample_size``.  ``simulate`` samples with
+:mod:`~mzsim.montecarlo`, and ``fringes`` and ``sectors-demo`` format
+what :mod:`~mzsim.fringes` and :mod:`~mzsim.sectors` compute.  The
+package binds those four layers lazily, and this module calls them
+through their module objects.  Which request loads numpy, :mod:`json`
+or :mod:`array` is set out once, in the :mod:`mzsim` package docstring.
 """
 
 import atexit
@@ -304,28 +294,19 @@ def _cmd_sectors_demo(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each subcommand's handler and options, the options in the order its usage
+# line and help list them; each option takes one value, and every subcommand
+# but sectors-demo requires --config
 _COMMANDS = {
-    "predict": _cmd_predict,
-    "simulate": _cmd_simulate,
-    "fringes": _cmd_fringes,
-    "discriminate": _cmd_discriminate,
-    "plan": _cmd_plan,
-    "sectors-demo": _cmd_sectors_demo,
-}
-
-
-# each subcommand's options, in the order its usage line and help list them;
-# each option takes one value, and every subcommand but sectors-demo requires --config
-_OPTIONS = {
-    "predict": ("--config", "--out", "--format"),
-    "simulate": ("--config", "--out", "--format", "--seed"),
-    "fringes": ("--config", "--out", "--format"),
-    "discriminate": ("--config", "--out", "--format", "--seed"),
-    "plan": ("--config", "--out", "--format", "--seed"),
-    "sectors-demo": ("--config", "--out"),
+    "predict": (_cmd_predict, ("--config", "--out", "--format")),
+    "simulate": (_cmd_simulate, ("--config", "--out", "--format", "--seed")),
+    "fringes": (_cmd_fringes, ("--config", "--out", "--format")),
+    "discriminate": (_cmd_discriminate, ("--config", "--out", "--format", "--seed")),
+    "plan": (_cmd_plan, ("--config", "--out", "--format", "--seed")),
+    "sectors-demo": (_cmd_sectors_demo, ("--config", "--out")),
 }
 _FORMATS = tuple(f.value for f in Format)
-# (metavar, help) of each option
+# (metavar, help) of each option; its names, less "--", key _parse_args' values
 _OPTION_HELP = {
     "--config": ("CONFIG", "path to the run configuration file"),
     "--out": ("OUT", "write the artifact here instead of stdout"),
@@ -344,7 +325,7 @@ def _usage(command: str | None) -> str:
     if command is None:
         return "usage: mzsim [-h] {" + ",".join(_COMMANDS) + "} ..."
     words = ["[-h]"]
-    for name in _OPTIONS[command]:
+    for name in _COMMANDS[command][1]:
         option = f"{name} {_OPTION_HELP[name][0]}"
         required = name == "--config" and command != "sectors-demo"
         words.append(option if required else f"[{option}]")
@@ -366,7 +347,7 @@ def _help(command: str | None) -> _Exit:
         width = 22
     else:
         rows += [(f"{name} {_OPTION_HELP[name][0]}", _OPTION_HELP[name][1])
-                 for name in _OPTIONS[command]]
+                 for name in _COMMANDS[command][1]]
         text = ""
         width = max(len(flags) for flags, _ in rows) + 2
     text += "\noptions:\n" + "".join(f"  {flags:{width}}{what}\n" for flags, what in rows)
@@ -417,7 +398,7 @@ def _check_help(name: str, value: str | None, command: str | None) -> None:
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
     """The subcommand and its option values by name, None where not given.
 
-    Reads ``argv`` by argparse's rules for the ``_OPTIONS`` table: an
+    Reads ``argv`` by argparse's rules for the ``_COMMANDS`` table: an
     option by its name or a unique prefix of it, its value as the next
     argument or after ``=``, the last of a repeated option, and help
     wherever it comes before a refusal.  Raises :class:`_Exit` for help
@@ -441,13 +422,13 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
         raise _usage_error(
             None, f"argument command: invalid choice: {command!r} (choose from {choices})"
         )
-    names = (*_HELP_FLAGS, *_OPTIONS[command])
+    names = (*_HELP_FLAGS, *_COMMANDS[command][1])
     # everything after "--" is positional; argparse reads every argument before
     # it first, so an ambiguous prefix is refused before anything else
     end = rest.index("--") if "--" in rest else len(rest)
     reads = [_read_option(arg, names, command) for arg in rest[:end]]
     reads += [None] * (len(rest) - end)
-    values = dict.fromkeys(("config", "out", "format", "seed"))
+    values = dict.fromkeys(name[2:] for name in _OPTION_HELP)
     i = 0
     while i < len(rest):
         read = reads[i]
@@ -524,7 +505,7 @@ def main(argv=None) -> int:
         return status
     try:
         cfg = _load_config(options)
-        text = _COMMANDS[command](cfg)
+        text = _COMMANDS[command][0](cfg)
     except _CONFIG_ERRORS as exc:
         print(f"mzsim: config error: {_config_message(exc)}", file=sys.stderr)
         return 2

@@ -357,6 +357,14 @@ class TestPlumbing:
         assert code == 0 and out == ""
         assert target.read_text() == "na1,na2,nb1,nb2\n9000,1000,0,0\n"
 
+    def test_out_into_a_missing_directory_is_an_io_error(self, write_config, tmp_path, capsys):
+        target = tmp_path / "missing" / "result.csv"
+        code, out, err = run_cli(
+            capsys, "predict", "--config", write_config(EXCITATION), "--out", str(target)
+        )
+        assert (code, out) == (3, "") and not target.parent.exists()
+        assert err.startswith("mzsim: error: [Errno 2] No such file or directory: ")
+
     def test_repeated_runs_are_byte_identical(self, write_config, tmp_path, capsys):
         config = write_config(EXCITATION + "\n[simulation]\nseed = 3\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1086,6 +1094,14 @@ def test_json_reports_are_the_bytes_json_dumps_writes(payload):
     else:
         assert _json(payload) == want
 
+
+
+@pytest.mark.parametrize("payload", [object(), {"counts": {1, 2}}, [b"bytes"]])
+def test_json_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError) as want:
+        json.dumps(payload, allow_nan=False)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+        _json(payload)
 
 
 CONSOLE_SCRIPT = "import sys; from mzsim.cli import main; sys.exit(main())"

@@ -277,6 +277,12 @@ class TestCountTables:
         with pytest.raises(DomainError):
             CountTable(float("nan"), 0, 0, 0)
 
+    def test_rejects_a_count_per_label_mismatch(self):
+        with pytest.raises(StructureError, match=r"^expected 4 counts \('na1'.*, got 3$"):
+            CountTable(1, 2, 3)
+        with pytest.raises(StructureError, match="^expected 3 counts"):
+            CountTable(1, 2, 3, 4, labels=PHOTON_LABELS)
+
 
 EXCITATION = ExcitationParams(n0=1000, epsilon=0.2, lam=1.0, t=0.5)
 SPACE = SectorSpace((1, 1))

@@ -114,6 +114,18 @@ class TestConstructors:
         with pytest.raises(StructureError, match="amplitudes must be a 1-d array of numbers"):
             StateVector(amplitudes, SectorSpace((1, 1)))
 
+    def test_amplitude_count_must_match_the_space(self):
+        with pytest.raises(StructureError, match="^amplitude count 2 does not match dimension 3$"):
+            StateVector([1.0, 0.0], SectorSpace((2, 1)))
+
+    def test_states_and_observables_must_share_one_space(self):
+        small, large = SectorSpace((1, 1)), SectorSpace((1, 2))
+        a = SectorObservable(np.eye(2), small)
+        with pytest.raises(StructureError, match="^states and observable must share one"):
+            sector_matrix_element(a, basis_state(small, 0), basis_state(large, 1))
+        with pytest.raises(StructureError, match="^observable and state must share one"):
+            expectation(a, maximally_mixed(large))
+
     def test_entries_are_kept_as_complex_numbers_and_arrays_built_on_access(self):
         space = SectorSpace((1, 1))
         rho = DensityMatrix([[0.5, 0.5], [0.5, 0.5]], space)
@@ -277,6 +289,11 @@ class TestIndices:
     def test_random_density_matrix_refuses_a_rank_that_is_not_an_integer(self, rank):
         # True passed the range check as 1, and 2.5 failed inside numpy
         with pytest.raises(DomainError, match="rank must be an integer"):
+            random_density_matrix(SectorSpace((2, 1)), np.random.default_rng(0), rank=rank)
+
+    @pytest.mark.parametrize("rank", [0, 4, -1])
+    def test_random_density_matrix_refuses_a_rank_out_of_range(self, rank):
+        with pytest.raises(DomainError, match=rf"^rank must be in \[1, 3\], got {rank}$"):
             random_density_matrix(SectorSpace((2, 1)), np.random.default_rng(0), rank=rank)
 
     def test_random_density_matrix_takes_an_integer_rank(self):

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -17,6 +17,7 @@ from mzsim.core import (
     ATOM_LABELS,
     EXPERIMENTS,
     MAX_REPLICATES,
+    PHOTON_LABELS,
     CountTable,
     DecayParams,
     ExcitationParams,
@@ -106,6 +107,9 @@ class TestCategoryModel:
             CategoryModel(("a", "b"), np.array([1.1, -0.1]))
         with pytest.raises(StructureError):
             CategoryModel(("a", "b", "c"), np.array([0.5, 0.5]))
+        for probabilities in (0.5, None, object()):
+            with pytest.raises(StructureError, match="labels and probabilities must have"):
+                CategoryModel(("a", "b"), probabilities)
 
     def test_probabilities_are_a_read_only_float64_array(self):
         model = CategoryModel(("a", "b"), [0.25, 0.75])
@@ -157,9 +161,14 @@ class TestBuildModel:
         with pytest.raises(DomainError):
             pos_model(background=-1e-3)
 
-    def test_background_arity_checked(self):
-        with pytest.raises(StructureError):
-            pos_model(background=[1e-4, 1e-4])
+    def test_models_need_a_particle(self):
+        with pytest.raises(DomainError, match="^n0 must be >= 1 to derive category"):
+            build_model("excitation", excitation_params(n0=0), Hypothesis.POS)
+
+    @pytest.mark.parametrize("background", [[1e-4, 1e-4], object(), "0.1", [[1e-3]]])
+    def test_background_arity_checked(self, background):
+        with pytest.raises(StructureError, match="^background must be a scalar or 4 values$"):
+            pos_model(background=background)
 
     @pytest.mark.parametrize(
         "background",
@@ -317,6 +326,18 @@ class TestDiscriminate:
         with pytest.raises(DegenerateComparisonError):
             discriminate((9000, 1000, 0, 0), pos_model(), pos_model(), alpha=0.05)
 
+    def test_models_of_different_layouts_are_refused(self):
+        photon = build_model("photon", PhotonParams(n0=100, d=0.5, u=0.5), Hypothesis.POS)
+        with pytest.raises(StructureError, match="^models must share one category layout$"):
+            discriminate((9000, 1000, 0, 0), pos_model(), photon, alpha=0.05)
+        with pytest.raises(StructureError, match="^models must share one category layout$"):
+            min_sample_size(pos_model(), photon, 0.05, 0.9)
+
+    def test_a_count_table_of_other_labels_is_refused(self):
+        table = CountTable(50, 30, 20, labels=PHOTON_LABELS)
+        with pytest.raises(StructureError, match="^count categories .* do not match model"):
+            discriminate(table, pos_model(), ccqi_model(), alpha=0.05)
+
     def test_alpha_must_be_a_probability(self):
         with pytest.raises(DomainError):
             discriminate((9000, 1000, 0, 0), pos_model(), ccqi_model(), alpha=1.5)
@@ -433,7 +454,8 @@ class TestMinSampleSize:
             min_sample_size(h0, h1, 1e-9, 0.9)
 
     def test_the_refusal_bound_lies_below_every_planned_answer(self):
-        # the power-search answers this module pins
+        # the power-search answers this module pins; the refusal's bound
+        # d(power || alpha) / chi2 lies below each, and so do the information floors
         background = (pos_model(background=1e-3), ccqi_model(background=1e-3))
         weak = ExcitationParams(n0=1000, epsilon=0.02, lam=1.0, t=LN2)
         photon = PhotonParams(n0=1000, d=0.1, u=0.5)
@@ -446,8 +468,8 @@ class TestMinSampleSize:
             ([build_model("photon", photon, h) for h in hypotheses], 0.01, 0.95, 3301),
         ]:
             chi2 = sum((b - a) ** 2 / a for a, b in zip(h0._p, h1._p) if a > 0)
-            kl = power * math.log(power / alpha) + (1 - power) * math.log((1 - power) / (1 - alpha))
-            assert kl / chi2 <= answer
+            assert binary_divergence(power, alpha) / chi2 <= answer
+            assert_above_the_information_floor(answer, h0._p, h1._p, alpha, power)
 
     def test_a_power_search_past_the_cap_is_refused(self, monkeypatch):
         # the bound d(power || alpha) / chi2 is 0.76 here, so the search itself
@@ -811,6 +833,26 @@ class TestBinomialTables:
         rel = max(1e-12, (x - mode) * 2.0**-52)
         assert abs(Decimal(p_value) - want) <= Decimal(rel) * want, p_value
 
+    def test_a_pmf_below_the_smallest_normal_float_counts_as_zero(self):
+        # one row of 3000 draws; its pmf falls below 2**-1022 at 2477, past the
+        # window, so a tail from there is 0 and one from 2476 stops at 2**-1022
+        n = 3000
+        params = DecayParams(n0=1000, lam=1.0, lam_prime=0.9, t1=0.1, t2=0.5, t3=0.1)
+        h0 = build_model("decay", params, Hypothesis.POS)
+        h1 = build_model("decay", params, Hypothesis.MODIFIED_RATE)
+        r = h0._p[1]
+        binom = stats._Binomial(r)
+        mode = int((n + 1) * r)
+        x = next(x for x in range(mode, n + 1) if binom.log_pmf(n, x) < -1022 * math.log(2))
+        lo, tails = binom.table(n)
+        assert x - 1 > lo + len(tails) - 1
+        p_values = {y: discriminate((n - y, y, 0, 0), h0, h1, 0.05).p_value_h0
+                    for y in (x - 1, x, n)}
+        assert p_values[x - 1] > 0.0 and p_values[x] == p_values[n] == 0.0
+        for y, p_value in p_values.items():
+            # the docstring's bound: below m = 2**20 a tail errs by less than 1e-300
+            assert abs(Decimal(p_value) - decimal_binomial_tail(n, r, y)) < Decimal("1e-300"), y
+
 
 class TestExactEngine:
     """Up to ROW_CAP, p-values and power are exact sums over the support."""
@@ -881,6 +923,53 @@ class TestExactEngine:
             want = sorted(scipy_stats.multinomial.pmf([*x, n - sum(x), 0], n, cells)
                           for x in rows)
             assert sorted(masses) == pytest.approx(want, rel=1e-12)
+
+    def test_each_cut_is_the_least_count_whose_statistic_reaches_the_threshold(self):
+        # thresholds on every row statistic and one ulp either side, where the
+        # division that starts each cut misses by one in both directions
+        rng = np.random.default_rng(61)
+        misses = {-1: 0, 1: 0}
+        for _ in range(12):
+            k = int(rng.integers(2, 5))
+            p0 = rng.dirichlet(np.ones(k))
+            p1 = p0 * np.exp(rng.uniform(-3.0, 3.0, k))
+            test = stats.RowTest(int(rng.integers(1, 25)), p0.tolist(), (p1 / p1.sum()).tolist())
+            wu, wv, d = test._wu, test._wv, test._d
+            for a, m, mass in zip(*test._rows(range(len(test._m)))):
+                # the statistic of x draws in u, summed left to right as the engine does
+                row = [(a + (m - x) * wv) + x * wu for x in range(m + 1)]
+                for s in row:
+                    for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)):
+                        cuts = []
+                        test._tail(test._binom0, t, [a], [m], [mass], cuts)
+                        least = next((x for x, s in enumerate(row) if s >= t), m + 1)
+                        assert cuts == [least], (a, m, t)
+                        guess = min(max(math.ceil((t - (a + m * wv)) / d), 0), m + 1)
+                        if guess != least:
+                            misses[1 if guess > least else -1] += 1
+        assert misses[-1] and misses[1], misses
+
+    def test_a_bracket_narrower_than_one_ulp_ends_the_bisection(self):
+        # the two finite cells' weights differ by d = 6e-15: above TIE_REL_TOL / n,
+        # so they do not pool, but below one ulp of the statistics, about 40, so
+        # the critical statistic's bisection runs out of floats before d.  The
+        # rest of the null mass lies in a cell impossible under h1
+        n, w, d = 2 * 10**5, 2e-4, 6e-15
+        half = math.exp(-w) / 2
+        p0, p1 = [half, half, 1.0 - 2 * half], [0.5 - d / 4, 0.5 + d / 4, 0.0]
+        test = stats.RowTest(n, p0, p1)
+        assert test.groups == [[0], [1], [2]]
+        assert stats.TIE_REL_TOL / n < test._d < math.ulp(n * test._wv)
+        # every outcome off the third cell ties with every other: each one's
+        # p-value is their null mass, and h1 puts all its mass there.  A row's
+        # log mass is summed from lgamma(n + 1), about 2.2e6, in whose last
+        # digit, 4.7e-10, it may err
+        rel = 2 * math.ulp(math.lgamma(n + 1))
+        finite = math.exp(n * math.log(2 * half))
+        for counts in ((n, 0, 0), (n // 2, n - n // 2, 0), (0, n, 0)):
+            assert test.p_value(test.statistic(counts)) == pytest.approx(finite, rel=rel)
+        assert test.power(10 * finite) == pytest.approx(1.0, rel=rel)
+        assert test.power(finite / 10) == 0.0
 
     def test_discriminate_counts_each_outcomes_own_mass(self):
         h0, h1 = ORACLE_DESIGNS["excitation-visibility-ulp"]
@@ -1105,3 +1194,56 @@ def test_the_row_engine_matches_the_enumeration(design):
     if not any(a == 0.0 < b for a, b in zip(p0, p1)):
         for alpha in (1e-3, 0.01, 0.05, 0.3):
             assert test.power(alpha) == pytest.approx(oracle.power(alpha), rel=1e-12, abs=1e-300)
+
+
+def binary_divergence(p: float, q: float) -> float:
+    """d(p || q), the Kullback-Leibler divergence of Bernoulli(p) from Bernoulli(q)."""
+    return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
+
+
+def divergence(p, q) -> float:
+    """D(p || q) of two category vectors; inf where p reaches a cell q rules out."""
+    if any(a > 0 == b for a, b in zip(p, q)):
+        return math.inf
+    return math.fsum(a * math.log(a / b) for a, b in zip(p, q) if a > 0)
+
+
+# a floor within this fraction of itself counts as met: the divergences are
+# float sums, and the engine's power carries its own rounding
+FLOOR_MARGIN = 1e-9
+
+
+def assert_above_the_information_floor(n, p0, p1, alpha, power):
+    """Any test of size <= alpha and power >= power on n particles has
+    n * D(h1 || h0) >= d(power || alpha) and n * D(h0 || h1) >= d(alpha || power),
+    by data processing for the divergence."""
+    for ratio, floor in ((divergence(p1, p0), binary_divergence(power, alpha)),
+                         (divergence(p0, p1), binary_divergence(alpha, power))):
+        assert n * ratio >= floor * (1 - FLOOR_MARGIN), (n, floor / ratio)
+
+
+@st.composite
+def floor_designs(draw):
+    """(p0, p1, alpha, power): two to four cells, all possible under both models,
+    whose planned answer stays below ROW_CAP."""
+    k = draw(st.integers(2, 4))
+    p0 = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    w = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    p1 = [a * math.exp(x) for a, x in zip(p0, w)]
+    p0, p1 = ([x / sum(p) for x in p] for p in (p0, p1))
+    alpha = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.2]))
+    power = draw(st.floats(alpha + 0.01, 0.99))
+    # the answer lies above the floor; cap the floor so that the search stays exact
+    cap = {2: 2000, 3: 300}.get(k, 40)
+    assume(binary_divergence(power, alpha) <= cap * divergence(p1, p0))
+    return p0, p1, alpha, power
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=floor_designs())
+def test_every_exact_plan_lies_above_the_information_floor(design):
+    p0, p1, alpha, power = design
+    h0, h1 = (CategoryModel(("a", "b", "c", "d")[:len(p)], p) for p in (p0, p1))
+    n = min_sample_size(h0, h1, alpha, power)
+    assume(stats._size(n, p0, p1) <= ROW_CAP)
+    assert_above_the_information_floor(n, p0, p1, alpha, power)
