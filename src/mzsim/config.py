@@ -156,9 +156,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _as_float(entries: dict, key: str) -> float | None:
-    if key not in entries:
-        return None
+def _as_float(entries: dict, key: str) -> float:
     value, lineno = entries[key]
     try:
         number = float(value)
@@ -169,9 +167,7 @@ def _as_float(entries: dict, key: str) -> float | None:
     return number
 
 
-def _as_int(entries: dict, key: str) -> int | None:
-    if key not in entries:
-        return None
+def _as_int(entries: dict, key: str) -> int:
     value, lineno = entries[key]
     try:
         return int(value)
@@ -180,8 +176,6 @@ def _as_int(entries: dict, key: str) -> int | None:
 
 
 def _as_member(entries: dict, key: str, kind: type[enum.Enum]):
-    if key not in entries:
-        return None
     value, lineno = entries[key]
     choices = [member.value for member in kind]
     if value not in choices:
@@ -191,8 +185,8 @@ def _as_member(entries: dict, key: str, kind: type[enum.Enum]):
     return kind(value)
 
 
-def _as_text(entries: dict, key: str) -> str | None:
-    return entries[key][0] if key in entries else None
+def _as_text(entries: dict, key: str) -> str:
+    return entries[key][0]
 
 
 def _parser(annotation):
@@ -212,8 +206,10 @@ def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
 
     A field's key is its name (or its ``_FIELD_KEYS`` spelling), parsed by
     :func:`_parser` and required if the field has no default; ``parsers``
-    maps each extra key to its parser.  Checks run in order: unknown keys,
-    missing keys, the extra keys, the field keys, then the record's own.
+    maps each extra key to its parser.  A parser runs only on a key that
+    is present, and an absent extra key parses as None.  Checks run in
+    order: unknown keys, missing keys, the extra keys, the field keys,
+    then the record's own.
     Returns the record and the parsed extras by key.
     """
     fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
@@ -226,7 +222,8 @@ def _record(section: str, cls: type[_Record], entries: dict, parsers: dict):
     for key, name in fields.items():
         if name not in cls._defaults and key not in entries:
             raise ConfigError(f"[{section}] requires key {key!r}")
-    parsed = {key: parsers[key](entries, key) for key in parsers}
+    parsed = {key: parse(entries, key) if key in entries else None
+              for key, parse in parsers.items()}
     values = {
         name: _parser(cls._fields[name])(entries, key)
         for key, name in fields.items()
@@ -258,9 +255,7 @@ def _parse_simulation(entries: dict, cfg: RunConfig) -> None:
         raise ConfigError(f"workers must be >= 1, got {parsed['workers']}")
 
 
-def _parse_number_list(entries: dict, key: str, kind) -> tuple | None:
-    if key not in entries:
-        return None
+def _parse_number_list(entries: dict, key: str, kind) -> tuple:
     value, lineno = entries[key]
     try:
         numbers = tuple(kind(part.strip()) for part in value.split(","))
@@ -284,7 +279,6 @@ def _parse_fringes(entries: dict, cfg: RunConfig) -> None:
     extras = {"pattern": _parser(Pattern)}
     cfg.geometry, parsed = _record("fringes", FringeGeometry, entries, extras)
     cfg.fringe_pattern = parsed["pattern"] or cfg.fringe_pattern
-
 
 
 def parse_config(text: str) -> RunConfig:

@@ -21,13 +21,15 @@ turn the seed into that state, PCG64 (O'Neill 2014, HMC-CS-2014-0905),
 and numpy's ``random_binomial``, inversion or BTPE (Kachitvichyanukul
 & Schmeiser 1988, *Comm. ACM* 31(2):216).  Every draw is bit for bit
 the one ``numpy.random.Generator.binomial`` makes from the same state,
-and the stream does not depend on the installed numpy.  A draw is one
-Python call: :meth:`_Sampler.binomial` computes its set-up, steps
-PCG64 inline and returns from inversion or BTPE's fast region itself.
-numpy's draws take at most 2**63 - 1 trials, so a run of more
-particles is refused.  :class:`SimConfig` lives in :mod:`mzsim.core`
-so that parsing a configuration needs no sampler; it is re-exported
-here.
+and the stream does not depend on the installed numpy.
+:class:`_Sampler` ports numpy's C code routine by routine, so that it
+reads line by line against numpy's ``distributions.c``:
+:meth:`_Sampler.double` steps PCG64 once, and
+:meth:`_Sampler.binomial` reflects p > 0.5 and hands the draw to one
+method per algorithm, inversion or BTPE.  numpy's draws take at most
+2**63 - 1 trials, so a run of more particles is refused.
+:class:`SimConfig` lives in :mod:`mzsim.core` so that parsing a
+configuration needs no sampler; it is re-exported here.
 """
 
 from math import exp, floor, log, log1p, sqrt
@@ -118,113 +120,15 @@ def _wrap64(x: int) -> int:
     return (x + _INT64 & _M64) - _INT64
 
 
-def _inversion_setup(n: int, p: float):
-    """numpy's per-(n, p) inversion constants: q, q**n and the search bound."""
-    q = 1.0 - p
-    np_ = n * p
-    bound = np_ + 10.0 * sqrt(np_ * q + 1)
-    # C's MIN(n, bound) compares and returns doubles before the cast
-    return q, exp(n * log1p(-p)), n if n < bound else int(bound)
-
-
-def _btpe_setup(n: int, p: float):
-    """numpy's per-(n, p) BTPE constants: ``p1``, ``xm`` and ``p4`` for the fast
-    region, then the tuple :func:`_btpe_tail` takes, with ``a = s * (n + 1)``.
-
-    ``p <= 0.5``, so numpy's ``r = min(p, 1 - p)`` is ``p``.
-    """
-    r = p
-    q = 1.0 - r
-    fm = n * r + r
-    m = floor(fm)
-    p1 = floor(2.195 * sqrt(n * r * q) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl = xm - p1
-    xr = xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    s = r / q
-    # int64 n + 1 wraps at n = 2**63 - 1
-    return p1, xm, p4, (r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, n * r * q, s,
-                        s * _wrap64(n + 1))
-
-
-def _btpe_tail(n: int, u: float, v: float, setup: tuple):
-    """BTPE's draw from a proposal ``(u, v)`` outside its fast region, or None
-    if it is rejected: numpy's C code, int64 wraps included; p <= 0.5."""
-    r, q, m, p1, xm, xl, xr, c, laml, lamr, p2, p3, nrq, s, a = setup
-    if u <= p2:
-        x = xl + (u - p1) / c
-        v = v * c + 1.0 - abs(m - x + 0.5) / p1
-        if v > 1.0:
-            return None
-        y = floor(x)
-    elif u <= p3:
-        if v == 0.0:
-            return None
-        y = floor(xl + log(v) / laml)
-        if y < 0:
-            return None
-        v = v * (u - p2) * laml
-    else:
-        if v == 0.0:
-            return None
-        y = floor(xr - log(v) / lamr)
-        if y > n:
-            return None
-        v = v * (u - p3) * lamr
-    k = abs(y - m)
-    if not (k > 20 and k < nrq / 2.0 - 1):
-        f = 1.0
-        if m < y:
-            for i in range(m + 1, y + 1):
-                f *= a / i - s
-        elif m > y:
-            for i in range(y + 1, m + 1):
-                f /= a / i - s
-        return None if v > f else y
-    # C takes log(v) of v <= 0 as -inf or NaN, and both accept
-    if v <= 0.0:
-        return y
-    rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-    # int64 -k*k wraps for k above 2**31.5
-    t = _wrap64(-k * k) / (2 * nrq)
-    big_a = log(v)
-    if big_a < t - rho:
-        return y
-    if big_a > t + rho:
-        return None
-    # numpy adds these in doubles, n + 1 included
-    x1 = y + 1.0
-    f1 = m + 1.0
-    z = float(n) + 1.0 - m
-    w = float(n) - y + 1.0
-    x2 = x1 * x1
-    f2 = f1 * f1
-    z2 = z * z
-    w2 = w * w
-    return None if big_a > (
-        xm * log(f1 / x1)
-        + (n - m + 0.5) * log(z / w)
-        + (y - m) * log(w * r / (x1 * q))
-        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / f2) / f2) / f2) / f2) / f1 / 166320.0
-        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / z2) / z2) / z2) / z2) / z / 166320.0
-        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x1 / 166320.0
-        + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / w2) / w2) / w2) / w2) / w / 166320.0
-    ) else y
-
-
 class _Sampler:
     """A PCG64 generator whose ``binomial`` is numpy's, draw for draw.
 
     ``state`` and ``inc`` are the 128-bit PCG64 state and increment, as
-    ``np.random.PCG64().state["state"]`` holds them.
+    ``np.random.PCG64().state["state"]`` holds them.  The methods port
+    numpy's ``next_double``, ``random_binomial``,
+    ``random_binomial_inversion`` and ``random_binomial_btpe``
+    (``numpy/random/src/distributions/distributions.c``) in the C code's
+    order, C's int64 wraps included.
     """
 
     __slots__ = ("state", "inc")
@@ -233,50 +137,138 @@ class _Sampler:
         self.state = state
         self.inc = inc
 
-    def binomial(self, n: int, p: float) -> int:
-        """numpy's ``random_binomial(n, p)``: reflect p > 0.5, then inversion or BTPE.
+    def double(self) -> float:
+        """One PCG64 step: the LCG step, the XSL-RR output (``x * (2**64 + 1)``
+        is ``x | x << 64``, rotated right by the top 6 bits of the state) and
+        its top 53 bits as a double in [0, 1)."""
+        self.state = state = self.state * _PCG_MULT + self.inc & _M128
+        xsl = (state >> 64 ^ state) & _M64
+        return (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
 
-        The PCG64 steps run inline on a local state: one LCG step, the
-        XSL-RR output (``x * (2**64 + 1)`` is ``x | x << 64``, rotated
-        right by the top 6 bits), and its top 53 bits as a double in [0, 1).
-        Only BTPE's proposals outside its fast region call :func:`_btpe_tail`.
-        """
+    def binomial(self, n: int, p: float) -> int:
+        """numpy's ``random_binomial(n, p)``: reflect p > 0.5, then inversion or BTPE."""
         if n == 0 or p == 0.0:
             return 0
-        flip = p > 0.5
-        if flip:
-            p = 1.0 - p
-        inversion = p * n <= 30.0
-        setup = _inversion_setup(n, p) if inversion else _btpe_setup(n, p)
-        state, inc = self.state, self.inc
-        while True:
-            state = state * _PCG_MULT + inc & _M128
-            xsl = (state >> 64 ^ state) & _M64
-            u = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
-            if inversion:
-                # search up from 0; past the bound, start again with a new u
-                q, px, bound = setup
-                x = 0
-                while u > px and x < bound:
-                    x += 1
-                    u -= px
-                    px = ((n - x + 1) * p * px) / (x * q)
-                if u <= px:
-                    break
+        if p <= 0.5:
+            return self._inversion(n, p) if p * n <= 30.0 else self._btpe(n, p)
+        q = 1.0 - p
+        return n - (self._inversion(n, q) if q * n <= 30.0 else self._btpe(n, q))
+
+    def _inversion(self, n: int, p: float) -> int:
+        """numpy's ``random_binomial_inversion``: search up from 0 for the draw;
+        past the bound, start again with a new double."""
+        q = 1.0 - p
+        qn = exp(n * log1p(-p))
+        np_ = n * p
+        # C's MIN(n, bound) compares and returns doubles before the cast
+        bound = int(min(n, np_ + 10.0 * sqrt(np_ * q + 1)))
+        x, px, u = 0, qn, self.double()
+        while u > px:
+            x += 1
+            if x > bound:
+                x, px, u = 0, qn, self.double()
             else:
-                p1, xm, p4, tail = setup
-                u *= p4
-                state = state * _PCG_MULT + inc & _M128
-                xsl = (state >> 64 ^ state) & _M64
-                v = (xsl * _ROTATE >> (state >> 122) + 11 & _M53) * 2.0**-53
-                if u <= p1:
-                    x = floor(xm - p1 * v + u)
-                    break
-                x = _btpe_tail(n, u, v, tail)
-                if x is not None:
-                    break
-        self.state = state
-        return n - x if flip else x
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    def _btpe(self, n: int, p: float) -> int:
+        """numpy's ``random_binomial_btpe`` for p <= 0.5, so that its
+        ``r = min(p, 1 - p)`` is ``p``: steps 10-60 of Kachitvichyanukul &
+        Schmeiser, one proposal ``(u, v)`` per pass of the loop."""
+        r = p
+        q = 1.0 - r
+        fm = n * r + r
+        m = floor(fm)
+        p1 = floor(2.195 * sqrt(n * r * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl = xm - p1
+        xr = xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * r)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        p4 = p3 + c / lamr
+        nrq = n * r * q
+        while True:
+            # step 10: the triangle accepts at once
+            u = self.double() * p4
+            v = self.double()
+            if u <= p1:
+                return floor(xm - p1 * v + u)
+            if u <= p2:
+                # step 20: the parallelograms
+                x = xl + (u - p1) / c
+                v = v * c + 1.0 - abs(m - x + 0.5) / p1
+                if v > 1.0:
+                    continue
+                y = floor(x)
+            elif u <= p3:
+                # step 30: the left tail; numpy rejects v == 0, whose log it cannot cast
+                if v == 0.0:
+                    continue
+                y = floor(xl + log(v) / laml)
+                if y < 0:
+                    continue
+                v = v * (u - p2) * laml
+            else:
+                # step 40: the right tail
+                if v == 0.0:
+                    continue
+                y = floor(xr - log(v) / lamr)
+                if y > n:
+                    continue
+                v = v * (u - p3) * lamr
+            k = abs(y - m)
+            if not (k > 20 and k < nrq / 2.0 - 1):
+                # step 50: f(y) / f(m) by the recurrence; int64 n + 1 wraps at 2**63 - 1
+                s = r / q
+                a = s * _wrap64(n + 1)
+                f = 1.0
+                if m < y:
+                    for i in range(m + 1, y + 1):
+                        f *= a / i - s
+                elif m > y:
+                    for i in range(y + 1, m + 1):
+                        f /= a / i - s
+                if v > f:
+                    continue
+                return y
+            # step 52: squeeze log(v) against bounds on log(f(y) / f(m))
+            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+            # int64 -k*k wraps for k above 2**31.5
+            t = _wrap64(-k * k) / (2 * nrq)
+            # C takes log(v) of v <= 0 as -inf or NaN, and both accept
+            if v <= 0.0:
+                return y
+            big_a = log(v)
+            if big_a < t - rho:
+                return y
+            if big_a > t + rho:
+                continue
+            # numpy adds these in doubles, n + 1 included
+            x1 = y + 1.0
+            f1 = m + 1.0
+            z = float(n) + 1.0 - m
+            w = float(n) - y + 1.0
+            x2 = x1 * x1
+            f2 = f1 * f1
+            z2 = z * z
+            w2 = w * w
+            if big_a > (
+                xm * log(f1 / x1)
+                + (n - m + 0.5) * log(z / w)
+                + (y - m) * log(w * r / (x1 * q))
+                + (13680. - (462. - (132. - (99. - 140. / f2) / f2) / f2) / f2) / f1 / 166320.
+                + (13680. - (462. - (132. - (99. - 140. / z2) / z2) / z2) / z2) / z / 166320.
+                + (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x1 / 166320.
+                + (13680. - (462. - (132. - (99. - 140. / w2) / w2) / w2) / w2) / w / 166320.
+            ):
+                continue
+            return y
 
 
 def chunk_rng(seed: int):

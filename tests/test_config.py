@@ -184,6 +184,7 @@ class TestErrors:
             ("[stats]\nbackground = -1e-3\n", "^background probabilities must be >= 0$"),
             ("[stats]\nvisibility = 1.5\n", r"^visibility must be in \[0, 1\], got 1\.5$"),
             ("[stats]\nvisibility = -3\n", r"^visibility must be a number >= 0, got -3\.0$"),
+            ("[stats]\nalpha = 1%\n", "^line 2: alpha must be a number, got '1%'$"),
             ("[stats\nalpha = 0.01\n", r"^line 1: malformed section header '\[stats'$"),
             ("[stats]\nalpha =\n", "^line 2: expected 'key = value', got 'alpha ='$"),
             ("[stats]\ncounts = 1,x,3,4\n",

@@ -202,6 +202,23 @@ def _numpy_generator(state: int, inc: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _steered(u: float, v: float) -> tuple[int, int, int]:
+    """A PCG64 ``(state, inc)`` whose next two doubles are ``u`` and ``v``, each
+    rounded down to a multiple of 2**-53, and the state those two steps reach.
+
+    Both steps land on states whose high word is ``hi``, whose top 6 bits
+    are 0, so XSL-RR does not rotate and a double is the top 53 bits of
+    ``hi ^ lo``.  The increment is what takes the first state to the
+    second; bit 0 of the second, which no double reads, makes it odd.
+    """
+    hi = 0x0123_4567_89AB_CDEF
+    first, second = (hi << 64 | hi ^ int(x * 2**53) << 11 for x in (u, v))
+    second ^= 1
+    mult = montecarlo._PCG_MULT
+    inc = (second - first * mult) % 2**128
+    return (first - inc) * pow(mult, -1, 2**128) % 2**128, inc, second
+
+
 _INT64_MAX = 2**63 - 1
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
 
@@ -241,6 +258,31 @@ _BINOMIAL_STRATA = {
     "n_plus_1_wraps": st.tuples(st.just(_INT64_MAX),
                                 st.floats(min_value=30.0, max_value=120.0).map(
                                     lambda c: c / _INT64_MAX)),
+}
+
+
+# BTPE's first proposal steered into each branch of its steps 20-52: n, p, the
+# two doubles (u before BTPE scales it by p4, then v), and whether the proposal
+# is accepted.  At n = 70, p = 0.45 (nrq = 17.3) every y is evaluated
+# explicitly; at n = 1000, p = 0.4 (nrq = 240) the squeeze takes 20 < |y - m| < 119
+_BTPE_BRANCHES = {
+    "triangle": (70, 0.45, 0.0, 0.0, True),
+    "parallelogram rejects": (70, 0.45, 0.47, 1 - 2**-53, False),
+    "left tail at v == 0": (70, 0.45, 0.815, 0.0, False),
+    "left tail below 0": (70, 0.45, 0.815, 2**-53, False),
+    "right tail at v == 0": (70, 0.45, 0.9, 0.0, False),
+    "right tail above n": (70, 0.45, 0.9, 2**-53, False),
+    "explicit m < y accepts": (70, 0.45, 0.615, 0.0, True),
+    "explicit m < y rejects": (70, 0.45, 0.65, 0.4, False),
+    "explicit m > y accepts": (70, 0.45, 0.38, 0.0, True),
+    "explicit m > y rejects": (70, 0.45, 0.38, 0.6, False),
+    "squeeze accepts early": (1000, 0.4, 0.69, 0.0, True),
+    "squeeze rejects early": (1000, 0.4, 0.69, 0.9, False),
+    "squeeze bound accepts": (1000, 0.4, 0.69, 0.5, True),
+    "squeeze bound rejects": (1000, 0.4, 0.69, 0.6, False),
+    # u == p2 exactly, found by a search, puts x at xr, where the parallelogram's
+    # v comes out 0 and the squeeze meets log(0)
+    "squeeze at v == 0": (141091, 0.2846019374111061, 8620578954757050 * 2**-53, 0.0, True),
 }
 
 
@@ -295,16 +337,13 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, p", [(1, 0.46), (2, 0.22), (5, 0.78), (12, 0.9), (60, 0.22)])
     def test_inversion_past_its_bound_draws_again(self, n, p):
-        # a state whose next double is 1 - 2**-53, above the pmf as inversion sums
-        # it, so the search passes its bound and starts again with the next double
-        inc = 2**90 + 1
-        hi = 0x0123_4567_89AB_CDEF  # top 6 bits 0: the output is not rotated
-        first = hi << 64 | hi ^ 2**64 - 1
-        state = (first - inc) * pow(montecarlo._PCG_MULT, -1, 2**128) % 2**128
+        # a first double of 1 - 2**-53 lies above the pmf as inversion sums it, so
+        # the search passes its bound and starts again with the second double
+        state, inc, after = _steered(1 - 2**-53, 0.5)
         ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
         assert ours.binomial(n, p) == ref.binomial(n, p)
         assert ours.state == ref.bit_generator.state["state"]["state"]
-        assert ours.state == (first * montecarlo._PCG_MULT + inc) % 2**128
+        assert ours.state == after
 
     # BTPE's squeeze adds n + 1 - m and n - y + 1 in doubles, which an int64
     # sum rounds differently above 2**53: draws found by a random search
@@ -319,6 +358,25 @@ class TestSampler:
     )
     def test_binomial_squeeze_rounds_as_numpy(self, n, p, state, inc):
         assert _Sampler(state, inc).binomial(n, p) == _numpy_generator(state, inc).binomial(n, p)
+
+    @pytest.mark.parametrize(
+        "u, v", [(0.0, 0.0), (2**-53, 1 - 2**-53), (0.5, 0.25), (1 - 2**-53, 2**-53)]
+    )
+    def test_steered_state_draws_the_chosen_doubles(self, u, v):
+        state, inc, after = _steered(u, v)
+        ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
+        assert (ours.double(), ours.double()) == (u, v) == tuple(ref.random(2))
+        assert ours.state == after
+
+    @pytest.mark.parametrize("n, p, u, v, accepted", list(_BTPE_BRANCHES.values()),
+                             ids=list(_BTPE_BRANCHES))
+    def test_btpe_branch_is_numpy_s(self, n, p, u, v, accepted):
+        state, inc, after = _steered(u, v)
+        ours, ref = _Sampler(state, inc), _numpy_generator(state, inc)
+        assert ours.binomial(n, p) == ref.binomial(n, p)
+        assert ours.state == ref.bit_generator.state["state"]["state"]
+        # an accepted proposal is the draw; a rejected one draws again
+        assert (ours.state == after) is accepted
 
 
 _SIMULATE = {"excitation": simulate_excitation, "decay": simulate_decay,
